@@ -100,7 +100,11 @@ def cmd_vc(args) -> int:
     report = vc_dimension(cls, mode=args.mode, budget=args.budget)
     _emit(report.to_json(), args.format)
     if args.mode == MODE_EXACT and not report.exact:
-        print("node budget exhausted before the exact answer", file=sys.stderr)
+        print(
+            "node budget exhausted before the exact answer "
+            f"(nodes={report.nodes}, level={report.vc})",
+            file=sys.stderr,
+        )
         return EXIT_BUDGET
     return EXIT_OK
 
@@ -209,13 +213,16 @@ def cmd_sim(args) -> int:
     raw = load_json(args.config)
     threads = _resolve_threads(args.threads)
     if args.kind == "comparison":
+        delta = float(raw["delta"])
+        if not 0 < delta < 1:
+            raise ValueError(f"delta must be in (0, 1), got {delta}")
         config = ExperimentConfig(
             distribution=distribution_from_json(raw["distribution"]),
             H=class_from_json(raw["h_class"], label="X"),
             Phi=class_from_json(raw["phi_class"], label="X*"),
             m=int(raw["m"]),
             trials=int(raw["trials"]),
-            delta=float(raw["delta"]),
+            delta=delta,
             seed=int(args.seed if args.seed is not None else raw.get("seed", 0)),
             C=float(raw.get("c", 1.0)),
             threads=threads,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .core import Hypothesis, HypothesisClass, TripleSample
+from .core import DomainMismatchError, Hypothesis, HypothesisClass, TripleSample
 
 PAIR_SCAN_LIMIT = 4096
 
@@ -63,27 +63,41 @@ class PrivilegedErmResult:
         }
 
 
+def _outside_domain(S: TripleSample, index: str, cls: HypothesisClass) -> DomainMismatchError:
+    """The error for a sample whose ``index`` field leaves the class domain."""
+    top = max(getattr(t, index) for t in S.triples)
+    return DomainMismatchError(
+        f"sample {index} index {top} outside domain of size {cls.domain.size}"
+    )
+
+
 def _error_masks(H: HypothesisClass, S: TripleSample) -> list[int]:
     """Per-member bitmask of misclassified sample indices."""
     masks = []
-    for h in H.members:
-        m = 0
-        for i, t in enumerate(S.triples):
-            if h.bits[t.x] != t.y:
-                m |= 1 << i
-        masks.append(m)
+    try:
+        for h in H.members:
+            m = 0
+            for i, t in enumerate(S.triples):
+                if h.bits[t.x] != t.y:
+                    m |= 1 << i
+            masks.append(m)
+    except IndexError:
+        raise _outside_domain(S, "x", H) from None
     return masks
 
 
 def _flag_masks(Phi: HypothesisClass, S: TripleSample) -> list[int]:
     """Per-member bitmask of flagged sample indices."""
     masks = []
-    for phi in Phi.members:
-        m = 0
-        for i, t in enumerate(S.triples):
-            if phi.bits[t.xstar]:
-                m |= 1 << i
-        masks.append(m)
+    try:
+        for phi in Phi.members:
+            m = 0
+            for i, t in enumerate(S.triples):
+                if phi.bits[t.xstar]:
+                    m |= 1 << i
+            masks.append(m)
+    except IndexError:
+        raise _outside_domain(S, "xstar", Phi) from None
     return masks
 
 

@@ -57,11 +57,18 @@ def mix_seed(master: int, trial: int) -> int:
 def _draw_indices(
     dist: FiniteDistribution, m: int, seed: int
 ) -> np.ndarray:
-    """m support indices drawn by inverse CDF; the one source of randomness."""
+    """m support indices drawn by inverse CDF; the one source of randomness.
+
+    Probabilities may sum to slightly less than 1, so a draw past the last
+    cumulative total goes to the last point with positive mass.
+    """
     rng = np.random.default_rng(seed)
     cum = np.asarray(dist.cumulative)
     idx = np.searchsorted(cum, rng.random(m), side="right")
-    return np.minimum(idx, len(cum) - 1)
+    last = len(cum) - 1
+    while dist.support[last][1] == 0:
+        last -= 1
+    return np.minimum(idx, last)
 
 
 def sample(dist: FiniteDistribution, m: int, seed: int) -> TripleSample:

@@ -3,19 +3,25 @@
 The engine works on integer bit columns: for each domain point j, ``col[j]``
 has bit i set iff member i labels point j with 1.  A subset is shattered iff
 progressively splitting the member set by each column leaves every cell
-nonempty.  Exact VC dimension is found by levelwise search over shattered
-subsets: every subset of a shattered set is shattered, so level k+1 is built
-by extending level-k sets past their maximum point and keeping candidates
-whose k-subsets all survived.  A node budget degrades the answer to a
-verified lower bound instead of running forever.
+nonempty.  Exact VC dimension is found by branch-and-bound: for target sizes
+k = 1, 2, ... a depth-first search over the points in increasing order
+carries the cell partition of the members and drops a point as soon as one
+half of some cell holds fewer members than the points still to add can
+split (2^(need-1)).  The first k-set the search reaches is therefore the
+lexicographically first shattered k-set, and the search ends at the first k
+with none.  ``VcReport.levels`` counts the shattered sets of each size up to
+the VC dimension by a second depth-first search, run only when the counts
+are read.  A node budget degrades the answer to a verified lower bound
+instead of running forever.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
     DomainMismatchError,
@@ -41,20 +47,51 @@ class ProjectionTable:
 
 
 @dataclass(frozen=True)
+class _Columns:
+    """The member set and the bit columns of the searched points."""
+
+    full: int
+    cols: tuple[int, ...]
+
+
+@dataclass(frozen=True, eq=False)
 class VcReport:
     """Outcome of a VC computation.
 
     ``exact`` is False when the search stopped at the node budget or ran in
     lower-bound-only mode; ``vc`` is then a verified lower bound.  ``witness``
     is the lexicographically first shattered set of size ``vc``; ``levels[k]``
-    counts the shattered k-subsets found (levels[0] is 1 for the empty set).
+    counts the shattered k-subsets for k <= vc (levels[0] is 1 for the empty
+    set), counted on first read.  A report for a supplied witness has no
+    counts: its ``levels`` is empty.  ``nodes`` counts the split attempts of
+    the search, plus one per domain point for building the columns.
     """
 
     vc: int
     exact: bool
     witness: tuple[int, ...]
-    levels: tuple[int, ...]
     nodes: int = 0
+    columns: Optional[_Columns] = field(default=None, repr=False)
+
+    @cached_property
+    def levels(self) -> tuple[int, ...]:
+        if self.columns is None:
+            return ()
+        return _count_shattered(self.columns, self.vc)
+
+    def _key(self) -> tuple:
+        return (self.vc, self.exact, self.witness, self.nodes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VcReport):
+            return NotImplemented
+        if self._key() != other._key():
+            return False
+        # equal columns give equal counts, so only differing ones are counted
+        return self.columns == other.columns or self.levels == other.levels
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def to_json(self) -> dict:
         return {
@@ -63,6 +100,10 @@ class VcReport:
             "witness": list(self.witness),
             "levels": list(self.levels),
         }
+
+
+class _BudgetExhausted(Exception):
+    """The search passed its node budget; ``args[0]`` is the node count."""
 
 
 def _validate_subset(cls: HypothesisClass, subset: Sequence[int]) -> tuple[int, ...]:
@@ -77,33 +118,101 @@ def _validate_subset(cls: HypothesisClass, subset: Sequence[int]) -> tuple[int, 
     return pts
 
 
-def _columns(cls: HypothesisClass) -> list[int]:
-    cols = [0] * cls.domain.size
+def _columns(cls: HypothesisClass, points: Sequence[int]) -> list[int]:
+    """Bit column of each point in ``points``, in that order."""
+    cols = [0] * len(points)
     for i, h in enumerate(cls.members):
         bit = 1 << i
-        for j, b in enumerate(h.bits):
-            if b:
+        bits = h.bits
+        for j, p in enumerate(points):
+            if bits[p]:
                 cols[j] |= bit
     return cols
 
 
-def _splits_fully(cols: Sequence[int], full: int, points: Iterable[int]) -> bool:
-    """True iff every column in ``points`` cuts every current cell in two."""
-    cells = [full]
-    for p in points:
-        col = cols[p]
-        nxt = []
-        for c in cells:
-            a = c & col
-            if not a:
-                return False
-            b = c ^ a
-            if not b:
-                return False
-            nxt.append(a)
-            nxt.append(b)
-        cells = nxt
-    return True
+def _split(cells: list[int], col: int, floor: int) -> Optional[list[int]]:
+    """Both halves of every cell split by ``col``, or None if one is too small."""
+    out = []
+    for c in cells:
+        a = c & col
+        if a.bit_count() < floor:
+            return None
+        b = c ^ a
+        if b.bit_count() < floor:
+            return None
+        out.append(a)
+        out.append(b)
+    return out
+
+
+def _first_shattered(
+    columns: _Columns, k: int, nodes: int, budget: Optional[int]
+) -> tuple[Optional[tuple[int, ...]], int]:
+    """Lex-first k-set of column indices that shatters, and the node count.
+
+    Adding a point with ``need`` points still to place (itself included)
+    needs both halves of every cell to hold 2^(need-1) members, and leaves
+    room for the rest only up to index ``len(cols) - need``.  Raises
+    ``_BudgetExhausted`` once ``nodes`` passes ``budget``.
+    """
+    cols = columns.cols
+    chosen: list[int] = []
+
+    def extend(start: int, cells: list[int]) -> bool:
+        nonlocal nodes
+        need = k - len(chosen)
+        if need == 0:
+            return True
+        floor = 1 << (need - 1)
+        for i in range(start, len(cols) - need + 1):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise _BudgetExhausted(nodes)
+            nxt = _split(cells, cols[i], floor)
+            if nxt is not None:
+                chosen.append(i)
+                if extend(i + 1, nxt):
+                    return True
+                chosen.pop()
+        return False
+
+    found = extend(0, [columns.full])
+    return (tuple(chosen) if found else None), nodes
+
+
+def _count_shattered(columns: _Columns, top: int) -> tuple[int, ...]:
+    """Number of shattered sets of each size 0..top, each set visited once.
+
+    A shattered set extends by a later point iff that point's column cuts
+    every cell of the set's partition in two.  Sets of size ``top`` are
+    counted without building their cells.
+    """
+    cols = columns.cols
+    counts = [0] * (top + 1)
+
+    def visit(start: int, cells: list[int], size: int) -> None:
+        counts[size] += 1
+        if size == top:
+            return
+        last = size + 1 == top
+        for i in range(start, len(cols)):
+            col = cols[i]
+            nxt = []
+            for c in cells:
+                a = c & col
+                if not a or a == c:
+                    break
+                if not last:
+                    nxt.append(a)
+                    nxt.append(c ^ a)
+            else:
+                if last:
+                    counts[top] += 1
+                else:
+                    visit(i + 1, nxt, size + 1)
+
+    visit(0, [columns.full], 0)
+    return tuple(counts)
 
 
 def project(cls: HypothesisClass, subset: Sequence[int]) -> ProjectionTable:
@@ -118,26 +227,12 @@ def is_shattered(cls: HypothesisClass, subset: Sequence[int]) -> bool:
     pts = _validate_subset(cls, subset)
     if len(cls) < (1 << len(pts)):
         return False
-    cols = [0] * cls.domain.size
-    for i, h in enumerate(cls.members):
-        bit = 1 << i
-        for p in pts:
-            if h.bits[p]:
-                cols[p] |= bit
-    return _splits_fully(cols, (1 << len(cls)) - 1, pts)
-
-
-def _lex_first(masks: Iterable[int]) -> tuple[int, ...]:
-    def as_tuple(m: int) -> tuple[int, ...]:
-        out, i = [], 0
-        while m:
-            if m & 1:
-                out.append(i)
-            m >>= 1
-            i += 1
-        return tuple(out)
-
-    return min(as_tuple(m) for m in masks)
+    cells = [(1 << len(cls)) - 1]
+    for col in _columns(cls, pts):
+        cells = _split(cells, col, 1)
+        if cells is None:
+            return False
+    return True
 
 
 def vc_dimension(
@@ -146,13 +241,15 @@ def vc_dimension(
     budget: Optional[int] = DEFAULT_NODE_BUDGET,
     witness: Optional[Sequence[int]] = None,
 ) -> VcReport:
-    """VC dimension by levelwise enumeration of shattered subsets.
+    """VC dimension by branch-and-bound search for shattered sets.
 
-    In exact mode the search runs until no level-k set extends; hitting the
-    node budget returns the last completed level as a lower bound with
-    ``exact=False``.  In lower-bound-only mode a supplied ``witness`` is
-    verified instead of searching (or the search result is reported as a
-    lower bound).
+    Target sizes k = 1, 2, ... are tried in turn, up to the smaller of
+    log2 |class| and the number of non-constant points; the search ends at
+    the first k with no shattered set.  ``nodes`` counts split attempts, and
+    passing the node budget returns the largest size found so far as a lower
+    bound with ``exact=False``.  In lower-bound-only mode a supplied
+    ``witness`` is verified instead of searching (or the search result is
+    reported as a lower bound).
     """
     if mode not in (MODE_EXACT, MODE_LOWER_BOUND):
         raise ValueError(f"unknown mode {mode!r}")
@@ -163,67 +260,36 @@ def vc_dimension(
         pts = tuple(sorted(_validate_subset(cls, witness)))
         if not is_shattered(cls, pts):
             raise ValueError(f"supplied witness {pts} is not shattered")
-        return VcReport(vc=len(pts), exact=False, witness=pts, levels=(), nodes=1)
+        return VcReport(vc=len(pts), exact=False, witness=pts, nodes=1)
 
-    cols = _columns(cls)
     full = (1 << len(cls)) - 1
+    cols = _columns(cls, range(cls.domain.size))
     # points whose column is non-constant; only these can join a shattered set
-    active = [p for p in range(cls.domain.size) if cols[p] != 0 and cols[p] != full]
+    active = [p for p, col in enumerate(cols) if col != 0 and col != full]
+    columns = _Columns(full, tuple(cols[p] for p in active))
     vc_cap = min(len(cls).bit_length() - 1, len(active))
 
     nodes = cls.domain.size
-    levels = [1]
-    current = {1 << p for p in active}
-    if not current:
-        return VcReport(vc=0, exact=True, witness=(), levels=(1,), nodes=nodes)
-    levels.append(len(current))
+    best: tuple[int, ...] = ()
     exact = True
-
-    k = 1
-    while k < vc_cap:
-        # join level-k sets sharing everything but their maximum point
-        groups: dict[int, list[int]] = {}
-        for s in current:
-            top = s.bit_length() - 1
-            groups.setdefault(s ^ (1 << top), []).append(top)
-        nxt: set[int] = set()
-        stop = False
-        for prefix in sorted(groups):
-            exts = sorted(groups[prefix])
-            pre_elems = [q for q in range(prefix.bit_length()) if prefix >> q & 1]
-            for i, p1 in enumerate(exts):
-                for p2 in exts[i + 1 :]:
-                    cand = prefix | (1 << p1) | (1 << p2)
-                    # remaining k-subsets (dropping a prefix point) must be shattered
-                    if any((cand ^ (1 << q)) not in current for q in pre_elems):
-                        continue
-                    nodes += 1
-                    if budget is not None and nodes > budget:
-                        stop = True
-                        break
-                    if _splits_fully(cols, full, pre_elems + [p1, p2]):
-                        nxt.add(cand)
-                if stop:
-                    break
-            if stop:
+    try:
+        for k in range(1, vc_cap + 1):
+            found, nodes = _first_shattered(columns, k, nodes, budget)
+            if found is None:
                 break
-        if stop:
-            exact = False
-            break
-        if not nxt:
-            break
-        current = nxt
-        levels.append(len(current))
-        k += 1
+            best = found
+    except _BudgetExhausted as stop:
+        nodes = stop.args[0]
+        exact = False
 
     if mode == MODE_LOWER_BOUND:
         exact = False
     return VcReport(
-        vc=len(levels) - 1,
+        vc=len(best),
         exact=exact,
-        witness=_lex_first(current),
-        levels=tuple(levels),
+        witness=tuple(active[i] for i in best),
         nodes=nodes,
+        columns=columns,
     )
 
 

@@ -80,6 +80,16 @@ def test_vc_budget_exhausted(tmp_path, capsys):
     assert "budget" in err
 
 
+def test_vc_budget_exhausted_reports_nodes_and_level(tmp_path, capsys):
+    path = write_json(tmp_path, "full6.json", class_to_json(full_class(6)))
+    rc, out, err = run_cli(capsys, ["vc", path, "--budget", "20"])
+    assert rc == 3
+    assert json.loads(out) == {
+        "vc": 4, "exact": False, "witness": [0, 1, 2, 3], "levels": [1, 6, 15, 20, 15]
+    }
+    assert err == "node budget exhausted before the exact answer (nodes=21, level=4)\n"
+
+
 def test_vc_lower_bound_mode(tmp_path, capsys):
     path = write_json(tmp_path, "full8.json", class_to_json(full_class(8)))
     rc, out, _ = run_cli(capsys, ["vc", path, "--mode", "lower-bound-only"])
@@ -181,6 +191,26 @@ def test_erm_privileged(tmp_path, capsys):
     assert result["objective"] == 0.0
 
 
+@pytest.mark.parametrize("bad", [{"x": 3, "xstar": 0, "y": 0}, {"x": 0, "xstar": 3, "y": 1}])
+def test_erm_sample_outside_domain_is_input_error(tmp_path, capsys, bad):
+    h = write_json(tmp_path, "h.json", H1_JSON)
+    p = write_json(tmp_path, "p.json", PHI1_JSON)
+    s = write_json(tmp_path, "s.json", {"triples": SAMPLE_JSON["triples"] + [bad]})
+    rc, out, err = run_cli(capsys, ["erm", "--h-class", h, "--phi-class", p, "--sample", s])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("input error: sample x")
+    assert "outside domain of size 3" in err
+
+
+def test_erm_standard_sample_outside_domain_is_input_error(tmp_path, capsys):
+    h = write_json(tmp_path, "h.json", H1_JSON)
+    s = write_json(tmp_path, "s.json", {"triples": [{"x": 7, "xstar": 0, "y": 0}]})
+    rc, _, err = run_cli(capsys, ["erm", "--h-class", h, "--sample", s])
+    assert rc == 2
+    assert err.startswith("input error: sample x index 7")
+
+
 # --- bounds -----------------------------------------------------------------------
 
 
@@ -257,6 +287,17 @@ def test_sim_comparison_stdout(tmp_path, capsys):
     assert summary["effective_trials"] == 8
     assert (summary["d"], summary["dstar"], summary["d_a"]) == (1, 1, 3)
     assert 0.0 <= summary["coverage_pr"] <= 1.0
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -0.1, "nan"])
+def test_sim_comparison_rejects_delta_outside_unit_interval(tmp_path, capsys, delta):
+    path = comparison_config_json(tmp_path, delta=float(delta))
+    out_dir = tmp_path / "run"
+    rc, out, err = run_cli(capsys, ["--output-dir", str(out_dir), "sim", "--config", path])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("input error: delta must be in (0, 1)")
+    assert not out_dir.exists()
 
 
 def test_sim_comparison_seed_flag_wins(tmp_path, capsys):

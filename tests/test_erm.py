@@ -18,6 +18,7 @@ from priverm import (
     ignoring_loss,
     zero_one_loss,
 )
+from priverm.core import DomainMismatchError
 from priverm.erm import PAIR_SCAN_LIMIT
 
 from conftest import rand_class, rand_sample
@@ -151,6 +152,21 @@ def test_privileged_validates_inputs():
         erm_privileged(H, Phi, TripleSample(()), C=0)
     with pytest.raises(ValueError):
         erm_privileged(H, Phi, TripleSample(()), C=-1.5)
+
+
+def test_solvers_reject_sample_outside_class_domains():
+    H = HypothesisClass.from_patterns(FiniteDomain(2, "X"), [(0, 1), (1, 1)])
+    Phi = HypothesisClass.from_patterns(FiniteDomain(3, "X*"), [(0, 0, 1)])
+    bad_x = TripleSample((Triple(0, 0, 1), Triple(2, 0, 0)))
+    bad_xstar = TripleSample((Triple(1, 3, 1),))
+    with pytest.raises(DomainMismatchError, match="sample x index 2 outside domain of size 2"):
+        erm_standard(H, bad_x)
+    with pytest.raises(DomainMismatchError, match="sample x index 2"):
+        erm_privileged(H, Phi, bad_x)
+    with pytest.raises(DomainMismatchError, match="sample xstar index 3 outside domain of size 3"):
+        erm_privileged(H, Phi, bad_xstar)
+    # x* is not read by the standard solver
+    assert erm_standard(H, bad_xstar).n_errors == 0
 
 
 def test_privileged_flagging_tie_prefers_fewer_flags():

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from priverm import (
@@ -88,6 +89,28 @@ def test_sample_edge_cases():
     assert sample(dist, 0, 1).m == 0
     with pytest.raises(ValueError):
         sample(dist, -1, 1)
+
+
+def test_sample_never_draws_a_trailing_zero_mass_point(monkeypatch):
+    """Draws past a total of 1 - 1e-12 go to the last point with mass."""
+    dist = FiniteDistribution((
+        (Triple(0, 0, 0), 0.5),
+        (Triple(1, 1, 1), 0.5 - 1e-12),
+        (Triple(2, 2, 0), 0.0),
+    ))
+    assert dist.cumulative[-1] < 1.0
+    draws = np.array([0.0, 0.25, 0.75, dist.cumulative[-1], 1 - 1e-13, np.nextafter(1.0, 0.0)])
+
+    class FixedDraws:
+        def __init__(self, seed):
+            pass
+
+        def random(self, m):
+            return draws[:m]
+
+    monkeypatch.setattr(np.random, "default_rng", FixedDraws)
+    s = sample(dist, len(draws), 0)
+    assert [t.x for t in s] == [0, 0, 1, 1, 1, 1]
 
 
 def test_sample_frequencies_match_support():

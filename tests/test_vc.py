@@ -154,6 +154,69 @@ def test_vc_matches_brute_force_on_random_classes(seed, size, members):
         assert len(report.witness) == report.vc
 
 
+# --- differential check against a brute-force oracle -------------------------
+
+
+def shattered_subsets(cls: HypothesisClass, k: int) -> list:
+    """Every k-subset the class shatters, in lex order, by counting patterns."""
+    return [
+        pts
+        for pts in combinations(range(cls.domain.size), k)
+        if len({tuple(h.bits[p] for p in pts) for h in cls.members}) == 1 << k
+    ]
+
+
+def assert_matches_oracle(cls: HypothesisClass) -> None:
+    """vc, exact, lex-first witness and every levels count equal brute force."""
+    counts, first = [], ()
+    for k in range(cls.domain.size + 1):
+        found = shattered_subsets(cls, k)
+        if not found:
+            break
+        counts.append(len(found))
+        first = found[0]
+    report = vc_dimension(cls)
+    assert report.exact
+    assert report.vc == len(counts) - 1
+    assert report.witness == first
+    assert report.levels == tuple(counts)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 10_000), st.integers(1, 7), st.integers(1, 60))
+def test_vc_report_matches_oracle_on_random_classes(seed, size, members):
+    assert_matches_oracle(rand_class(random.Random(seed), size, members))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_vc_report_matches_oracle_on_full_classes(n):
+    assert_matches_oracle(full_class(n))
+
+
+def test_vc_report_matches_oracle_on_named_classes():
+    H, Phi = construct_theorem1(1)
+    assert_matches_oracle(build_f_class(H, Phi))
+    assert_matches_oracle(build_aux_class(H, Phi))
+    assert_matches_oracle(HypothesisClass.from_patterns(FiniteDomain(3), [(1, 0, 1)]))
+
+
+def test_vc_report_equality_and_witness_levels():
+    a, b = vc_dimension(full_class(4)), vc_dimension(full_class(4))
+    assert a == b and hash(a) == hash(b)
+    assert a != vc_dimension(full_class(3))
+    assert a.levels == (1, 4, 6, 4, 1)
+    # a verified witness carries no counts
+    report = vc_dimension(full_class(4), mode=MODE_LOWER_BOUND, witness=[1, 3])
+    assert report.levels == () and report.to_json()["levels"] == []
+
+
+def test_vc_budget_stops_at_largest_size_found():
+    report = vc_dimension(full_class(6), budget=20)
+    assert (report.vc, report.exact, report.witness) == (4, False, (0, 1, 2, 3))
+    assert report.nodes > 20
+    assert report.levels == (1, 6, 15, 20, 15)
+
+
 def test_vc_budget_degrades_to_lower_bound():
     report = vc_dimension(full_class(6), budget=20)
     assert not report.exact
