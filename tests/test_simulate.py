@@ -1,11 +1,16 @@
 """Seeded sampling, the comparison and deviation experiments, persistence."""
 
 import csv
+import hashlib
 import json
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priverm import (
     FiniteDistribution,
@@ -20,7 +25,7 @@ from priverm import (
     sample,
 )
 from priverm.constructions import full_class
-from priverm.core import DomainMismatchError, load_json
+from priverm.core import DomainMismatchError, ignoring_loss, load_json, zero_one_loss
 from priverm.simulate import (
     TRIALS_CSV_HEADER,
     ExperimentConfig,
@@ -29,6 +34,8 @@ from priverm.simulate import (
     run_comparison,
     run_theorem5_experiment,
 )
+
+from conftest import rand_class
 
 
 def three_point_distribution() -> FiniteDistribution:
@@ -343,3 +350,109 @@ def test_failed_trials_are_recorded_under_threads():
     records, summary = run_comparison(cfg)
     assert records == []
     assert len(summary["failed_trials"]) == 4
+
+
+@pytest.mark.parametrize(
+    "overrides, error",
+    [
+        ({"delta": 1.5}, "delta must be in (0,1), got 1.5"),
+        ({"C": 0}, "C must be positive, got 0"),
+        ({"C": -2.5}, "C must be positive, got -2.5"),
+        ({"C": float("nan")}, "Invalid literal for Fraction: 'nan'"),
+        ({"m": 0}, "m must be >= 1, got 0"),
+        ({"m": 0, "C": 0}, "C must be positive, got 0"),
+    ],
+)
+def test_failed_trials_keep_their_order_and_messages(overrides, error):
+    records, summary = run_comparison(comparison_config(trials=3, **overrides))
+    assert records == []
+    assert summary["failed_trials"] == [
+        {"trial": t, "error": error} for t in range(3)
+    ]
+
+
+# --- the comparison against a brute-force per-trial oracle ------------------------------
+
+
+def oracle_trial(cfg: ExperimentConfig, t: int) -> tuple:
+    """Trial t re-solved on its drawn sample from the raw losses.
+
+    Standard ERM takes the first member with the fewest errors; privileged
+    ERM the first pair, in (h index, phi index) order, with the smallest
+    (exact Fraction objective, flagged count).
+    """
+    s = sample(cfg.distribution, cfg.m, mix_seed(cfg.seed, t))
+    C = Fraction(str(cfg.C)) if isinstance(cfg.C, float) else Fraction(cfg.C)
+    errors = [sum(zero_one_loss(h.bits[x.x], x.y) for x in s) for h in cfg.H]
+    i_std = errors.index(min(errors))
+    best = None
+    for i, h in enumerate(cfg.H):
+        for j, phi in enumerate(cfg.Phi):
+            n_ig = n_u = 0
+            for x in s:
+                lstar = ignoring_loss(phi.bits[x.xstar], x.y)
+                n_ig += lstar
+                n_u += max(zero_one_loss(h.bits[x.x], x.y) - lstar, 0)
+            cand = (Fraction(n_ig) / C + n_u, n_ig, i, j, n_u)
+            if best is None or cand < best:
+                best = cand
+    _, n_ig, i_pr, _, n_u = best
+    m = cfg.m
+    return (
+        errors[i_std] / m,
+        n_ig / m,
+        n_u / m,
+        exact_true_error(cfg.H[i_std], cfg.distribution),
+        exact_true_error(cfg.H[i_pr], cfg.distribution),
+    )
+
+
+# 1/3 as a float is 3333333333333333/10**16: its integer keys overflow int64
+ORACLE_COSTS = (1, 2, 0.5, 1 / 3, Fraction(10**15 + 1, 10**15))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(ORACLE_COSTS),
+    st.integers(1, 80),
+    st.integers(1, 4),
+)
+def test_comparison_records_match_brute_force_oracle(seed, C, m, trials):
+    rng = random.Random(seed)
+    n_x, n_xs = rng.randint(1, 4), rng.randint(1, 4)
+    points = [(x, xs, y) for x in range(n_x) for xs in range(n_xs) for y in (0, 1)]
+    support = rng.sample(points, rng.randint(1, min(6, len(points))))
+    weights = [rng.randint(1, 9) for _ in support]
+    dist = FiniteDistribution(tuple(
+        (Triple(*p), w / sum(weights)) for p, w in zip(support, weights)
+    ))
+    cfg = ExperimentConfig(
+        distribution=dist,
+        H=rand_class(rng, n_x, rng.randint(1, 8), "X"),
+        Phi=rand_class(rng, n_xs, rng.randint(1, 8), "X*"),
+        m=m, trials=trials, delta=0.05, seed=rng.getrandbits(32), C=C,
+    )
+    records, summary = run_comparison(cfg)
+    assert summary["failed_trials"] == []
+    assert [r.trial for r in records] == list(range(trials))
+    for r in records:
+        got = (r.eps_erm, r.eps_ig, r.eps_u, r.true_err_erm, r.true_err_pr)
+        assert got == oracle_trial(cfg, r.trial)
+
+
+def test_criterion_9_trials_csv_is_pinned(tmp_path):
+    """Criterion 9's run, byte for byte as the per-sample solvers wrote it."""
+    H, Phi = construct_theorem1(1)
+    dist = FiniteDistribution((
+        (Triple(0, 0, 0), 0.4),
+        (Triple(1, 1, 1), 0.35),
+        (Triple(2, 2, 0), 0.25),
+    ))
+    cfg = ExperimentConfig(
+        distribution=dist, H=H, Phi=Phi, m=40, trials=50, delta=0.05,
+        seed=909, output_dir=str(tmp_path),
+    )
+    persist_run(*run_comparison(cfg), cfg)
+    digest = hashlib.sha256((tmp_path / "trials.csv").read_bytes()).hexdigest()
+    assert digest == "c4f4baa86278cc6b9b4c083c545cef0c344545cb4cdd3f7a620af153a9809048"
