@@ -132,12 +132,10 @@ def sufficient_condition(inputs: BoundInputs) -> SufficiencyReport:
             f"premise eps_erm = eps_ig + eps_u violated by {gap:.3g}"
         )
     m, delta = inputs.m, inputs.delta
-    rs_d = math.sqrt(r_fast(inputs.d, m, delta))
-    rs_star = math.sqrt(r_fast(inputs.dstar, m, delta))
-    rs_aux = math.sqrt(r_fast(inputs.d_a, m, delta))
     rf_d = r_fast(inputs.d, m, delta)
     rf_star = r_fast(inputs.dstar, m, delta)
     rf_aux = r_fast(inputs.d_a, m, delta)
+    rs_d, rs_star, rs_aux = math.sqrt(rf_d), math.sqrt(rf_star), math.sqrt(rf_aux)
     lhs = math.sqrt(inputs.eps_u)
     rhs = (
         math.sqrt(inputs.eps_erm) * (rs_d - rs_star) / rs_aux

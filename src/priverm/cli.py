@@ -2,15 +2,15 @@
 
 Exit codes: 0 success, 2 bad input (parse/validation), 3 node budget
 exhausted where an exact answer was required, 4 I/O failure.  A failed
-verification check exits 1.  ``--threads`` falls back to the
-PRIVERM_THREADS environment variable, then to 1; results never depend on
-the thread count.
+verification check exits 1.  ``--threads`` is accepted for compatibility
+and must be >= 1; the experiments run in one thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -42,6 +42,7 @@ from .core import (
     product_index,
     product_legend,
     sample_from_json,
+    strict_int,
 )
 from .erm import erm_privileged, erm_standard
 from .simulate import (
@@ -64,15 +65,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
-
-
-def _resolve_threads(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("PRIVERM_THREADS")
-    if env:
-        return int(env)
-    return 1
 
 
 def _emit(obj: dict, fmt: str) -> None:
@@ -211,21 +203,25 @@ def cmd_bounds(args) -> int:
 
 def cmd_sim(args) -> int:
     raw = load_json(args.config)
-    threads = _resolve_threads(args.threads)
     if args.kind == "comparison":
         delta = float(raw["delta"])
         if not 0 < delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {delta}")
+        C = float(raw.get("c", 1.0))
+        if not 0 < C < math.inf:
+            raise ValueError(f"c must be positive and finite, got {C}")
         config = ExperimentConfig(
             distribution=distribution_from_json(raw["distribution"]),
             H=class_from_json(raw["h_class"], label="X"),
             Phi=class_from_json(raw["phi_class"], label="X*"),
-            m=int(raw["m"]),
-            trials=int(raw["trials"]),
+            m=strict_int(raw["m"], "m"),
+            trials=strict_int(raw["trials"], "trials"),
             delta=delta,
-            seed=int(args.seed if args.seed is not None else raw.get("seed", 0)),
-            C=float(raw.get("c", 1.0)),
-            threads=threads,
+            seed=strict_int(
+                args.seed if args.seed is not None else raw.get("seed", 0), "seed"
+            ),
+            C=C,
+            threads=args.threads,
             output_dir=args.output_dir or raw.get("output_dir"),
         )
         records, summary = run_comparison(config)
@@ -253,10 +249,12 @@ def cmd_sim(args) -> int:
     report = run_theorem5_experiment(
         family,
         search,
-        m=int(raw["m"]),
-        trials=int(raw["trials"]),
-        seed=int(args.seed if args.seed is not None else raw.get("seed", 0)),
-        threads=threads,
+        m=strict_int(raw["m"], "m"),
+        trials=strict_int(raw["trials"], "trials"),
+        seed=strict_int(
+            args.seed if args.seed is not None else raw.get("seed", 0), "seed"
+        ),
+        threads=args.threads,
     )
     if args.output_dir:
         os.makedirs(args.output_dir, exist_ok=True)
@@ -385,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument(
-        "--threads", type=int, default=None, help="worker threads (env PRIVERM_THREADS)"
+        "--threads", type=int, default=1, help="accepted for compatibility; must be >= 1"
     )
     parser.add_argument(
         "--format", choices=("json", "csv", "table"), default="json"
@@ -455,7 +453,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

@@ -22,6 +22,7 @@ from .core import (
     HypothesisClass,
     Triple,
     product_index,
+    strict_int,
 )
 from .vc import build_aux_class, is_shattered, vc_dimension
 
@@ -197,7 +198,9 @@ def construct_theorem5_family(
     pairs = tuple((points[2 * i], points[2 * i + 1]) for i in range(D // 2))
     if heavy_side is None:
         heavy_side = (0,) * len(pairs)
-    heavy_side = tuple(int(b) for b in heavy_side)
+    heavy_side = tuple(strict_int(b, "heavy_side bit") for b in heavy_side)
+    if any(b not in (0, 1) for b in heavy_side):
+        raise ValueError(f"heavy_side bits must be 0 or 1, got {list(heavy_side)}")
     if len(heavy_side) != len(pairs):
         raise ValueError(
             f"heavy_side needs {len(pairs)} bits, got {len(heavy_side)}"

@@ -303,8 +303,26 @@ def class_to_json(cls: HypothesisClass) -> dict:
     }
 
 
+def strict_int(value, what: str) -> int:
+    """An integer read from JSON; bools and fractional numbers are rejected.
+
+    Integral floats such as 3.0 are accepted.
+    """
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _triple_from_json(e: dict) -> Triple:
+    return Triple(
+        strict_int(e["x"], "x"), strict_int(e["xstar"], "xstar"), strict_int(e["y"], "y")
+    )
+
+
 def class_from_json(obj: dict, label: str = "X") -> HypothesisClass:
-    domain = FiniteDomain(size=int(obj["domain_size"]), label=label)
+    domain = FiniteDomain(size=strict_int(obj["domain_size"], "domain_size"), label=label)
     return HypothesisClass.from_hypotheses(
         domain, (Hypothesis.from_bitstring(domain, s) for s in obj["hypotheses"])
     )
@@ -320,10 +338,7 @@ def distribution_to_json(dist: FiniteDistribution) -> dict:
 
 def distribution_from_json(obj: dict) -> FiniteDistribution:
     return FiniteDistribution(
-        tuple(
-            (Triple(int(e["x"]), int(e["xstar"]), int(e["y"])), float(e["p"]))
-            for e in obj["support"]
-        )
+        tuple((_triple_from_json(e), float(e["p"])) for e in obj["support"])
     )
 
 
@@ -332,9 +347,7 @@ def sample_to_json(s: TripleSample) -> dict:
 
 
 def sample_from_json(obj: dict) -> TripleSample:
-    return TripleSample(
-        tuple(Triple(int(e["x"]), int(e["xstar"]), int(e["y"])) for e in obj["triples"])
-    )
+    return TripleSample(tuple(_triple_from_json(e) for e in obj["triples"]))
 
 
 def load_json(path: str) -> dict:

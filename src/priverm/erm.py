@@ -1,22 +1,40 @@
 """Standard and privileged empirical risk minimization over finite classes.
 
-The privileged solver minimizes the summed composite loss over all (h, phi)
-pairs.  For binary losses the sum collapses to n_flagged/C + n_unexplained,
-so pairs are compared with exact rational arithmetic on sample-index
-bitmasks; no float enters until the result is reported.  Ties are broken by
-(objective, flagged count, h index, phi index), so solver output is a
-deterministic function of the canonical class orders.
+Both solvers see a sample only through its count vector over K points: the
+distinct triples of one sample, or the support of a distribution when the
+comparison experiment solves many drawn samples at once.  With E the
+|H|×K error matrix and G the |Phi|×K flag matrix, one integer kernel scores
+every row of a T×K count matrix: n_err = counts·Eᵀ, n_ig = counts·Gᵀ, and
+per pair n_u = n_err − Σ_k counts·E·G.  For binary losses the summed
+composite loss is n_ig/C + n_u, so with C = p/q pairs are ranked on the
+integer key q·n_ig + p·n_u; no float enters until the result is reported.
+Ties are broken by (objective, flagged count, h index, phi index), so solver
+output is a deterministic function of the canonical class orders.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Optional, Sequence, Union
 
-from .core import DomainMismatchError, Hypothesis, HypothesisClass, TripleSample
+import numpy as np
 
-PAIR_SCAN_LIMIT = 4096
+from .core import (
+    DomainMismatchError,
+    Hypothesis,
+    HypothesisClass,
+    Triple,
+    TripleSample,
+)
+
+# Many count rows are processed in blocks whose largest temporaries, of shape
+# (rows, |H|, |Phi|) here and (rows, |Phi|) in the deviation experiment, hold
+# at most this many cells (128 KB at 8 bytes), so peak memory stays flat.
+BLOCK_CELLS = 1 << 14
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -63,67 +81,114 @@ class PrivilegedErmResult:
         }
 
 
-def _outside_domain(S: TripleSample, index: str, cls: HypothesisClass) -> DomainMismatchError:
-    """The error for a sample whose ``index`` field leaves the class domain."""
-    top = max(getattr(t, index) for t in S.triples)
-    return DomainMismatchError(
-        f"sample {index} index {top} outside domain of size {cls.domain.size}"
+def _check_domain(S: TripleSample, index: str, cls: HypothesisClass) -> None:
+    """Reject a sample whose ``index`` field leaves the class domain."""
+    top = max((getattr(t, index) for t in S.triples), default=-1)
+    if top >= cls.domain.size:
+        raise DomainMismatchError(
+            f"sample {index} index {top} outside domain of size {cls.domain.size}"
+        )
+
+
+def _bits(cls: HypothesisClass) -> np.ndarray:
+    return np.array([h.bits for h in cls.members], dtype=np.int64).reshape(
+        len(cls), cls.domain.size
     )
 
 
-def _error_masks(H: HypothesisClass, S: TripleSample) -> list[int]:
-    """Per-member bitmask of misclassified sample indices."""
-    masks = []
-    try:
-        for h in H.members:
-            m = 0
-            for i, t in enumerate(S.triples):
-                if h.bits[t.x] != t.y:
-                    m |= 1 << i
-            masks.append(m)
-    except IndexError:
-        raise _outside_domain(S, "x", H) from None
-    return masks
+def error_matrix(H: HypothesisClass, points: Sequence[Triple]) -> np.ndarray:
+    """E[i, k] = 1 iff member i of H misclassifies triple k."""
+    x = np.array([t.x for t in points], dtype=np.intp)
+    y = np.array([t.y for t in points], dtype=np.int64)
+    return (_bits(H)[:, x] != y).astype(np.int64)
 
 
-def _flag_masks(Phi: HypothesisClass, S: TripleSample) -> list[int]:
-    """Per-member bitmask of flagged sample indices."""
-    masks = []
-    try:
-        for phi in Phi.members:
-            m = 0
-            for i, t in enumerate(S.triples):
-                if phi.bits[t.xstar]:
-                    m |= 1 << i
-            masks.append(m)
-    except IndexError:
-        raise _outside_domain(S, "xstar", Phi) from None
-    return masks
+def flag_matrix(Phi: HypothesisClass, points: Sequence[Triple]) -> np.ndarray:
+    """G[j, k] = 1 iff member j of Phi flags triple k."""
+    xstar = np.array([t.xstar for t in points], dtype=np.intp)
+    return _bits(Phi)[:, xstar]
+
+
+def positive_cost(C: Union[int, float, Fraction]) -> Fraction:
+    """C as an exact fraction; floats are read through their repr."""
+    Cf = Fraction(str(C)) if isinstance(C, float) else Fraction(C)
+    if Cf <= 0:
+        raise ValueError(f"C must be positive, got {C}")
+    return Cf
+
+
+class CountSolution(NamedTuple):
+    """Both minimizers for every row of a count matrix.
+
+    The four privileged fields are None when no flag matrix was given.
+    """
+
+    n_err: np.ndarray  # (T, |H|) errors of every member of H
+    h_erm: np.ndarray  # (T,) first member with the fewest errors
+    h_pr: Optional[np.ndarray]  # (T,) h index of the privileged pair
+    phi_pr: Optional[np.ndarray]  # (T,) its phi index
+    n_ig: Optional[np.ndarray]  # (T,) its flagged count
+    n_u: Optional[np.ndarray]  # (T,) its unflagged-error count
+
+
+def solve_counts(
+    E: np.ndarray,
+    counts: np.ndarray,
+    G: Optional[np.ndarray] = None,
+    C: Fraction = Fraction(1),
+) -> CountSolution:
+    """Exact standard (and, given G, privileged) minimizers per count row.
+
+    The privileged pair minimizes (q·n_ig + p·n_u, n_ig, i, j) for C = p/q,
+    folded into one integer key per pair so the first flat argmin is the
+    winner.  Keys that could pass int64 are built from Python ints instead.
+    """
+    n_err = counts @ E.T
+    h_erm = n_err.argmin(axis=1)
+    if G is None:
+        return CountSolution(n_err, h_erm, None, None, None, None)
+    p, q = C.numerator, C.denominator
+    top = int(counts.sum(axis=1).max(initial=0))
+    dtype = np.int64 if (p + q) * top * (top + 1) + top <= _INT64_MAX else object
+    n_ig = counts @ G.T
+    flat = []
+    step = max(1, BLOCK_CELLS // (E.shape[0] * G.shape[0]))
+    for lo in range(0, len(counts), step):
+        block = counts[lo : lo + step]
+        ig = n_ig[lo : lo + step, None, :]
+        u = n_err[lo : lo + step, :, None] - (block[:, None, :] * E) @ G.T
+        key = q * ig.astype(dtype, copy=False) + p * u.astype(dtype, copy=False)
+        key = key * (top + 1) + ig
+        flat.append(key.reshape(len(block), -1).argmin(axis=1))
+    h_pr, phi_pr = np.divmod(np.concatenate(flat), G.shape[0])
+    rows = np.arange(len(counts))
+    n_u = n_err[rows, h_pr] - (counts * E[h_pr] * G[phi_pr]).sum(axis=1)
+    return CountSolution(n_err, h_erm, h_pr, phi_pr, n_ig[rows, phi_pr], n_u)
+
+
+def _sample_counts(S: TripleSample) -> tuple[list[Triple], np.ndarray]:
+    """The sample's distinct triples and their counts as a 1×K matrix."""
+    tally = Counter(S.triples)
+    points = list(tally)
+    return points, np.array([list(tally.values())], dtype=np.int64)
 
 
 def erm_standard(H: HypothesisClass, S: TripleSample) -> ErmResult:
     """Member with the fewest sample errors; ties go to the first member."""
     if len(H) == 0:
         raise ValueError("class must be nonempty")
-    best_idx, best_errs = 0, None
-    counts = []
-    for idx, mask in enumerate(_error_masks(H, S)):
-        n = mask.bit_count()
-        counts.append(n)
-        if best_errs is None or n < best_errs:
-            best_idx, best_errs = idx, n
+    _check_domain(S, "x", H)
+    points, counts = _sample_counts(S)
+    sol = solve_counts(error_matrix(H, points), counts)
+    errs = sol.n_err[0]
+    best = int(sol.h_erm[0])
+    best_errs = int(errs[best])
     return ErmResult(
-        h=H[best_idx],
+        h=H[best],
         empirical_error=best_errs / S.m if S.m else 0.0,
-        minimizer_count=sum(1 for n in counts if n == best_errs),
+        minimizer_count=int((errs == best_errs).sum()),
         n_errors=best_errs,
     )
-
-
-def _as_fraction(C: Union[int, float, Fraction]) -> Fraction:
-    if isinstance(C, float):
-        return Fraction(str(C))
-    return Fraction(C)
 
 
 def erm_privileged(
@@ -135,45 +200,24 @@ def erm_privileged(
     """Pair minimizing sum over the sample of flagged/C + [error - flagged]_+.
 
     Each flagged example costs 1/C regardless of h; each unflagged error
-    costs 1.  Small problems are solved by a full pair scan; larger ones
-    iterate phi by ascending flag count and prune once the flag cost alone
-    exceeds the incumbent.
+    costs 1.  Every pair is scored by the count kernel; the exact Fraction
+    objective is formed for the winner only.
     """
     if len(H) == 0 or len(Phi) == 0:
         raise ValueError("both classes must be nonempty")
-    Cf = _as_fraction(C)
-    if Cf <= 0:
-        raise ValueError(f"C must be positive, got {C}")
+    Cf = positive_cost(C)
+    _check_domain(S, "x", H)
+    _check_domain(S, "xstar", Phi)
 
-    errs = _error_masks(H, S)
-    flags = _flag_masks(Phi, S)
-
-    # (objective_sum, n_ignored, h index, phi index), all exact
-    best: tuple = ()
-    phi_order = range(len(flags))
-    if len(H) * len(Phi) > PAIR_SCAN_LIMIT:
-        phi_order = sorted(phi_order, key=lambda j: (flags[j].bit_count(), j))
-
-    for j in phi_order:
-        fl = flags[j]
-        n_ig = fl.bit_count()
-        floor_cost = Fraction(n_ig) / Cf
-        if best and floor_cost > best[0]:
-            if isinstance(phi_order, range):
-                continue
-            break  # ascending flag count: every later phi is dominated too
-        for i, em in enumerate(errs):
-            n_u = (em & ~fl).bit_count()
-            cand = (floor_cost + n_u, n_ig, i, j)
-            if not best or cand < best:
-                best = cand
-    obj_sum, n_ig, hi, pj = best
-    n_u = (errs[hi] & ~flags[pj]).bit_count()
+    points, counts = _sample_counts(S)
+    sol = solve_counts(error_matrix(H, points), counts, flag_matrix(Phi, points), Cf)
+    hi, pj = int(sol.h_pr[0]), int(sol.phi_pr[0])
+    n_ig, n_u = int(sol.n_ig[0]), int(sol.n_u[0])
     m = S.m
     return PrivilegedErmResult(
         h=H[hi],
         phi=Phi[pj],
-        objective=float(obj_sum / m) if m else 0.0,
+        objective=float((Fraction(n_ig) / Cf + n_u) / m) if m else 0.0,
         ignored_weight=n_ig / m if m else 0.0,
         unexplained_error=n_u / m if m else 0.0,
         n_ignored=n_ig,

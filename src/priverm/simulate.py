@@ -1,17 +1,19 @@
 """Seeded Monte Carlo experiments over finite-support distributions.
 
 Per-trial randomness comes from one master seed: trial t uses a 64-bit
-splitmix-style hash of (seed, t), so trials can run on any number of worker
-threads and still produce identical records.  True errors are computed
-exactly from the probability table, never estimated; the only randomness in
-any record is the sample itself.
+splitmix-style hash of (seed, t), so each trial's draw is fixed however the
+trials are computed.  A drawn sample enters both experiments only as its
+count vector over the support; the comparison experiment hands all trials'
+counts to the ERM count kernel at once, the deviation experiment takes every
+trial's empirical flag rates from one matrix product.  True errors are
+computed exactly from the probability table, never estimated; the only
+randomness in any record is the sample itself.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -35,7 +37,7 @@ from .core import (
     dump_json,
     exact_true_error,
 )
-from .erm import erm_privileged, erm_standard
+from .erm import BLOCK_CELLS, error_matrix, flag_matrix, positive_cost, solve_counts
 from .vc import build_aux_class, vc_dimension
 
 TRIALS_CSV_HEADER = (
@@ -79,9 +81,24 @@ def sample(dist: FiniteDistribution, m: int, seed: int) -> TripleSample:
     return TripleSample(tuple(dist.support[i][0] for i in idx))
 
 
+def _trial_counts(
+    dist: FiniteDistribution, m: int, seed: int, trials: int
+) -> np.ndarray:
+    """trials×K matrix: row t counts the m draws of trial t over the support."""
+    k = len(dist.support)
+    return np.stack([
+        np.bincount(_draw_indices(dist, m, mix_seed(seed, t)), minlength=k)
+        for t in range(trials)
+    ])
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a comparison run depends on; the unit of reproducibility."""
+    """Everything a comparison run depends on; the unit of reproducibility.
+
+    ``threads`` is validated and kept for compatibility; the experiments
+    run in one thread, and no result ever depended on it.
+    """
 
     distribution: FiniteDistribution
     H: HypothesisClass
@@ -165,79 +182,85 @@ def run_comparison(
 ) -> tuple[list[TrialRecord], dict]:
     """Standard vs privileged minimization across seeded trials.
 
-    The dimensions entering the bounds are computed exactly once from the
-    classes themselves.  Each trial draws a sample, runs both solvers,
-    evaluates both exact true errors, and checks the two coverage events.
-    Trials that raise are recorded as failures, not dropped silently.
+    The dimensions entering the bounds, and the exact true error of every
+    member of H, are computed once from the classes themselves.  Each
+    trial's sample is drawn as its count vector over the support, and one
+    call of the ERM count kernel solves both minimizers for every trial.
+    The bounds and coverage events are then evaluated trial by trial.
+    Trials that raise are recorded as failures, not dropped silently; an
+    invalid C fails every trial with the solver's message.
     """
     _check_compatible(config)
     d = vc_dimension(config.H).vc
     dstar = vc_dimension(config.Phi).vc
     d_a = vc_dimension(build_aux_class(config.H, config.Phi)).vc
 
-    def one_trial(t: int) -> TrialRecord:
-        s = sample(config.distribution, config.m, mix_seed(config.seed, t))
-        std = erm_standard(config.H, s)
-        pr = erm_privileged(config.H, config.Phi, s, config.C)
-        inputs = BoundInputs(
-            m=config.m,
-            delta=config.delta,
-            d=d,
-            dstar=dstar,
-            d_a=d_a,
-            eps_erm=std.empirical_error,
-            eps_ig=pr.ignored_weight,
-            eps_u=pr.unexplained_error,
-        )
-        b_e = bound_erm(inputs)
-        b_p = bound_pr(inputs)
-        te_erm = exact_true_error(std.h, config.distribution)
-        te_pr = exact_true_error(pr.h, config.distribution)
-        gap = std.empirical_error - (pr.ignored_weight + pr.unexplained_error)
-        suff = (
-            sufficient_condition(inputs).holds
-            if abs(gap) <= PREMISE_TOLERANCE
-            else None
-        )
-        return TrialRecord(
-            trial=t,
-            eps_erm=std.empirical_error,
-            eps_ig=pr.ignored_weight,
-            eps_u=pr.unexplained_error,
-            true_err_erm=te_erm,
-            true_err_pr=te_pr,
-            b_erm=b_e,
-            b_pr=b_p,
-            covered_erm=te_erm <= b_e,
-            covered_pr=te_pr <= b_p,
-            sufficient_holds=suff,
-            pr_leq_erm=b_p <= b_e,
-        )
+    dist, m = config.distribution, config.m
+    points = [t for t, _ in dist.support]
+    true_errors = [exact_true_error(h, dist) for h in config.H]
+    counts = _trial_counts(dist, m, config.seed, config.trials)
 
     records: list[TrialRecord] = []
     failures: list[dict] = []
-    if config.threads == 1:
-        outcomes = []
-        for t in range(config.trials):
-            try:
-                outcomes.append(one_trial(t))
-            except Exception as exc:  # recorded, not dropped
-                outcomes.append((t, exc))
+    try:
+        C = positive_cost(config.C)
+    except (ValueError, TypeError) as exc:
+        failures = [{"trial": t, "error": str(exc)} for t in range(config.trials)]
+        solved = []
     else:
-        def guarded(t: int):
-            try:
-                return one_trial(t)
-            except Exception as exc:
-                return (t, exc)
+        sol = solve_counts(
+            error_matrix(config.H, points), counts, flag_matrix(config.Phi, points), C
+        )
+        n_erm = sol.n_err[np.arange(config.trials), sol.h_erm]
+        solved = zip(
+            n_erm.tolist(),
+            sol.h_erm.tolist(),
+            sol.h_pr.tolist(),
+            sol.n_ig.tolist(),
+            sol.n_u.tolist(),
+        )
 
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outcomes = list(pool.map(guarded, range(config.trials)))
-
-    for out in outcomes:
-        if isinstance(out, TrialRecord):
-            records.append(out)
-        else:
-            failures.append({"trial": out[0], "error": str(out[1])})
+    for t, (n_e, i_erm, i_pr, n_ig, n_u) in enumerate(solved):
+        eps_erm = n_e / m if m else 0.0
+        eps_ig = n_ig / m if m else 0.0
+        eps_u = n_u / m if m else 0.0
+        try:
+            inputs = BoundInputs(
+                m=m,
+                delta=config.delta,
+                d=d,
+                dstar=dstar,
+                d_a=d_a,
+                eps_erm=eps_erm,
+                eps_ig=eps_ig,
+                eps_u=eps_u,
+            )
+            b_e = bound_erm(inputs)
+            b_p = bound_pr(inputs)
+            te_erm = true_errors[i_erm]
+            te_pr = true_errors[i_pr]
+            gap = eps_erm - (eps_ig + eps_u)
+            suff = (
+                sufficient_condition(inputs).holds
+                if abs(gap) <= PREMISE_TOLERANCE
+                else None
+            )
+            records.append(TrialRecord(
+                trial=t,
+                eps_erm=eps_erm,
+                eps_ig=eps_ig,
+                eps_u=eps_u,
+                true_err_erm=te_erm,
+                true_err_pr=te_pr,
+                b_erm=b_e,
+                b_pr=b_p,
+                covered_erm=te_erm <= b_e,
+                covered_pr=te_pr <= b_p,
+                sufficient_holds=suff,
+                pr_leq_erm=b_p <= b_e,
+            ))
+        except Exception as exc:  # recorded, not dropped
+            failures.append({"trial": t, "error": str(exc)})
 
     n = len(records)
     summary = {
@@ -280,21 +303,20 @@ def run_theorem5_experiment(
     over the whole search class.  The reported frequencies are of the
     events |deviation| > eps.  The family's worst-case sample-size constants
     are far below desk scale, so frequencies here validate the qualitative
-    claim only; the summary states that gap.
+    claim only; the summary states that gap.  ``threads`` is validated and
+    otherwise unused.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     eps = family.eps
     dist = family.distribution
-    support_points = [t.xstar for t, _ in dist.support]
 
     # 0/1 matrix: member flags support point, plus exact true rates
-    flag = np.array(
-        [[phi.bits[p] for p in support_points] for phi in Phi_prime.members],
-        dtype=np.float64,
-    )
+    flag = flag_matrix(Phi_prime, [t for t, _ in dist.support]).astype(np.float64)
     true_rates = np.array(
         [family.true_flag_rate(phi) for phi in Phi_prime.members]
     )
@@ -310,26 +332,18 @@ def run_theorem5_experiment(
         raise ValueError("phi_star is not a member of the supplied subclass")
     p_star = true_rates[star_idx]
 
-    def one_trial(t: int) -> tuple[float, float, float]:
-        idx = _draw_indices(dist, m, mix_seed(seed, t))
-        counts = np.bincount(idx, minlength=len(support_points))
-        emp = flag @ counts / m
-        hat = int(np.argmin(emp))
-        return (
-            float(true_rates[hat] - emp[hat]),
-            float(p_star - emp[star_idx]),
-            float(np.max(true_rates - emp)),
-        )
-
-    if threads == 1:
-        devs = [one_trial(t) for t in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            devs = list(pool.map(one_trial, range(trials)))
-
-    dev_hat = [a for a, _, _ in devs]
-    dev_star = [b for _, b, _ in devs]
-    dev_max = [c for _, _, c in devs]
+    counts = _trial_counts(dist, m, seed, trials)
+    dev_hat: list[float] = []
+    dev_star: list[float] = []
+    dev_max: list[float] = []
+    # counts are integers below 2**53, so every product and sum is exact
+    step = max(1, BLOCK_CELLS // len(flag))
+    for lo in range(0, trials, step):
+        emp = counts[lo : lo + step] @ flag.T / m
+        hat = emp.argmin(axis=1)
+        dev_hat += (true_rates[hat] - emp[np.arange(len(emp)), hat]).tolist()
+        dev_star += (p_star - emp[:, star_idx]).tolist()
+        dev_max += (true_rates - emp).max(axis=1).tolist()
 
     def freq(events) -> float:
         return sum(events) / trials
@@ -367,8 +381,7 @@ def persist_run(
     """Write config.json, trials.csv, summary.json, manifest.json.
 
     Returns the run directory.  Identical configs produce byte-identical
-    trials.csv regardless of thread count; nothing written here depends on
-    wall-clock time.
+    trials.csv; nothing written here depends on wall-clock time.
     """
     if config.output_dir is None:
         raise ValueError("config.output_dir is required to persist a run")

@@ -41,7 +41,6 @@ from priverm.core import (
     product_index,
     zero_one_loss,
 )
-from priverm.erm import PAIR_SCAN_LIMIT
 from priverm.simulate import (
     ExperimentConfig,
     persist_run,
@@ -51,6 +50,9 @@ from priverm.simulate import (
 from priverm.vc import build_aux_class, build_f_class, is_shattered, k_fold_union, union_class
 
 from conftest import rand_class, rand_sample
+
+# pair count of a "large" solver instance (criterion 5)
+LARGE_PAIRS = 4096
 
 
 def _passline(n: int, detail: str) -> None:
@@ -232,13 +234,13 @@ def test_criterion_5_solver_equals_oracle():
         std = erm_standard(H, s)
         assert std.n_errors <= res.n_ignored + res.n_unexplained, trial
 
-    # a handful of instances past the pair-scan limit exercise the pruned path
+    # a handful of large instances
     rng = random.Random(56)
     big_hits = 0
     for _ in range(5):
         H = rand_class(rng, 12, 80)
         Phi = rand_class(rng, 12, 60, label="X*")
-        if len(H) * len(Phi) <= PAIR_SCAN_LIMIT:
+        if len(H) * len(Phi) <= LARGE_PAIRS:
             continue
         big_hits += 1
         s = rand_sample(rng, 12, 12, 20)

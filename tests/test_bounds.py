@@ -16,6 +16,7 @@ from priverm import (
     r_slow,
     sufficient_condition,
 )
+from priverm import bounds
 from priverm.bounds import AUX_UPPER_FACTOR
 
 DELTA4 = 4 * math.exp(-4)  # makes log(4/delta) exactly 4
@@ -185,6 +186,36 @@ def test_sufficient_implies_bound_ordering():
             held += 1
             assert bound_pr(inputs) <= bound_erm(inputs) + 1e-9
     assert held > 0  # the sweep must actually exercise the implication
+
+
+# (m, delta, d, dstar, d_a, eps_erm, eps_ig, eps_u) -> lhs, rhs as float.hex
+SUFFICIENT_PINS = [
+    ((10, 0.05, 1, 1, 3, 0.1, 0.06, 0.04), "0x1.999999999999ap-3", "-0x1.5eb945c87e028p+1"),
+    ((200, 0.05, 1, 1, 3, 0.25, 0.25, 0.0), "0x0.0p+0", "-0x1.b3a9a6a2bcd2fp-1"),
+    ((99, 0.01, 2, 1, 3, 0.3, 0.1, 0.2), "0x1.c9f25c5bfedd9p-2", "-0x1.7ee4f06fd6446p-1"),
+    ((5000, 0.1, 3, 2, 4, 0.0, 0.0, 0.0), "0x0.0p+0", "-0x1.7680b0f5f5a78p-3"),
+    ((40, 0.5, 4, 4, 6, 0.5, 0.2, 0.3), "0x1.186f174f88472p-1", "-0x1.14707e0a4cc47p+1"),
+    ((100000, 0.001, 60, 30, 88, 0.02, 0.015, 0.005), "0x1.21a1851ff630ap-4", "-0x1.3c464aa76e6d2p-3"),
+    ((100000, 0.05, 40, 1, 2, 0.3, 0.25, 0.05), "0x1.c9f25c5bfedd9p-3", "0x1.59403ebe5af69p+1"),
+    ((1000, 0.05, 20, 1, 1, 0.2, 0.19, 0.01), "0x1.999999999999ap-4", "0x1.3b9dac3e266a5p+2"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, lhs, rhs", SUFFICIENT_PINS, ids=[f"m{a[0]}-d{a[2]}" for a, _, _ in SUFFICIENT_PINS]
+)
+def test_sufficient_values_are_pinned_bitwise(args, lhs, rhs, monkeypatch):
+    calls = []
+
+    def counting_r_fast(d, m, delta):
+        calls.append(d)
+        return r_fast(d, m, delta)
+
+    monkeypatch.setattr(bounds, "r_fast", counting_r_fast)
+    rep = sufficient_condition(BoundInputs(*args))
+    assert (rep.lhs.hex(), rep.rhs.hex()) == (lhs, rhs)
+    assert rep.holds == (rep.lhs <= rep.rhs)
+    assert sorted(calls) == sorted(args[2:5])  # one rate per dimension
 
 
 # --- necessary condition ----------------------------------------------------------

@@ -7,6 +7,7 @@ installed console script when one is on PATH, otherwise the
 """
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -14,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import priverm
 from priverm.bounds import BoundInputs, bound_erm, r_fast
@@ -368,6 +371,187 @@ def test_sim_deviation_writes_file(tmp_path, capsys):
     assert out.strip().endswith("deviation.json")
     report = json.loads((out_dir / "deviation.json").read_text())
     assert report["m"] == 30
+
+
+@pytest.mark.parametrize("c", [0.0, -1.5, "nan", "inf"])
+def test_sim_comparison_rejects_nonpositive_or_nonfinite_c(tmp_path, capsys, c):
+    path = comparison_config_json(tmp_path, c=float(c))
+    out_dir = tmp_path / "run"
+    rc, out, err = run_cli(capsys, ["--output-dir", str(out_dir), "sim", "--config", path])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("input error: c must be positive and finite")
+    assert not out_dir.exists()
+
+
+# --- integers read from JSON ----------------------------------------------------------
+
+
+def erm_files(tmp_path, h_class=None, triple=None) -> list:
+    h = write_json(tmp_path, "h.json", {**H1_JSON, **(h_class or {})})
+    p = write_json(tmp_path, "p.json", PHI1_JSON)
+    triples = [dict(t) for t in SAMPLE_JSON["triples"]]
+    triples[0].update(triple or {})
+    s = write_json(tmp_path, "s.json", {"triples": triples})
+    return ["erm", "--h-class", h, "--phi-class", p, "--sample", s]
+
+
+@pytest.mark.parametrize(
+    "h_class, triple, field",
+    [
+        ({}, {"x": 1.5}, "x"),
+        ({}, {"xstar": 0.5}, "xstar"),
+        ({}, {"y": True}, "y"),
+        ({"domain_size": 3.5}, {}, "domain_size"),
+    ],
+    ids=["x", "xstar", "y", "domain_size"],
+)
+def test_erm_rejects_fractional_and_bool_integers(tmp_path, capsys, h_class, triple, field):
+    rc, out, err = run_cli(capsys, erm_files(tmp_path, h_class, triple))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"input error: {field} must be an integer")
+
+
+def test_erm_accepts_integral_floats(tmp_path, capsys):
+    _, want, _ = run_cli(capsys, erm_files(tmp_path))
+    rc, out, _ = run_cli(
+        capsys, erm_files(tmp_path, {"domain_size": 3.0}, {"x": 0.0, "xstar": 0.0, "y": 0.0})
+    )
+    assert rc == 0
+    assert out == want
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("comparison", "m", 20.5),
+        ("comparison", "trials", 8.5),
+        ("comparison", "seed", 3.5),
+        ("comparison", "trials", True),
+        ("deviation", "m", 30.5),
+        ("deviation", "seed", False),
+    ],
+)
+def test_sim_rejects_fractional_and_bool_integers(tmp_path, capsys, kind, field, value):
+    if kind == "comparison":
+        path = comparison_config_json(tmp_path, **{field: value})
+    else:
+        cfg = {"phi_class": class_to_json(full_class(4)), "eps": 0.1, "delta": 0.01,
+               "m": 30, "trials": 5, "seed": 2, field: value}
+        path = write_json(tmp_path, "dev.json", cfg)
+    rc, out, err = run_cli(capsys, ["sim", "--kind", kind, "--config", path])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"input error: {field} must be an integer")
+
+
+def test_sim_accepts_integral_floats(tmp_path, capsys):
+    _, want, _ = run_cli(capsys, ["sim", "--config", comparison_config_json(tmp_path)])
+    path = comparison_config_json(tmp_path, m=20.0, trials=8.0, seed=3.0)
+    rc, out, _ = run_cli(capsys, ["sim", "--config", path])
+    assert rc == 0
+    assert out == want
+
+
+@pytest.mark.parametrize("heavy", [[0, 2], [0, -1], [0, 0.5], [True, 0]], ids=str)
+def test_sim_deviation_rejects_heavy_side_that_is_not_bits(tmp_path, capsys, heavy):
+    cfg = {"phi_class": class_to_json(full_class(4)), "eps": 0.1, "delta": 0.01,
+           "m": 30, "trials": 5, "seed": 2, "heavy_side": heavy}
+    path = write_json(tmp_path, "dev.json", cfg)
+    rc, out, err = run_cli(capsys, ["sim", "--kind", "deviation", "--config", path])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("input error: heavy_side bit")
+
+
+# --- malformed erm and sim inputs never end in a traceback ----------------------------
+
+DELETE = object()
+# counts and indices stay small: a valid but huge m or trials is a long run, not a fault
+SMALL_INT = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.floats(-3, 40),
+    st.sampled_from([math.nan, math.inf, -math.inf]), st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2), st.just(DELETE),
+)
+REAL = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.integers(-2, 2), st.just(10**400),
+    st.text(max_size=3), st.just(DELETE),
+)
+ANY = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.text(max_size=4),
+    st.lists(st.one_of(st.integers(0, 3), st.text("01", max_size=4)), max_size=3),
+    st.dictionaries(st.sampled_from(["x", "y", "p", "triples"]), st.integers(0, 2), max_size=2),
+    st.just(DELETE),
+)
+INTS = ("domain_size", "x", "xstar", "y", "m", "trials", "seed")
+REALS = ("p", "delta", "c", "eps")
+
+
+def mutate(obj, path, value):
+    """obj with the entry at path replaced by value (or removed)."""
+    if not path:
+        return {} if value is DELETE else value
+    obj = dict(obj) if isinstance(obj, dict) else list(obj)
+    key, rest = path[0], path[1:]
+    if rest:
+        obj[key] = mutate(obj[key], rest, value)
+    elif value is DELETE:
+        obj.pop(key, None) if isinstance(obj, dict) else obj.pop(key)
+    else:
+        obj[key] = value
+    return obj
+
+
+def junk_for(path):
+    leaf = path[-1] if path else None
+    return SMALL_INT if leaf in INTS else REAL if leaf in REALS else ANY
+
+
+ERM_PATHS = [
+    ("h", ()), ("h", ("domain_size",)), ("h", ("hypotheses",)), ("h", ("hypotheses", 0)),
+    ("p", ("domain_size",)), ("p", ("hypotheses", 1)),
+    ("s", ()), ("s", ("triples",)), ("s", ("triples", 0)), ("s", ("triples", 1, "x")),
+    ("s", ("triples", 0, "xstar")), ("s", ("triples", 2, "y")),
+]
+COMPARISON_PATHS = [
+    (), ("m",), ("trials",), ("seed",), ("delta",), ("c",), ("distribution",),
+    ("distribution", "support"), ("distribution", "support", 0),
+    ("distribution", "support", 1, "p"), ("distribution", "support", 0, "x"),
+    ("distribution", "support", 2, "xstar"), ("distribution", "support", 1, "y"),
+    ("h_class",), ("h_class", "hypotheses", 0), ("phi_class", "domain_size"),
+]
+DEVIATION_PATHS = [
+    (), ("eps",), ("delta",), ("m",), ("trials",), ("seed",), ("heavy_side",),
+    ("phi_class",), ("phi_class", "domain_size"), ("search",),
+]
+
+
+@settings(deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_malformed_erm_and_sim_inputs_exit_cleanly(tmp_path, capsys, data):
+    command = data.draw(st.sampled_from(["erm", "comparison", "deviation"]))
+    if command == "erm":
+        files = {"h": H1_JSON, "p": PHI1_JSON, "s": SAMPLE_JSON}
+        name, path = data.draw(st.sampled_from(ERM_PATHS))
+        files[name] = mutate(files[name], path, data.draw(junk_for(path)))
+        paths = {k: write_json(tmp_path, f"{k}.json", v) for k, v in files.items()}
+        argv = ["erm", "--h-class", paths["h"], "--phi-class", paths["p"],
+                "--sample", paths["s"]]
+    else:
+        if command == "comparison":
+            cfg = json.loads(open(comparison_config_json(tmp_path), encoding="utf-8").read())
+            path = data.draw(st.sampled_from(COMPARISON_PATHS))
+        else:
+            cfg = {"phi_class": class_to_json(full_class(4)), "eps": 0.1, "delta": 0.01,
+                   "m": 30, "trials": 5, "seed": 2, "heavy_side": [0, 1]}
+            path = data.draw(st.sampled_from(DEVIATION_PATHS))
+        cfg = mutate(cfg, path, data.draw(junk_for(path)))
+        argv = ["sim", "--kind", command, "--config", write_json(tmp_path, "cfg.json", cfg)]
+    rc, _, err = run_cli(capsys, argv)
+    assert rc in (0, 2, 3, 4), err
+    assert "Traceback" not in err
 
 
 # --- verify ------------------------------------------------------------------------

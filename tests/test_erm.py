@@ -19,9 +19,11 @@ from priverm import (
     zero_one_loss,
 )
 from priverm.core import DomainMismatchError
-from priverm.erm import PAIR_SCAN_LIMIT
 
 from conftest import rand_class, rand_sample
+
+# pair count of a "large" instance: far past what the small random tests reach
+LARGE_PAIRS = 4096
 
 
 def oracle_standard(H, S):
@@ -199,11 +201,11 @@ def test_privileged_matches_oracle_random():
             assert res.objective == float(total / S.m)
 
 
-def test_privileged_branch_and_bound_path_matches_oracle():
+def test_privileged_large_class_matches_oracle():
     rng = random.Random(55)
     H = rand_class(rng, 12, 120, "X")
     Phi = rand_class(rng, 12, 60, "X*")
-    assert len(H) * len(Phi) > PAIR_SCAN_LIMIT  # forces the pruned path
+    assert len(H) * len(Phi) > LARGE_PAIRS
     for _ in range(5):
         S = rand_sample(rng, 12, 12, 14)
         res = erm_privileged(H, Phi, S, C=2)
