@@ -1,5 +1,6 @@
 """Shattering, exact VC dimension, growth functions, unions, loss classes."""
 
+import hashlib
 import math
 import random
 from itertools import combinations
@@ -198,6 +199,45 @@ def test_vc_report_matches_oracle_on_named_classes():
     assert_matches_oracle(build_f_class(H, Phi))
     assert_matches_oracle(build_aux_class(H, Phi))
     assert_matches_oracle(HypothesisClass.from_patterns(FiniteDomain(3), [(1, 0, 1)]))
+
+
+def _golden_patterns(rng: random.Random, n: int, k: int) -> list:
+    return sorted({tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(k)})
+
+
+def _golden_classes():
+    """Criterion-4-shaped aux classes of 4-point classes, then random classes."""
+    rng = random.Random(20261018)
+    for _ in range(300):
+        H = HypothesisClass.from_patterns(
+            FiniteDomain(4, "X"), _golden_patterns(rng, 4, rng.randint(4, 16))
+        )
+        Phi = HypothesisClass.from_patterns(
+            FiniteDomain(4, "X*"), _golden_patterns(rng, 4, rng.randint(4, 16))
+        )
+        yield build_aux_class(H, Phi)
+    for _ in range(1000):
+        n = rng.randint(6, 10)
+        yield HypothesisClass.from_patterns(
+            FiniteDomain(n), _golden_patterns(rng, n, rng.randint(8, 80))
+        )
+
+
+def test_vc_reports_match_golden_digest():
+    # pins every report field on 1300 classes, so a change to the search
+    # that alters any answer, witness or count fails here
+    rows = []
+    for cls in _golden_classes():
+        r = vc_dimension(cls)
+        rows.append((r.vc, r.witness, r.exact, r.levels))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "b01e88e33660423757f183fb179dfe4001b12ff8054727f1b8bc2aa60f819523"
+
+
+def test_vc_witnesses_of_named_d2_classes():
+    H, Phi = construct_theorem1(2)
+    assert vc_dimension(build_f_class(H, Phi)).witness == (0, 14, 24, 42, 56, 66)
+    assert vc_dimension(build_aux_class(H, Phi)).witness == (0, 13, 27, 42, 55, 69)
 
 
 def test_vc_report_equality_and_witness_levels():
