@@ -7,12 +7,16 @@ nonempty.  Exact VC dimension is found by branch-and-bound: for target sizes
 k = 1, 2, ... a depth-first search over the points in increasing order
 carries the cell partition of the members and drops a point as soon as one
 half of some cell holds fewer members than the points still to add can
-split (2^(need-1)).  The first k-set the search reaches is therefore the
-lexicographically first shattered k-set, and the search ends at the first k
-with none.  ``VcReport.levels`` counts the shattered sets of each size up to
-the VC dimension by a second depth-first search, run only when the counts
-are read.  A node budget degrades the answer to a verified lower bound
-instead of running forever.
+split (2^(need-1)).  A point dropped at a node stays dropped below it, so a
+node whose first descent fails tests its remaining points once and hands
+each survivor only the survivors after it (forward checking); a node whose
+first descent succeeds tests no more than it walked.  The first k-set the
+search reaches is therefore the lexicographically first shattered k-set,
+and the search ends at the first k with none.  ``VcReport.levels`` counts
+the shattered sets of each size up to the VC dimension by a second
+depth-first search, which also passes only the extending points down, run
+only when the counts are read.  A node budget degrades the answer to a
+verified lower bound instead of running forever.
 """
 
 from __future__ import annotations
@@ -64,7 +68,11 @@ class VcReport:
     counts the shattered k-subsets for k <= vc (levels[0] is 1 for the empty
     set), counted on first read.  A report for a supplied witness has no
     counts: its ``levels`` is empty.  ``nodes`` counts the split attempts of
-    the search, plus one per domain point for building the columns.
+    the search, plus one per domain point for building the columns.  A
+    node's remaining points are tested once after its first descent fails,
+    so ``nodes``, and where the budget runs out the lower bound reached,
+    differ from a search without forward checking wherever a first descent
+    fails; they are equal on searches whose first descents all succeed.
     """
 
     vc: int
@@ -103,7 +111,7 @@ class VcReport:
 
 
 class _BudgetExhausted(Exception):
-    """The search passed its node budget; ``args[0]`` is the node count."""
+    """The search passed its node budget."""
 
 
 def _validate_subset(cls: HypothesisClass, subset: Sequence[int]) -> tuple[int, ...]:
@@ -118,16 +126,20 @@ def _validate_subset(cls: HypothesisClass, subset: Sequence[int]) -> tuple[int, 
     return pts
 
 
-def _columns(cls: HypothesisClass, points: Sequence[int]) -> list[int]:
-    """Bit column of each point in ``points``, in that order."""
-    cols = [0] * len(points)
-    for i, h in enumerate(cls.members):
-        bit = 1 << i
-        bits = h.bits
-        for j, p in enumerate(points):
-            if bits[p]:
-                cols[j] |= bit
-    return cols
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _columns(cls: HypothesisClass, points: Optional[Sequence[int]] = None) -> list[int]:
+    """Bit column of each point in ``points`` (default: the whole domain).
+
+    Rows are read last member first, so member i lands on bit i of the
+    base-2 parse.
+    """
+    if points is None:
+        rows = [h.bits for h in reversed(cls.members)]
+    else:
+        rows = [tuple(map(h.bits.__getitem__, points)) for h in reversed(cls.members)]
+    return [int(bytes(col).translate(_DIGITS), 2) for col in zip(*rows)]
 
 
 def _split(cells: list[int], col: int, floor: int) -> Optional[list[int]]:
@@ -145,58 +157,99 @@ def _split(cells: list[int], col: int, floor: int) -> Optional[list[int]]:
     return out
 
 
-def _first_shattered(
-    columns: _Columns, k: int, nodes: int, budget: Optional[int]
-) -> tuple[Optional[tuple[int, ...]], int]:
-    """Lex-first k-set of column indices that shatters, and the node count.
+def _largest_shattered(
+    columns: _Columns, top: int, nodes: int, budget: Optional[int]
+) -> tuple[tuple[int, ...], int, bool]:
+    """Lex-first shattered set of column indices of the largest size <= top.
 
+    Sizes k = 1, 2, ... are searched in turn; the first k-set reached is the
+    lex-first shattered one, and the search ends at the first k with none.
     Adding a point with ``need`` points still to place (itself included)
-    needs both halves of every cell to hold 2^(need-1) members, and leaves
-    room for the rest only up to index ``len(cols) - need``.  Raises
-    ``_BudgetExhausted`` once ``nodes`` passes ``budget``.
+    needs both halves of every cell to hold 2^(need-1) members.  A point
+    that fails this at a node fails it at every descendant, whose cells
+    refine the node's while the floor at most halves per added point.  So
+    a node walks its candidates lazily until the first descent; only if
+    that descent fails does it test each remaining candidate once and hand
+    each survivor just the survivors after it.  Returns the set, the node
+    count and whether the search finished within ``budget`` (if not, the
+    set is the largest found before the node count passed it).
     """
     cols = columns.cols
+    limit = math.inf if budget is None else budget
     chosen: list[int] = []
 
-    def extend(start: int, cells: list[int]) -> bool:
+    def extend(cands: Sequence[int], start: int, cells: list[int], need: int) -> bool:
         nonlocal nodes
-        need = k - len(chosen)
         if need == 0:
             return True
         floor = 1 << (need - 1)
-        for i in range(start, len(cols) - need + 1):
+        for pos in range(start, len(cands) - need + 1):
             nodes += 1
-            if budget is not None and nodes > budget:
-                raise _BudgetExhausted(nodes)
-            nxt = _split(cells, cols[i], floor)
-            if nxt is not None:
-                chosen.append(i)
-                if extend(i + 1, nxt):
+            if nodes > limit:
+                raise _BudgetExhausted
+            nxt = _split(cells, cols[cands[pos]], floor)
+            if nxt is None:
+                continue
+            chosen.append(cands[pos])
+            if extend(cands, pos + 1, nxt, need - 1):
+                return True
+            chosen.pop()
+            # forward check: each later candidate is tested once, here
+            kept: list[int] = []
+            splits: list[list[int]] = []
+            # failures that still leave ``need`` candidates; below 0, prune
+            spare = len(cands) - pos - 1 - need
+            for i in cands[pos + 1 :]:
+                if spare < 0:
+                    return False
+                nodes += 1
+                if nodes > limit:
+                    raise _BudgetExhausted
+                nxt = _split(cells, cols[i], floor)
+                if nxt is None:
+                    spare -= 1
+                else:
+                    kept.append(i)
+                    splits.append(nxt)
+            for j in range(len(kept) - need + 1):
+                chosen.append(kept[j])
+                if extend(kept, j + 1, splits[j], need - 1):
                     return True
                 chosen.pop()
+            return False
         return False
 
-    found = extend(0, [columns.full])
-    return (tuple(chosen) if found else None), nodes
+    best: tuple[int, ...] = ()
+    try:
+        for k in range(1, top + 1):
+            if not extend(range(len(cols)), 0, [columns.full], k):
+                break
+            best = tuple(chosen)
+            chosen.clear()
+    except _BudgetExhausted:
+        return best, nodes, False
+    return best, nodes, True
 
 
 def _count_shattered(columns: _Columns, top: int) -> tuple[int, ...]:
     """Number of shattered sets of each size 0..top, each set visited once.
 
     A shattered set extends by a later point iff that point's column cuts
-    every cell of the set's partition in two.  Sets of size ``top`` are
-    counted without building their cells.
+    every cell of the set's partition in two.  A point that fails to extend
+    a set fails for all its supersets, so each set hands its children only
+    the points that extend it.  Sets of size ``top`` are counted without
+    building their cells.
     """
-    cols = columns.cols
     counts = [0] * (top + 1)
 
-    def visit(start: int, cells: list[int], size: int) -> None:
+    def visit(cells: list[int], cands: Sequence[int], size: int) -> None:
         counts[size] += 1
         if size == top:
             return
         last = size + 1 == top
-        for i in range(start, len(cols)):
-            col = cols[i]
+        kept: list[int] = []
+        splits: list[list[int]] = []
+        for col in cands:
             nxt = []
             for c in cells:
                 a = c & col
@@ -206,12 +259,15 @@ def _count_shattered(columns: _Columns, top: int) -> tuple[int, ...]:
                     nxt.append(a)
                     nxt.append(c ^ a)
             else:
-                if last:
-                    counts[top] += 1
-                else:
-                    visit(i + 1, nxt, size + 1)
+                kept.append(col)
+                splits.append(nxt)
+        if last:
+            counts[top] += len(kept)
+            return
+        for j, nxt in enumerate(splits):
+            visit(nxt, kept[j + 1 :], size + 1)
 
-    visit(0, [columns.full], 0)
+    visit([columns.full], columns.cols, 0)
     return tuple(counts)
 
 
@@ -263,31 +319,19 @@ def vc_dimension(
         return VcReport(vc=len(pts), exact=False, witness=pts, nodes=1)
 
     full = (1 << len(cls)) - 1
-    cols = _columns(cls, range(cls.domain.size))
+    cols = _columns(cls)
     # points whose column is non-constant; only these can join a shattered set
     active = [p for p, col in enumerate(cols) if col != 0 and col != full]
-    columns = _Columns(full, tuple(cols[p] for p in active))
+    columns = _Columns(full, tuple([cols[p] for p in active]))
     vc_cap = min(len(cls).bit_length() - 1, len(active))
 
-    nodes = cls.domain.size
-    best: tuple[int, ...] = ()
-    exact = True
-    try:
-        for k in range(1, vc_cap + 1):
-            found, nodes = _first_shattered(columns, k, nodes, budget)
-            if found is None:
-                break
-            best = found
-    except _BudgetExhausted as stop:
-        nodes = stop.args[0]
-        exact = False
-
+    best, nodes, exact = _largest_shattered(columns, vc_cap, cls.domain.size, budget)
     if mode == MODE_LOWER_BOUND:
         exact = False
     return VcReport(
         vc=len(best),
         exact=exact,
-        witness=tuple(active[i] for i in best),
+        witness=tuple([active[i] for i in best]),
         nodes=nodes,
         columns=columns,
     )

@@ -240,6 +240,13 @@ def test_vc_witnesses_of_named_d2_classes():
     assert vc_dimension(build_aux_class(H, Phi)).witness == (0, 13, 27, 42, 55, 69)
 
 
+def test_vc_search_skips_points_failed_at_an_ancestor():
+    # without forward checking these searches take 46,457 and 43,969 nodes
+    H, Phi = construct_theorem1(2)
+    assert vc_dimension(build_f_class(H, Phi)).nodes < 20_000
+    assert vc_dimension(build_aux_class(H, Phi)).nodes < 20_000
+
+
 def test_vc_report_equality_and_witness_levels():
     a, b = vc_dimension(full_class(4)), vc_dimension(full_class(4))
     assert a == b and hash(a) == hash(b)
