@@ -5,6 +5,8 @@ small indexed domains, so VC dimensions, risk minimizers, and true errors
 are computed exactly rather than estimated.
 """
 
+import importlib
+
 from priverm.core import (
     FiniteDomain,
     FiniteDistribution,
@@ -39,13 +41,6 @@ from priverm.constructions import (
     construct_theorem5_family,
     phi_prime_subclass,
 )
-from priverm.erm import (
-    ErmResult,
-    PrivilegedErmResult,
-    empirical_stats,
-    erm_privileged,
-    erm_standard,
-)
 from priverm.bounds import (
     BoundInputs,
     alpha_threshold,
@@ -57,13 +52,31 @@ from priverm.bounds import (
     r_slow,
     sufficient_condition,
 )
-from priverm.simulate import (
-    ExperimentConfig,
-    TrialRecord,
-    persist_run,
-    run_comparison,
-    run_theorem5_experiment,
-    sample,
-)
+
+# numpy-backed names, imported on first use (PEP 562) so that importing the
+# package, the CLI, and the vc, bounds and construction modules stays
+# numpy-free
+_LAZY = {
+    "ErmResult": "erm",
+    "PrivilegedErmResult": "erm",
+    "empirical_stats": "erm",
+    "erm_privileged": "erm",
+    "erm_standard": "erm",
+    "ExperimentConfig": "simulate",
+    "TrialRecord": "simulate",
+    "persist_run": "simulate",
+    "run_comparison": "simulate",
+    "run_theorem5_experiment": "simulate",
+    "sample": "simulate",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"

@@ -44,13 +44,6 @@ from .core import (
     sample_from_json,
     strict_int,
 )
-from .erm import erm_privileged, erm_standard
-from .simulate import (
-    ExperimentConfig,
-    persist_run,
-    run_comparison,
-    run_theorem5_experiment,
-)
 from .vc import (
     MODE_EXACT,
     build_aux_class,
@@ -143,6 +136,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_erm(args) -> int:
+    # numpy-backed, so imported here: the other commands start without numpy
+    from .erm import erm_privileged, erm_standard
+
     H = _load_class(args.h_class, label="X")
     s = sample_from_json(load_json(args.sample))
     if args.phi_class is None:
@@ -157,6 +153,8 @@ def cmd_erm(args) -> int:
 def cmd_bounds(args) -> int:
     if args.inputs:
         raw = load_json(args.inputs)
+        if not isinstance(raw, dict):
+            raise ValueError("bounds inputs must be a JSON object")
         raw.update(
             {
                 k: v
@@ -165,6 +163,9 @@ def cmd_bounds(args) -> int:
                 and v is not None
             }
         )
+        for k in ("m", "d", "dstar", "d_a"):
+            if k in raw:
+                raw[k] = strict_int(raw[k], k)
         inputs = BoundInputs(**raw)
     else:
         required = ("m", "delta", "d", "dstar", "d_a")
@@ -202,6 +203,13 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_sim(args) -> int:
+    from .simulate import (
+        ExperimentConfig,
+        persist_run,
+        run_comparison,
+        run_theorem5_experiment,
+    )
+
     raw = load_json(args.config)
     if args.kind == "comparison":
         delta = float(raw["delta"])

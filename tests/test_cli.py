@@ -4,8 +4,11 @@ Most tests drive ``main(argv)`` in process and parse captured stdout. One
 subprocess test runs the ``priverm`` entry point as a real process: the
 installed console script when one is on PATH, otherwise the
 ``[project.scripts]`` target declared in the checkout's ``pyproject.toml``.
+Another runs numpy-free commands in a fresh interpreter to check that
+numpy stays unloaded.
 """
 
+import importlib
 import json
 import math
 import os
@@ -250,6 +253,33 @@ def test_bounds_flag_overrides_inputs_file(tmp_path, capsys):
     assert rc == 0
     report = json.loads(out)
     assert report["r_fast_d"] == r_fast(2, 200, 0.05)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"m": 1.5}, {"d": True}, {"d_a": 2.5}, {"dstar": 1.25}, {"m": None}],
+)
+def test_bounds_inputs_file_rejects_non_integers(tmp_path, capsys, change):
+    raw = {"m": 99, "delta": 0.05, "d": 2, "dstar": 1, "d_a": 3, **change}
+    path = write_json(tmp_path, "inputs.json", raw)
+    rc, out, err = run_cli(capsys, ["bounds", "--inputs", path])
+    assert rc == 2
+    assert out == "" and "input error" in err
+
+
+def test_bounds_inputs_file_accepts_integral_floats(tmp_path, capsys):
+    raw = {"m": 99.0, "delta": 0.05, "d": 2.0, "dstar": 1, "d_a": 3.0}
+    path = write_json(tmp_path, "inputs.json", raw)
+    rc, out, _ = run_cli(capsys, ["bounds", "--inputs", path])
+    assert rc == 0
+    assert json.loads(out)["r_fast_d"] == r_fast(2, 99, 0.05)
+
+
+def test_bounds_inputs_file_must_hold_an_object(tmp_path, capsys):
+    path = write_json(tmp_path, "inputs.json", [99, 0.05, 2, 1, 3])
+    rc, _, err = run_cli(capsys, ["bounds", "--inputs", path])
+    assert rc == 2
+    assert "JSON object" in err
 
 
 def test_bounds_missing_flags(capsys):
@@ -660,3 +690,58 @@ def test_console_script_runs():
     assert "REFUTED" in proc.stdout
     assert proc.stdout.rstrip().endswith("PASS")
     assert "Traceback" not in proc.stderr
+
+
+# --- numpy-free start ----------------------------------------------------------------
+
+
+def test_cli_commands_without_numpy_never_import_it():
+    # vc, construct, bounds and verify need no numpy; erm and sim import it
+    src = str(Path(priverm.__file__).resolve().parents[1])
+    code = (
+        "import sys, priverm, priverm.cli\n"
+        "assert priverm.cli.main(['verify', '--suite', 'claims']) == 0\n"
+        "assert priverm.cli.main(['bounds', '--m', '9', '--delta', '0.1',"
+        " '--d', '1', '--dstar', '1', '--d-a', '1']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+PACKAGE_EXPORTS = {
+    "core": (
+        "FiniteDomain FiniteDistribution Hypothesis HypothesisClass Triple TripleSample "
+        "aux_loss composite_loss exact_true_error f_loss ignoring_loss zero_one_loss"
+    ),
+    "vc": (
+        "VcReport build_aux_class build_f_class build_loss_class growth_function "
+        "is_shattered k_fold_union sauer_bound union_class vc_dimension"
+    ),
+    "constructions": (
+        "Theorem5Family construct_lemma1_tight construct_lemma2_witness "
+        "construct_theorem1 construct_theorem5_family phi_prime_subclass"
+    ),
+    "erm": "ErmResult PrivilegedErmResult empirical_stats erm_privileged erm_standard",
+    "bounds": (
+        "BoundInputs alpha_threshold bound_erm bound_pr d_a_interval "
+        "necessary_condition r_fast r_slow sufficient_condition"
+    ),
+    "simulate": (
+        "ExperimentConfig TrialRecord persist_run run_comparison "
+        "run_theorem5_experiment sample"
+    ),
+}
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE_EXPORTS))
+def test_package_names_resolve_to_their_modules(module):
+    home = importlib.import_module(f"priverm.{module}")
+    for name in PACKAGE_EXPORTS[module].split():
+        assert getattr(priverm, name) is getattr(home, name), name
+    with pytest.raises(AttributeError):
+        priverm.no_such_name
