@@ -194,23 +194,25 @@ def _largest_shattered(
             if extend(cands, pos + 1, nxt, need - 1):
                 return True
             chosen.pop()
-            # forward check: each later candidate is tested once, here
+            # forward check: each later candidate is tested once, here;
+            # ``spare`` counts the failures that still leave ``need`` of them
+            spare = len(cands) - pos - 1 - need
+            if spare < 0:
+                return False
             kept: list[int] = []
             splits: list[list[int]] = []
-            # failures that still leave ``need`` candidates; below 0, prune
-            spare = len(cands) - pos - 1 - need
             for i in cands[pos + 1 :]:
-                if spare < 0:
-                    return False
                 nodes += 1
                 if nodes > limit:
                     raise _BudgetExhausted
                 nxt = _split(cells, cols[i], floor)
-                if nxt is None:
-                    spare -= 1
-                else:
+                if nxt is not None:
                     kept.append(i)
                     splits.append(nxt)
+                elif spare:
+                    spare -= 1
+                else:
+                    return False
             for j in range(len(kept) - need + 1):
                 chosen.append(kept[j])
                 if extend(kept, j + 1, splits[j], need - 1):
