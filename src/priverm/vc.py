@@ -221,9 +221,16 @@ def _largest_shattered(
             return False
         return False
 
-    best: tuple[int, ...] = ()
+    if top == 0:
+        return (), nodes, True
+    # every searched column is non-constant, so it splits the full cell
+    # alone: the k = 1 search takes one node and finds (0,)
+    nodes += 1
+    if nodes > limit:
+        return (), nodes, False
+    best: tuple[int, ...] = (0,)
     try:
-        for k in range(1, top + 1):
+        for k in range(2, top + 1):
             if not extend(range(len(cols)), 0, [columns.full], k):
                 break
             best = tuple(chosen)
