@@ -234,6 +234,14 @@ def test_vc_reports_match_golden_digest():
     assert digest == "b01e88e33660423757f183fb179dfe4001b12ff8054727f1b8bc2aa60f819523"
 
 
+def test_vc_node_counts_match_golden_digest():
+    # classes that carry no symmetry generators run the search node for node
+    # as before; the digest was taken on the engine without orbit drops
+    nodes = [vc_dimension(cls).nodes for cls in _golden_classes()]
+    digest = hashlib.sha256(repr(nodes).encode()).hexdigest()
+    assert digest == "e9dfc895013829d0e36783df3441ae89d6d8e9a8ae0291bc72cc629dca39ba74"
+
+
 def test_vc_witnesses_of_named_d2_classes():
     H, Phi = construct_theorem1(2)
     assert vc_dimension(build_f_class(H, Phi)).witness == (0, 14, 24, 42, 56, 66)
