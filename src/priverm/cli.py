@@ -43,6 +43,7 @@ from .core import (
     product_legend,
     sample_from_json,
     strict_int,
+    strict_real,
 )
 from .vc import (
     MODE_EXACT,
@@ -166,6 +167,9 @@ def cmd_bounds(args) -> int:
         for k in ("m", "d", "dstar", "d_a"):
             if k in raw:
                 raw[k] = strict_int(raw[k], k)
+        for k in ("delta", "eps_erm", "eps_ig", "eps_u"):
+            if k in raw:
+                raw[k] = strict_real(raw[k], k)
         inputs = BoundInputs(**raw)
     else:
         required = ("m", "delta", "d", "dstar", "d_a")
@@ -282,6 +286,11 @@ def _checkline(name: str, ok: bool, detail: str) -> bool:
     return ok
 
 
+def _budget_note(report) -> str:
+    """Suffix for a detail line whose search stopped at the node budget."""
+    return "" if report.exact else " (lower bound: node budget exhausted)"
+
+
 def _suite_theorem1(d: int) -> bool:
     H, Phi = construct_theorem1(d)
     rh, rp = vc_dimension(H), vc_dimension(Phi)
@@ -289,10 +298,18 @@ def _suite_theorem1(d: int) -> bool:
     rf = vc_dimension(F)
     diag = [product_index(i, i, 0, Phi.domain.size) for i in range(3 * d)]
     ok = True
-    ok &= _checkline("vc_h", rh.vc == d and rh.exact, f"VC(H)={rh.vc}, want {d}")
-    ok &= _checkline("vc_phi", rp.vc == d and rp.exact, f"VC(Phi)={rp.vc}, want {d}")
     ok &= _checkline(
-        "vc_f", rf.vc == 3 * d and rf.exact, f"VC(F)={rf.vc}, want {3 * d}"
+        "vc_h", rh.vc == d and rh.exact, f"VC(H)={rh.vc}, want {d}" + _budget_note(rh)
+    )
+    ok &= _checkline(
+        "vc_phi",
+        rp.vc == d and rp.exact,
+        f"VC(Phi)={rp.vc}, want {d}" + _budget_note(rp),
+    )
+    ok &= _checkline(
+        "vc_f",
+        rf.vc == 3 * d and rf.exact,
+        f"VC(F)={rf.vc}, want {3 * d}" + _budget_note(rf),
     )
     ok &= _checkline(
         "diagonal_witness", is_shattered(F, diag), f"{3 * d} diagonal points"
@@ -312,7 +329,9 @@ def _suite_claims(d: int) -> bool:
     print(f"additive prediction d+d* = {2 * d}; measured VC(F) = {rf.vc}")
     print("REFUTED" if refuted else "consistent")
     return _checkline(
-        "claims", rf.vc == 3 * d, f"measured {rf.vc} matches 3d = {3 * d}"
+        "claims",
+        rf.vc == 3 * d,
+        f"measured {rf.vc} matches 3d = {3 * d}" + _budget_note(rf),
     )
 
 
@@ -346,7 +365,7 @@ def _suite_lemma2(d: int, dstar: int) -> bool:
     ok &= _checkline(
         "d_a_sandwich",
         lower <= ra.vc <= upper and ra.exact,
-        f"d_a={ra.vc} in [{lower}, {upper:.2f}]",
+        f"d_a={ra.vc} in [{lower}, {upper:.2f}]" + _budget_note(ra),
     )
     return ok
 
@@ -360,7 +379,7 @@ def _suite_theorem2(d: int, dstar: int) -> bool:
     return _checkline(
         "vc_f_upper",
         rf.vc <= upper and rf.exact,
-        f"VC(F)={rf.vc} <= {upper:.2f}",
+        f"VC(F)={rf.vc} <= {upper:.2f}" + _budget_note(rf),
     )
 
 

@@ -37,10 +37,20 @@ MAX_FOLD = 5
 def _triplet_product(
     patterns: Sequence[Sequence[int]], d: int, domain: FiniteDomain
 ) -> HypothesisClass:
+    """The d-fold product of ``patterns``, one triplet of points per factor.
+
+    Swapping two triplets maps the product onto itself, so the class carries
+    the d-1 swaps of adjacent triplets as its symmetries.
+    """
     members = []
     for combo in product(patterns, repeat=d):
         members.append(Hypothesis(domain, tuple(chain.from_iterable(combo))))
-    return HypothesisClass.from_hypotheses(domain, members)
+    swaps = []
+    for b in range(d - 1):
+        g = list(range(3 * d))
+        g[3 * b : 3 * b + 6] = g[3 * b + 3 : 3 * b + 6] + g[3 * b : 3 * b + 3]
+        swaps.append(tuple(g))
+    return HypothesisClass.from_hypotheses(domain, members, tuple(swaps))
 
 
 def construct_theorem1(d: int) -> tuple[HypothesisClass, HypothesisClass]:

@@ -10,7 +10,7 @@ risk, true error, VC dimension) is computed exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -124,10 +124,23 @@ class HypothesisClass:
     Members are kept in canonical order (lexicographic by bit tuple, i.e.
     the order in which the patterns read as point-0-first bit strings), so
     "smallest member index" is well defined for tie-breaking.
+
+    ``symmetries`` optionally lists point permutations that map the member
+    set onto itself, each as a tuple whose entry p is the image of point p.
+    They generate a group the exact VC search uses to drop whole orbits of
+    points (see ``vc.vc_dimension``, which checks each one before use and
+    rejects a bad one).  Only the named constructions set them: the triplet
+    products of ``construct_theorem1`` and the loss classes that
+    ``build_f_class`` and ``build_aux_class`` lift from those.  Every other
+    class, including one read from JSON, carries none.  The field takes no
+    part in equality, hashing, ``repr`` or ``class_to_json``.
     """
 
     domain: FiniteDomain
     members: tuple[Hypothesis, ...]
+    symmetries: tuple[tuple[int, ...], ...] = field(
+        default=(), compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         for h in self.members:
@@ -141,11 +154,14 @@ class HypothesisClass:
 
     @classmethod
     def from_hypotheses(
-        cls, domain: FiniteDomain, hypotheses: Iterable[Hypothesis]
+        cls,
+        domain: FiniteDomain,
+        hypotheses: Iterable[Hypothesis],
+        symmetries: tuple[tuple[int, ...], ...] = (),
     ) -> "HypothesisClass":
         unique = {h.bits: h for h in hypotheses}
         ordered = tuple(unique[b] for b in sorted(unique))
-        return cls(domain, ordered)
+        return cls(domain, ordered, symmetries)
 
     @classmethod
     def from_patterns(
@@ -304,15 +320,22 @@ def class_to_json(cls: HypothesisClass) -> dict:
 
 
 def strict_int(value, what: str) -> int:
-    """An integer read from JSON; bools and fractional numbers are rejected.
+    """An integer read from JSON; bools, strings and fractional numbers are rejected.
 
     Integral floats such as 3.0 are accepted.
     """
-    if isinstance(value, bool) or (
+    if isinstance(value, (bool, str)) or (
         isinstance(value, float) and not value.is_integer()
     ):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def strict_real(value, what: str):
+    """A number read from JSON, returned as given; bools and strings are rejected."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return value
 
 
 def _triple_from_json(e: dict) -> Triple:

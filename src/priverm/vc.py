@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .core import (
@@ -34,6 +35,7 @@ from .core import (
     HypothesisClass,
     labeled_domain,
     product_domain,
+    product_index,
 )
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -135,11 +137,60 @@ def _columns(cls: HypothesisClass, points: Optional[Sequence[int]] = None) -> li
     Rows are read last member first, so member i lands on bit i of the
     base-2 parse.
     """
-    if points is None:
-        rows = [h.bits for h in reversed(cls.members)]
-    else:
-        rows = [tuple(map(h.bits.__getitem__, points)) for h in reversed(cls.members)]
-    return [int(bytes(col).translate(_DIGITS), 2) for col in zip(*rows)]
+    rows = [h.bits for h in reversed(cls.members)]
+    cols = zip(*rows) if points is None else (map(itemgetter(p), rows) for p in points)
+    return [int(bytes(col).translate(_DIGITS), 2) for col in cols]
+
+
+def _orbits(
+    cls: HypothesisClass, active: Sequence[int]
+) -> Optional[list[tuple[int, ...]]]:
+    """Orbit of each active point under ``cls.symmetries``, as column indices.
+
+    Each generator is checked first: it must permute the domain and map the
+    member set onto itself, else ``ValueError``.  Orbits come from
+    union-find over the generators; the group is never enumerated.  A point
+    whose orbit is itself alone gets (); None when every orbit is a
+    singleton.
+    """
+    n = cls.domain.size
+    identity = list(range(n))
+    rows = {h.bits for h in cls.members}
+    for g in cls.symmetries:
+        if sorted(g) != identity:
+            raise ValueError(f"symmetry {tuple(g)} is not a permutation of {n} points")
+        if list(g) == identity:
+            continue
+        inverse = [0] * n
+        for p, q in enumerate(g):
+            inverse[q] = p
+        image = itemgetter(*inverse)
+        if any(image(r) not in rows for r in rows):
+            raise ValueError(f"symmetry {tuple(g)} does not map the class onto itself")
+    parent = list(range(n))
+
+    def find(p: int) -> int:
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    for g in cls.symmetries:
+        for p in active:
+            a, b = find(p), find(g[p])
+            if a != b:
+                parent[a] = b
+    groups: dict[int, list[int]] = {}
+    for i, p in enumerate(active):
+        groups.setdefault(find(p), []).append(i)
+    if all(len(group) == 1 for group in groups.values()):
+        return None
+    orbits: list[tuple[int, ...]] = [()] * len(active)
+    for group in groups.values():
+        if len(group) > 1:
+            for i in group:
+                orbits[i] = tuple(group)
+    return orbits
 
 
 def _split(cells: list[int], col: int, floor: int) -> Optional[list[int]]:
@@ -158,7 +209,11 @@ def _split(cells: list[int], col: int, floor: int) -> Optional[list[int]]:
 
 
 def _largest_shattered(
-    columns: _Columns, top: int, nodes: int, budget: Optional[int]
+    columns: _Columns,
+    top: int,
+    nodes: int,
+    budget: Optional[int],
+    orbits: Optional[list[tuple[int, ...]]] = None,
 ) -> tuple[tuple[int, ...], int, bool]:
     """Lex-first shattered set of column indices of the largest size <= top.
 
@@ -170,9 +225,20 @@ def _largest_shattered(
     refine the node's while the floor at most halves per added point.  So
     a node walks its candidates lazily until the first descent; only if
     that descent fails does it test each remaining candidate once and hand
-    each survivor just the survivors after it.  Returns the set, the node
-    count and whether the search finished within ``budget`` (if not, the
-    set is the largest found before the node count passed it).
+    each survivor just the survivors after it.
+
+    ``orbits[i]`` lists the columns in the orbit of column i under symmetries
+    of the class, or is () when i's orbit is i alone (``orbits`` is None when
+    every orbit is, and the search is then the one above).  With orbits,
+    each size first tests every live point once against the full cell and
+    takes the survivors in turn as roots.  When root p's descent fails at
+    size k, every earlier root has failed too, so no shattered k-set
+    contains p; by symmetry none contains an image of p, and no larger set
+    does either.  p's whole orbit is then dropped from the remaining roots
+    and from every later size.
+    Returns the set, the node count and whether the search finished within
+    ``budget`` (if not, the set is the largest found before the node count
+    passed it).
     """
     cols = columns.cols
     limit = math.inf if budget is None else budget
@@ -221,6 +287,40 @@ def _largest_shattered(
             return False
         return False
 
+    if orbits:
+        dead: set[int] = set()
+
+        def root(k: int) -> bool:
+            """The size-k search from the full cell, dropping orbits of failed roots."""
+            nonlocal nodes
+            floor = 1 << (k - 1)
+            cells = [columns.full]
+            kept: list[int] = []
+            splits: list[list[int]] = []
+            for i in range(len(cols)):
+                if i in dead:
+                    continue
+                nodes += 1
+                if nodes > limit:
+                    raise _BudgetExhausted
+                nxt = _split(cells, cols[i], floor)
+                if nxt is not None:
+                    kept.append(i)
+                    splits.append(nxt)
+            j = 0
+            while j <= len(kept) - k:
+                chosen.append(kept[j])
+                if extend(kept, j + 1, splits[j], k - 1):
+                    return True
+                chosen.pop()
+                if orbits[kept[j]]:
+                    dead.update(orbits[kept[j]])
+                    later = [t for t in range(j + 1, len(kept)) if kept[t] not in dead]
+                    kept[j + 1 :] = [kept[t] for t in later]
+                    splits[j + 1 :] = [splits[t] for t in later]
+                j += 1
+            return False
+
     if top == 0:
         return (), nodes, True
     # every searched column is non-constant, so it splits the full cell
@@ -231,7 +331,11 @@ def _largest_shattered(
     best: tuple[int, ...] = (0,)
     try:
         for k in range(2, top + 1):
-            if not extend(range(len(cols)), 0, [columns.full], k):
+            if orbits:
+                found = root(k)
+            else:
+                found = extend(range(len(cols)), 0, [columns.full], k)
+            if not found:
                 break
             best = tuple(chosen)
             chosen.clear()
@@ -333,8 +437,11 @@ def vc_dimension(
     active = [p for p, col in enumerate(cols) if col != 0 and col != full]
     columns = _Columns(full, tuple([cols[p] for p in active]))
     vc_cap = min(len(cls).bit_length() - 1, len(active))
+    orbits = _orbits(cls, active) if cls.symmetries else None
 
-    best, nodes, exact = _largest_shattered(columns, vc_cap, cls.domain.size, budget)
+    best, nodes, exact = _largest_shattered(
+        columns, vc_cap, cls.domain.size, budget, orbits
+    )
     if mode == MODE_LOWER_BOUND:
         exact = False
     return VcReport(
@@ -434,8 +541,37 @@ def _ignore_mask(phi: Hypothesis, n_x: int) -> int:
     return m
 
 
+def _lifted_symmetries(
+    H: HypothesisClass, Phi: HypothesisClass
+) -> tuple[tuple[int, ...], ...]:
+    """Generators of H and Phi acting on product points ((x, x*), y).
+
+    g of H maps ((x, x*), y) to ((g x, x*), y) and g of Phi maps it to
+    ((x, g x*), y), each in the product enumeration of ``product_index``.
+    """
+    points = [
+        (x, xs, y)
+        for x in range(H.domain.size)
+        for xs in range(Phi.domain.size)
+        for y in (0, 1)
+    ]
+    n_xs = Phi.domain.size
+    lifted = [
+        tuple(product_index(g[x], xs, y, n_xs) for x, xs, y in points)
+        for g in H.symmetries
+    ]
+    lifted += [
+        tuple(product_index(x, g[xs], y, n_xs) for x, xs, y in points)
+        for g in Phi.symmetries
+    ]
+    return tuple(lifted)
+
+
 def build_f_class(H: HypothesisClass, Phi: HypothesisClass) -> HypothesisClass:
-    """Class of triple labelings max(h errs, phi flags) over all (h, phi)."""
+    """Class of triple labelings max(h errs, phi flags) over all (h, phi).
+
+    The symmetries of H and Phi are lifted to product points.
+    """
     if len(H) == 0 or len(Phi) == 0:
         raise ValueError("both classes must be nonempty")
     dom = product_domain(H.domain.size, Phi.domain.size)
@@ -443,12 +579,17 @@ def build_f_class(H: HypothesisClass, Phi: HypothesisClass) -> HypothesisClass:
     igs = [_ignore_mask(phi, H.domain.size) for phi in Phi.members]
     members = {e | g for e in errs for g in igs}
     return HypothesisClass.from_hypotheses(
-        dom, (Hypothesis.from_mask(dom, m) for m in members)
+        dom,
+        (Hypothesis.from_mask(dom, m) for m in members),
+        _lifted_symmetries(H, Phi),
     )
 
 
 def build_aux_class(H: HypothesisClass, Phi: HypothesisClass) -> HypothesisClass:
-    """Class of triple labelings (h errs AND phi does not flag)."""
+    """Class of triple labelings (h errs AND phi does not flag).
+
+    The symmetries of H and Phi are lifted to product points.
+    """
     if len(H) == 0 or len(Phi) == 0:
         raise ValueError("both classes must be nonempty")
     dom = product_domain(H.domain.size, Phi.domain.size)
@@ -457,7 +598,9 @@ def build_aux_class(H: HypothesisClass, Phi: HypothesisClass) -> HypothesisClass
     igs = [full ^ _ignore_mask(phi, H.domain.size) for phi in Phi.members]
     members = {e & g for e in errs for g in igs}
     return HypothesisClass.from_hypotheses(
-        dom, (Hypothesis.from_mask(dom, m) for m in members)
+        dom,
+        (Hypothesis.from_mask(dom, m) for m in members),
+        _lifted_symmetries(H, Phi),
     )
 
 

@@ -8,6 +8,7 @@ Another runs numpy-free commands in a fresh interpreter to check that
 numpy stays unloaded.
 """
 
+import functools
 import importlib
 import json
 import math
@@ -267,6 +268,34 @@ def test_bounds_inputs_file_rejects_non_integers(tmp_path, capsys, change):
     assert out == "" and "input error" in err
 
 
+@pytest.mark.parametrize(
+    "change",
+    [{"dstar": "1"}, {"m": "99"}, {"d_a": "3"}, {"d": "2.0"},
+     {"dstar": "1", "eps_erm": True}],
+    ids=str,
+)
+def test_bounds_inputs_file_rejects_integers_given_as_strings(tmp_path, capsys, change):
+    raw = {"m": 99, "delta": 0.05, "d": 2, "dstar": 1, "d_a": 3, **change}
+    path = write_json(tmp_path, "inputs.json", raw)
+    rc, out, err = run_cli(capsys, ["bounds", "--inputs", path])
+    assert rc == 2
+    assert out == "" and "must be an integer" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"eps_erm": True}, {"eps_ig": False}, {"eps_u": "0"}, {"delta": "0.05"},
+     {"delta": True}, {"eps_erm": "0.1"}],
+    ids=str,
+)
+def test_bounds_inputs_file_rejects_bool_and_string_reals(tmp_path, capsys, change):
+    raw = {"m": 99, "delta": 0.05, "d": 2, "dstar": 1, "d_a": 3, **change}
+    path = write_json(tmp_path, "inputs.json", raw)
+    rc, out, err = run_cli(capsys, ["bounds", "--inputs", path])
+    assert rc == 2
+    assert out == "" and "must be a number" in err and "Traceback" not in err
+
+
 def test_bounds_inputs_file_accepts_integral_floats(tmp_path, capsys):
     raw = {"m": 99.0, "delta": 0.05, "d": 2.0, "dstar": 1, "d_a": 3.0}
     path = write_json(tmp_path, "inputs.json", raw)
@@ -484,6 +513,23 @@ def test_sim_accepts_integral_floats(tmp_path, capsys):
     assert out == want
 
 
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [("comparison", "m", "20"), ("comparison", "seed", "3"), ("deviation", "trials", "5")],
+)
+def test_sim_rejects_integers_given_as_strings(tmp_path, capsys, kind, field, value):
+    if kind == "comparison":
+        path = comparison_config_json(tmp_path, **{field: value})
+    else:
+        cfg = {"phi_class": class_to_json(full_class(4)), "eps": 0.1, "delta": 0.01,
+               "m": 30, "trials": 5, "seed": 2, field: value}
+        path = write_json(tmp_path, "dev.json", cfg)
+    rc, out, err = run_cli(capsys, ["sim", "--kind", kind, "--config", path])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"input error: {field} must be an integer")
+
+
 @pytest.mark.parametrize("heavy", [[0, 2], [0, -1], [0, 0.5], [True, 0]], ids=str)
 def test_sim_deviation_rejects_heavy_side_that_is_not_bits(tmp_path, capsys, heavy):
     cfg = {"phi_class": class_to_json(full_class(4)), "eps": 0.1, "delta": 0.01,
@@ -584,6 +630,28 @@ def test_malformed_erm_and_sim_inputs_exit_cleanly(tmp_path, capsys, data):
     assert "Traceback" not in err
 
 
+BOUNDS_FIELDS = ("m", "delta", "d", "dstar", "d_a", "eps_erm", "eps_ig", "eps_u")
+BOUNDS_JUNK = st.one_of(
+    st.text(max_size=4), st.booleans(), st.lists(st.integers(0, 3), max_size=2),
+    st.none(), st.just(10**400), st.just(DELETE),
+)
+
+
+@settings(deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_malformed_bounds_inputs_exit_cleanly(tmp_path, capsys, data):
+    raw = {"m": 99, "delta": 0.05, "d": 2, "dstar": 1, "d_a": 3,
+           "eps_erm": 0.1, "eps_ig": 0.06, "eps_u": 0.04}
+    for field in data.draw(st.lists(st.sampled_from(BOUNDS_FIELDS), min_size=1,
+                                    max_size=3, unique=True)):
+        raw = mutate(raw, (field,), data.draw(BOUNDS_JUNK))
+    path = write_json(tmp_path, "inputs.json", raw)
+    rc, _, err = run_cli(capsys, ["bounds", "--inputs", path])
+    assert rc in (0, 2), err
+    assert "Traceback" not in err
+
+
 # --- verify ------------------------------------------------------------------------
 
 
@@ -629,6 +697,31 @@ def test_verify_theorem2(capsys):
     rc, out, _ = run_cli(capsys, ["verify", "--suite", "theorem2", "--d", "1"])
     assert rc == 0
     assert "[PASS] vc_f_upper" in out
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["--suite", "theorem1", "--d", "1"], "vc_f: VC(F)=0, want 3"),
+        (["--suite", "claims", "--d", "1"], "claims: measured 0 matches 3d = 3"),
+        (["--suite", "lemma2", "--d", "2"], "d_a_sandwich: d_a=0 in [2.0, 68.85]"),
+        (["--suite", "theorem2", "--d", "1"], "vc_f_upper: VC(F)=0 <= 41.31"),
+    ],
+)
+def test_verify_says_when_the_node_budget_ran_out(monkeypatch, capsys, argv, line):
+    from priverm import cli
+
+    monkeypatch.setattr(cli, "vc_dimension", functools.partial(cli.vc_dimension, budget=5))
+    rc, out, _ = run_cli(capsys, ["verify", *argv])
+    assert rc == 1
+    assert f"] {line} (lower bound: node budget exhausted)\n" in out
+
+
+def test_verify_exact_lines_carry_no_budget_note(capsys):
+    rc, out, _ = run_cli(capsys, ["verify", "--suite", "theorem1", "--d", "2"])
+    assert rc == 0
+    assert "[PASS] vc_f: VC(F)=6, want 6\n" in out
+    assert "budget" not in out
 
 
 # --- output formats ------------------------------------------------------------------

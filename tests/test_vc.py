@@ -1,5 +1,6 @@
 """Shattering, exact VC dimension, growth functions, unions, loss classes."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -27,7 +28,7 @@ from priverm import (
     vc_dimension,
 )
 from priverm.constructions import H1_PATTERNS, PHI1_PATTERNS, construct_theorem1, full_class
-from priverm.core import DomainMismatchError, product_index
+from priverm.core import DomainMismatchError, class_from_json, class_to_json, product_index
 from priverm.vc import MODE_LOWER_BOUND, project
 
 from conftest import rand_class
@@ -253,6 +254,103 @@ def test_vc_search_skips_points_failed_at_an_ancestor():
     H, Phi = construct_theorem1(2)
     assert vc_dimension(build_f_class(H, Phi)).nodes < 20_000
     assert vc_dimension(build_aux_class(H, Phi)).nodes < 20_000
+
+
+def test_vc_orbit_drops_cut_named_d2_searches():
+    # without the orbit drops these searches take 11,798 and 11,599 nodes
+    H, Phi = construct_theorem1(2)
+    assert vc_dimension(build_f_class(H, Phi)).nodes < 5_000
+    assert vc_dimension(build_aux_class(H, Phi)).nodes < 5_000
+
+
+# --- symmetry generators ------------------------------------------------------
+
+
+def _report_key(report) -> tuple:
+    return (report.vc, report.witness, report.exact, report.levels)
+
+
+def _stripped(cls: HypothesisClass) -> HypothesisClass:
+    return dataclasses.replace(cls, symmetries=())
+
+
+def _symmetric_class(rng: random.Random, n: int, k: int, n_gens: int) -> HypothesisClass:
+    """Random patterns closed under the group of n_gens random permutations."""
+    gens = []
+    for _ in range(n_gens):
+        g = list(range(n))
+        rng.shuffle(g)
+        gens.append(tuple(g))
+    patterns = {tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(k)}
+    frontier = list(patterns)
+    while frontier:
+        row = frontier.pop()
+        for g in gens:
+            image = [0] * n
+            for p in range(n):
+                image[g[p]] = row[p]
+            image = tuple(image)
+            if image not in patterns:
+                patterns.add(image)
+                frontier.append(image)
+    dom = FiniteDomain(n)
+    return HypothesisClass.from_hypotheses(
+        dom, (Hypothesis(dom, p) for p in patterns), tuple(gens)
+    )
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.integers(0, 10_000), st.integers(1, 7), st.integers(1, 12), st.integers(1, 2))
+def test_vc_with_symmetries_matches_stripped_class_and_oracle(seed, size, members, n_gens):
+    cls = _symmetric_class(random.Random(seed), size, members, n_gens)
+    assert _report_key(vc_dimension(cls)) == _report_key(vc_dimension(_stripped(cls)))
+    assert_matches_oracle(cls)
+
+
+@pytest.mark.parametrize("d, dstar", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_vc_named_classes_match_their_stripped_copies(d, dstar):
+    H, _ = construct_theorem1(d)
+    _, Phi = construct_theorem1(dstar)
+    for cls in (build_f_class(H, Phi), build_aux_class(H, Phi)):
+        assert len(cls.symmetries) == d + dstar - 2
+        report, plain = vc_dimension(cls), vc_dimension(_stripped(cls))
+        assert _report_key(report) == _report_key(plain)
+        if d == dstar == 1:
+            assert report.nodes == plain.nodes
+
+
+def test_symmetries_stay_out_of_equality_and_json():
+    H, _ = construct_theorem1(3)
+    assert len(H.symmetries) == 2
+    assert H == _stripped(H) and hash(H) == hash(_stripped(H))
+    assert "symmetries" not in repr(H)
+    assert class_to_json(H) == class_to_json(_stripped(H))
+    assert class_from_json(class_to_json(H)).symmetries == ()
+
+
+def test_vc_rejects_bad_symmetries():
+    H, _ = construct_theorem1(2)
+    for bad in ((0, 0, 2, 3, 4, 5), (0, 1, 2), (1, 2, 3, 4, 5, 6)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            vc_dimension(dataclasses.replace(H, symmetries=(bad,)))
+    # swapping two points inside a triplet does not map H onto itself
+    with pytest.raises(ValueError, match="onto itself"):
+        vc_dimension(dataclasses.replace(H, symmetries=((1, 0, 2, 3, 4, 5),)))
+
+
+@pytest.mark.parametrize("budget", [20, 60, 200, 600])
+def test_vc_budget_on_symmetric_class_stops_at_lex_first_lower_bound(budget):
+    H, _ = construct_theorem1(2)
+    _, Phi = construct_theorem1(1)
+    aux = build_aux_class(H, Phi)
+    assert aux.symmetries
+    report = vc_dimension(aux, budget=budget)
+    assert not report.exact and report.nodes > budget
+    first = next(
+        pts for pts in combinations(range(aux.domain.size), report.vc)
+        if is_shattered(aux, pts)
+    )
+    assert report.witness == first
 
 
 def test_vc_report_equality_and_witness_levels():
