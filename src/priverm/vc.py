@@ -12,11 +12,16 @@ node whose first descent fails tests its remaining points once and hands
 each survivor only the survivors after it (forward checking); a node whose
 first descent succeeds tests no more than it walked.  The first k-set the
 search reaches is therefore the lexicographically first shattered k-set,
-and the search ends at the first k with none.  ``VcReport.levels`` counts
-the shattered sets of each size up to the VC dimension by a second
-depth-first search, which also passes only the extending points down, run
-only when the counts are read.  A node budget degrades the answer to a
-verified lower bound instead of running forever.
+and the search ends at the first k with none.  A class that carries
+symmetries (point permutations that map it onto itself, checked before
+use) has each size test every point once at the root; when a root's
+descent fails, no shattered set of that size or larger holds it or any of
+its images, so its whole orbit is dropped for the rest of the search.  A
+class without them runs the search above node for node.
+``VcReport.levels`` counts the shattered sets of each size up to the VC
+dimension by a second depth-first search, which also passes only the
+extending points down, run only when the counts are read.  A node budget
+degrades the answer to a verified lower bound instead of running forever.
 """
 
 from __future__ import annotations
@@ -75,6 +80,9 @@ class VcReport:
     so ``nodes``, and where the budget runs out the lower bound reached,
     differ from a search without forward checking wherever a first descent
     fails; they are equal on searches whose first descents all succeed.
+    Orbit drops move ``nodes``, and where a budgeted search stops, only on
+    classes that carry symmetries; ``vc``, ``witness`` and ``levels`` of an
+    exact search never depend on them.
     """
 
     vc: int
@@ -160,6 +168,8 @@ def _orbits(
         if sorted(g) != identity:
             raise ValueError(f"symmetry {tuple(g)} is not a permutation of {n} points")
         if list(g) == identity:
+            # fixes every member; itemgetter of a single index (n = 1)
+            # would also return a bare bit, not a row
             continue
         inverse = [0] * n
         for p, q in enumerate(g):
@@ -183,14 +193,12 @@ def _orbits(
     groups: dict[int, list[int]] = {}
     for i, p in enumerate(active):
         groups.setdefault(find(p), []).append(i)
-    if all(len(group) == 1 for group in groups.values()):
-        return None
     orbits: list[tuple[int, ...]] = [()] * len(active)
     for group in groups.values():
         if len(group) > 1:
             for i in group:
                 orbits[i] = tuple(group)
-    return orbits
+    return orbits if any(orbits) else None
 
 
 def _split(cells: list[int], col: int, floor: int) -> Optional[list[int]]:
@@ -236,6 +244,7 @@ def _largest_shattered(
     contains p; by symmetry none contains an image of p, and no larger set
     does either.  p's whole orbit is then dropped from the remaining roots
     and from every later size.
+
     Returns the set, the node count and whether the search finished within
     ``budget`` (if not, the set is the largest found before the node count
     passed it).
@@ -287,6 +296,8 @@ def _largest_shattered(
             return False
         return False
 
+    # made only for classes with orbits: on the 3-point d = 1 classes an
+    # unused closure tied to ``extend`` costs a measurable share of the call
     if orbits:
         dead: set[int] = set()
 
