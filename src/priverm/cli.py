@@ -281,14 +281,12 @@ def cmd_sim(args) -> int:
 # --- verification suites ----------------------------------------------------
 
 
-def _checkline(name: str, ok: bool, detail: str) -> bool:
+def _checkline(name: str, ok: bool, detail: str, report=None) -> bool:
+    """Print one check; the detail of a search cut by the node budget says so."""
+    if report is not None and not report.exact:
+        detail += " (lower bound: node budget exhausted)"
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return ok
-
-
-def _budget_note(report) -> str:
-    """Suffix for a detail line whose search stopped at the node budget."""
-    return "" if report.exact else " (lower bound: node budget exhausted)"
 
 
 def _suite_theorem1(d: int) -> bool:
@@ -298,18 +296,12 @@ def _suite_theorem1(d: int) -> bool:
     rf = vc_dimension(F)
     diag = [product_index(i, i, 0, Phi.domain.size) for i in range(3 * d)]
     ok = True
+    ok &= _checkline("vc_h", rh.vc == d and rh.exact, f"VC(H)={rh.vc}, want {d}", rh)
     ok &= _checkline(
-        "vc_h", rh.vc == d and rh.exact, f"VC(H)={rh.vc}, want {d}" + _budget_note(rh)
+        "vc_phi", rp.vc == d and rp.exact, f"VC(Phi)={rp.vc}, want {d}", rp
     )
     ok &= _checkline(
-        "vc_phi",
-        rp.vc == d and rp.exact,
-        f"VC(Phi)={rp.vc}, want {d}" + _budget_note(rp),
-    )
-    ok &= _checkline(
-        "vc_f",
-        rf.vc == 3 * d and rf.exact,
-        f"VC(F)={rf.vc}, want {3 * d}" + _budget_note(rf),
+        "vc_f", rf.vc == 3 * d and rf.exact, f"VC(F)={rf.vc}, want {3 * d}", rf
     )
     ok &= _checkline(
         "diagonal_witness", is_shattered(F, diag), f"{3 * d} diagonal points"
@@ -329,9 +321,7 @@ def _suite_claims(d: int) -> bool:
     print(f"additive prediction d+d* = {2 * d}; measured VC(F) = {rf.vc}")
     print("REFUTED" if refuted else "consistent")
     return _checkline(
-        "claims",
-        rf.vc == 3 * d,
-        f"measured {rf.vc} matches 3d = {3 * d}" + _budget_note(rf),
+        "claims", rf.vc == 3 * d, f"measured {rf.vc} matches 3d = {3 * d}", rf
     )
 
 
@@ -365,7 +355,8 @@ def _suite_lemma2(d: int, dstar: int) -> bool:
     ok &= _checkline(
         "d_a_sandwich",
         lower <= ra.vc <= upper and ra.exact,
-        f"d_a={ra.vc} in [{lower}, {upper:.2f}]" + _budget_note(ra),
+        f"d_a={ra.vc} in [{lower}, {upper:.2f}]",
+        ra,
     )
     return ok
 
@@ -379,7 +370,8 @@ def _suite_theorem2(d: int, dstar: int) -> bool:
     return _checkline(
         "vc_f_upper",
         rf.vc <= upper and rf.exact,
-        f"VC(F)={rf.vc} <= {upper:.2f}" + _budget_note(rf),
+        f"VC(F)={rf.vc} <= {upper:.2f}",
+        rf,
     )
 
 
