@@ -14,10 +14,10 @@ first descent succeeds tests no more than it walked.  The first k-set the
 search reaches is therefore the lexicographically first shattered k-set,
 and the search ends at the first k with none.  A class that carries
 symmetries (point permutations that map it onto itself, checked before
-use) has each size test every point once at the root; when a root's
-descent fails, no shattered set of that size or larger holds it or any of
-its images, so its whole orbit is dropped for the rest of the search.  A
-class without them runs the search above node for node.
+use) drops more: when a root's descent fails, no shattered set of that
+size or larger holds the root or any of its images, so its whole orbit is
+dropped for the rest of the search.  A class without them runs the search
+above node for node.
 ``VcReport.levels`` counts the shattered sets of each size up to the VC
 dimension by a second depth-first search, which also passes only the
 extending points down, run only when the counts are read.  A node budget
@@ -167,15 +167,10 @@ def _orbits(
     for g in cls.symmetries:
         if sorted(g) != identity:
             raise ValueError(f"symmetry {tuple(g)} is not a permutation of {n} points")
-        if list(g) == identity:
-            # fixes every member; itemgetter of a single index (n = 1)
-            # would also return a bare bit, not a row
-            continue
         inverse = [0] * n
         for p, q in enumerate(g):
             inverse[q] = p
-        image = itemgetter(*inverse)
-        if any(image(r) not in rows for r in rows):
+        if any(tuple(map(r.__getitem__, inverse)) not in rows for r in rows):
             raise ValueError(f"symmetry {tuple(g)} does not map the class onto itself")
     parent = list(range(n))
 
@@ -237,13 +232,11 @@ def _largest_shattered(
 
     ``orbits[i]`` lists the columns in the orbit of column i under symmetries
     of the class, or is () when i's orbit is i alone (``orbits`` is None when
-    every orbit is, and the search is then the one above).  With orbits,
-    each size first tests every live point once against the full cell and
-    takes the survivors in turn as roots.  When root p's descent fails at
-    size k, every earlier root has failed too, so no shattered k-set
-    contains p; by symmetry none contains an image of p, and no larger set
-    does either.  p's whole orbit is then dropped from the remaining roots
-    and from every later size.
+    every orbit is, and the search is then the one above).  When root p's
+    descent fails at size k, every earlier root has failed too, so no
+    shattered k-set contains p; by symmetry none contains an image of p,
+    and no larger set does either.  p's whole orbit is then dropped from
+    the remaining roots and from every later size.
 
     Returns the set, the node count and whether the search finished within
     ``budget`` (if not, the set is the largest found before the node count
@@ -252,6 +245,8 @@ def _largest_shattered(
     cols = columns.cols
     limit = math.inf if budget is None else budget
     chosen: list[int] = []
+    # columns whose orbit held a failed root; stays empty without orbits
+    dead: set[int] = set()
 
     def extend(cands: Sequence[int], start: int, cells: list[int], need: int) -> bool:
         nonlocal nodes
@@ -269,14 +264,18 @@ def _largest_shattered(
             if extend(cands, pos + 1, nxt, need - 1):
                 return True
             chosen.pop()
+            rest = cands[pos + 1 :]
+            if not chosen and orbits and orbits[cands[pos]]:
+                dead.update(orbits[cands[pos]])
+                rest = [i for i in rest if i not in dead]
             # forward check: each later candidate is tested once, here;
             # ``spare`` counts the failures that still leave ``need`` of them
-            spare = len(cands) - pos - 1 - need
+            spare = len(rest) - need
             if spare < 0:
                 return False
             kept: list[int] = []
             splits: list[list[int]] = []
-            for i in cands[pos + 1 :]:
+            for i in rest:
                 nodes += 1
                 if nodes > limit:
                     raise _BudgetExhausted
@@ -288,49 +287,20 @@ def _largest_shattered(
                     spare -= 1
                 else:
                     return False
-            for j in range(len(kept) - need + 1):
+            j = 0
+            while j <= len(kept) - need:
                 chosen.append(kept[j])
                 if extend(kept, j + 1, splits[j], need - 1):
                     return True
                 chosen.pop()
-            return False
-        return False
-
-    # made only for classes with orbits: on the 3-point d = 1 classes an
-    # unused closure tied to ``extend`` costs a measurable share of the call
-    if orbits:
-        dead: set[int] = set()
-
-        def root(k: int) -> bool:
-            """The size-k search from the full cell, dropping orbits of failed roots."""
-            nonlocal nodes
-            floor = 1 << (k - 1)
-            cells = [columns.full]
-            kept: list[int] = []
-            splits: list[list[int]] = []
-            for i in range(len(cols)):
-                if i in dead:
-                    continue
-                nodes += 1
-                if nodes > limit:
-                    raise _BudgetExhausted
-                nxt = _split(cells, cols[i], floor)
-                if nxt is not None:
-                    kept.append(i)
-                    splits.append(nxt)
-            j = 0
-            while j <= len(kept) - k:
-                chosen.append(kept[j])
-                if extend(kept, j + 1, splits[j], k - 1):
-                    return True
-                chosen.pop()
-                if orbits[kept[j]]:
+                if not chosen and orbits and orbits[kept[j]]:
                     dead.update(orbits[kept[j]])
-                    later = [t for t in range(j + 1, len(kept)) if kept[t] not in dead]
-                    kept[j + 1 :] = [kept[t] for t in later]
-                    splits[j + 1 :] = [splits[t] for t in later]
+                    live = [t for t in range(j + 1, len(kept)) if kept[t] not in dead]
+                    kept[j + 1 :] = [kept[t] for t in live]
+                    splits[j + 1 :] = [splits[t] for t in live]
                 j += 1
             return False
+        return False
 
     if top == 0:
         return (), nodes, True
@@ -342,11 +312,10 @@ def _largest_shattered(
     best: tuple[int, ...] = (0,)
     try:
         for k in range(2, top + 1):
-            if orbits:
-                found = root(k)
-            else:
-                found = extend(range(len(cols)), 0, [columns.full], k)
-            if not found:
+            live = range(len(cols))
+            if dead:
+                live = [i for i in live if i not in dead]
+            if not extend(live, 0, [columns.full], k):
                 break
             best = tuple(chosen)
             chosen.clear()
