@@ -10,6 +10,7 @@ risk, true error, VC dimension) is computed exactly.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -320,20 +321,22 @@ def class_to_json(cls: HypothesisClass) -> dict:
 
 
 def strict_int(value, what: str) -> int:
-    """An integer read from JSON; bools, strings and fractional numbers are rejected.
+    """An integer read from JSON; bools, fractional numbers and non-numbers are rejected.
 
     Integral floats such as 3.0 are accepted.
     """
-    if isinstance(value, (bool, str)) or (
-        isinstance(value, float) and not value.is_integer()
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (numbers.Integral, float))
+        or (isinstance(value, float) and not value.is_integer())
     ):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
 def strict_real(value, what: str):
-    """A number read from JSON, returned as given; bools and strings are rejected."""
-    if isinstance(value, (bool, str)):
+    """A number read from JSON, returned as given; anything else, bools included, is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
     return value
 

@@ -283,9 +283,21 @@ def test_bounds_inputs_file_rejects_integers_given_as_strings(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
+    "change", [{"m": [99]}, {"d": None}, {"d_a": {}}, {"dstar": [1, 2]}], ids=str
+)
+def test_bounds_inputs_file_rejects_integers_that_are_not_numbers(tmp_path, capsys, change):
+    raw = {"m": 99, "delta": 0.05, "d": 2, "dstar": 1, "d_a": 3, **change}
+    path = write_json(tmp_path, "inputs.json", raw)
+    rc, out, err = run_cli(capsys, ["bounds", "--inputs", path])
+    assert rc == 2
+    assert out == "" and "must be an integer" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "change",
     [{"eps_erm": True}, {"eps_ig": False}, {"eps_u": "0"}, {"delta": "0.05"},
-     {"delta": True}, {"eps_erm": "0.1"}],
+     {"delta": True}, {"eps_erm": "0.1"}, {"delta": [0.05]}, {"delta": None},
+     {"eps_u": {}}, {"eps_ig": None}],
     ids=str,
 )
 def test_bounds_inputs_file_rejects_bool_and_string_reals(tmp_path, capsys, change):
