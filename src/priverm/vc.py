@@ -170,7 +170,9 @@ def _orbits(
         inverse = [0] * n
         for p, q in enumerate(g):
             inverse[q] = p
-        if any(tuple(map(r.__getitem__, inverse)) not in rows for r in rows):
+        image = itemgetter(*inverse)
+        # one point has only the identity, and there itemgetter returns a bit
+        if n > 1 and any(image(r) not in rows for r in rows):
             raise ValueError(f"symmetry {tuple(g)} does not map the class onto itself")
     parent = list(range(n))
 
