@@ -10,7 +10,6 @@ risk, true error, VC dimension) is computed exactly.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -327,7 +326,7 @@ def strict_int(value, what: str) -> int:
     """
     if (
         isinstance(value, bool)
-        or not isinstance(value, (numbers.Integral, float))
+        or not isinstance(value, (int, float))
         or (isinstance(value, float) and not value.is_integer())
     ):
         raise ValueError(f"{what} must be an integer, got {value!r}")
