@@ -29,6 +29,7 @@ from priverm.core import DomainMismatchError, ignoring_loss, load_json, zero_one
 from priverm.simulate import (
     TRIALS_CSV_HEADER,
     ExperimentConfig,
+    _trial_counts,
     mix_seed,
     persist_run,
     run_comparison,
@@ -118,6 +119,56 @@ def test_sample_never_draws_a_trailing_zero_mass_point(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", FixedDraws)
     s = sample(dist, len(draws), 0)
     assert [t.x for t in s] == [0, 0, 1, 1, 1, 1]
+
+
+def reference_counts(dist: FiniteDistribution, m: int, seed: int, trials: int) -> np.ndarray:
+    """Trial counts drawn one ``default_rng(mix_seed(seed, t))`` per trial."""
+    cum = np.asarray(dist.cumulative)
+    last = max(i for i, (_, p) in enumerate(dist.support) if p > 0)
+    return np.stack([
+        np.bincount(
+            np.minimum(
+                np.searchsorted(
+                    cum, np.random.default_rng(mix_seed(seed, t)).random(m), side="right"
+                ),
+                last,
+            ),
+            minlength=len(cum),
+        )
+        for t in range(trials)
+    ])
+
+
+TRAILING_ZERO = FiniteDistribution((
+    (Triple(0, 0, 0), 0.5),
+    (Triple(1, 1, 1), 0.5 - 1e-12),
+    (Triple(2, 2, 0), 0.0),
+))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
+@pytest.mark.parametrize(
+    "dist",
+    [three_point_distribution(), TRAILING_ZERO,
+     FiniteDistribution(((Triple(1, 2, 0), 1.0),))],
+    ids=["three_point", "trailing_zero", "point_mass"],
+)
+@pytest.mark.parametrize(
+    "m, trials", [(200, 700), (50, 2000), (70_000, 3), (0, 4), (1, 5)]
+)
+def test_trial_counts_match_one_default_rng_per_trial(dist, m, trials, seed):
+    """Every row is the trial's own stream, also across blocks of 2**16 draws."""
+    got = _trial_counts(dist, m, seed, trials)
+    want = reference_counts(dist, m, seed, trials)
+    assert got.shape == (trials, len(dist.support))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_rejects_a_negative_seed():
+    with pytest.raises(ValueError):
+        sample(three_point_distribution(), 5, -1)
 
 
 def test_sample_frequencies_match_support():
