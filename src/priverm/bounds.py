@@ -46,6 +46,11 @@ class BoundInputs:
             v = getattr(self, name)
             if v < 0:
                 raise ValueError(f"{name} must be >= 0, got {v}")
+        for name in ("m", "d", "dstar", "d_a"):
+            try:
+                float(getattr(self, name))
+            except OverflowError:
+                raise ValueError(f"{name} is too large for a float") from None
         for name in ("eps_erm", "eps_ig", "eps_u"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

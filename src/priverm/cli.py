@@ -78,6 +78,14 @@ def _load_class(path: str, label: str):
     return class_from_json(load_json(path), label=label)
 
 
+def _config_float(value, what: str) -> float:
+    """A JSON number as a float; the message names the field when it is none or overflows."""
+    try:
+        return float(strict_real(value, what))
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
+
+
 # --- subcommands ------------------------------------------------------------
 
 
@@ -216,10 +224,10 @@ def cmd_sim(args) -> int:
 
     raw = load_json(args.config)
     if args.kind == "comparison":
-        delta = float(raw["delta"])
+        delta = _config_float(raw["delta"], "delta")
         if not 0 < delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {delta}")
-        C = float(raw.get("c", 1.0))
+        C = _config_float(raw.get("c", 1.0), "c")
         if not 0 < C < math.inf:
             raise ValueError(f"c must be positive and finite, got {C}")
         config = ExperimentConfig(
@@ -249,8 +257,8 @@ def cmd_sim(args) -> int:
     heavy = raw.get("heavy_side")
     family, _ = construct_theorem5_family(
         Phi,
-        eps=float(raw["eps"]),
-        delta=float(raw["delta"]),
+        eps=_config_float(raw["eps"], "eps"),
+        delta=_config_float(raw["delta"], "delta"),
         heavy_side=tuple(heavy) if heavy is not None else None,
     )
     search = (

@@ -2,10 +2,15 @@
 
 Per-trial randomness comes from one master seed: trial t uses a 64-bit
 splitmix-style hash of (seed, t), so each trial's draw is fixed however the
-trials are computed.  A drawn sample enters both experiments only as its
-count vector over the support; the comparison experiment hands all trials'
-counts to the ERM count kernel at once, the deviation experiment takes every
-trial's empirical flag rates from one matrix product.  True errors are
+trials are computed.  Trial t's uniforms are exactly those of
+``np.random.default_rng(mix_seed(seed, t))``, but no generator is built per
+trial: NumPy's SeedSequence hash and PCG64's seeding run over a block of
+trial seeds at once, and one generator is set to each trial's state in
+turn.  ``sample`` takes the same path with one seed.  A drawn sample
+enters both experiments only as its count vector over the support; the
+comparison experiment hands all trials' counts to the ERM count kernel at
+once, the deviation experiment takes every trial's empirical flag rates
+from one matrix product.  True errors are
 computed exactly from the probability table, never estimated; the only
 randomness in any record is the sample itself.
 """
@@ -13,6 +18,7 @@ randomness in any record is the sample itself.
 from __future__ import annotations
 
 import csv
+import operator
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -47,6 +53,32 @@ TRIALS_CSV_HEADER = (
 
 _MASK64 = (1 << 64) - 1
 
+# NumPy's SeedSequence (a pool of four 32-bit words) and PCG64's seeding
+_M32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+# trials are drawn in row blocks of at most this many uniforms
+_BLOCK_DRAWS = 1 << 16
+
+
+def _hash_constants(init: int, mult: int, n: int) -> list[int]:
+    """The n + 1 values a SeedSequence hash constant takes, the same for every seed."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _M32)
+    return out
+
+
+# one hashmix per pool word, then one per ordered pair of pool words
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
+# one per 32-bit word of PCG64's four 64-bit seed words
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+
 
 def mix_seed(master: int, trial: int) -> int:
     """Fixed 64-bit mixing of (master seed, trial index) into a trial seed."""
@@ -56,40 +88,115 @@ def mix_seed(master: int, trial: int) -> int:
     return z ^ (z >> 31)
 
 
-def _draw_indices(
-    dist: FiniteDistribution, m: int, seed: int
-) -> np.ndarray:
-    """m support indices drawn by inverse CDF; the one source of randomness.
+def _hashmix(v: np.ndarray, consts: list[int], i: int) -> np.ndarray:
+    """SeedSequence's hash of the uint32 words v by its i-th hash constant."""
+    v = (v ^ consts[i]) * consts[i + 1]
+    return v ^ (v >> 16)
+
+
+def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``np.random.default_rng(s)`` for each seed s.
+
+    Seeds lie in [0, 2**64).  SeedSequence hashes a seed's low and high
+    32-bit words into a pool of four words (a seed below 2**32 has one
+    word, and the missing word hashes as 0 would), then expands the pool
+    into four 64-bit words: PCG64's initial state and its stream.  The hash
+    constants advance alike for every seed, so each step here is one uint32
+    array operation over all seeds; only PCG64's 128-bit set-up runs per
+    seed, on Python ints.
+    """
+    s = np.array(seeds, dtype=np.uint64)
+    zero = np.zeros(len(s), dtype=np.uint32)
+    entropy = ((s & _M32).astype(np.uint32), (s >> 32).astype(np.uint32), zero, zero)
+    pool = [_hashmix(v, _HASH_A, i) for i, v in enumerate(entropy)]
+    i = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                v = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hashmix(pool[src], _HASH_A, i)
+                pool[dst] = v ^ (v >> 16)
+                i += 1
+    words = [_hashmix(pool[i % _POOL], _HASH_B, i) for i in range(2 * _POOL)]
+    # 32-bit words pair up little-endian into PCG64's four 64-bit seed words
+    seed64 = np.stack(words, axis=1).astype("<u4").view("<u8").tolist()
+    states = []
+    for s0, s1, i0, i1 in seed64:
+        inc = (i0 << 65 | i1 << 1 | 1) & _MASK128
+        states.append((((s0 << 64 | s1) + inc) * _PCG_MULT + inc & _MASK128, inc))
+    return states
+
+
+def _uniform_rows(seeds: Sequence[int], m: int) -> np.ndarray:
+    """len(seeds)×m uniforms: row r equals ``default_rng(seeds[r]).random(m)``.
+
+    One generator is reused; each row sets its PCG64 state and draws.
+    """
+    out = np.empty((len(seeds), m))
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    for row, (state, inc) in zip(out, _pcg64_states(seeds)):
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.random(out=row)
+    return out
+
+
+def _inverse_cdf(dist: FiniteDistribution) -> tuple[np.ndarray, int]:
+    """Cumulative totals, and the index every draw is clamped to.
 
     Probabilities may sum to slightly less than 1, so a draw past the last
     cumulative total goes to the last point with positive mass.
     """
-    rng = np.random.default_rng(seed)
-    cum = np.asarray(dist.cumulative)
-    idx = np.searchsorted(cum, rng.random(m), side="right")
-    last = len(cum) - 1
+    last = len(dist.support) - 1
     while dist.support[last][1] == 0:
         last -= 1
-    return np.minimum(idx, last)
+    return np.asarray(dist.cumulative), last
 
 
 def sample(dist: FiniteDistribution, m: int, seed: int) -> TripleSample:
-    """m i.i.d. triples, deterministic given the seed."""
+    """m i.i.d. triples, deterministic given the seed.
+
+    The seed is an integer in [0, 2**64); the draws are those of
+    ``np.random.default_rng(seed).random(m)`` taken by inverse CDF.
+    """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    idx = _draw_indices(dist, m, seed)
-    return TripleSample(tuple(dist.support[i][0] for i in idx))
+    seed = operator.index(seed)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    cum, last = _inverse_cdf(dist)
+    idx = np.searchsorted(cum, _uniform_rows([seed], m)[0], side="right")
+    return TripleSample(tuple(dist.support[i][0] for i in np.minimum(idx, last)))
 
 
 def _trial_counts(
     dist: FiniteDistribution, m: int, seed: int, trials: int
 ) -> np.ndarray:
-    """trials×K matrix: row t counts the m draws of trial t over the support."""
+    """trials×K matrix: row t counts the m draws of trial t over the support.
+
+    Trial t draws what ``sample(dist, m, mix_seed(seed, t))`` draws.  Rows
+    are drawn in blocks of at most 2**16 uniforms (one row when m is
+    larger), and each block is counted by one bincount with row offsets.
+    """
     k = len(dist.support)
-    return np.stack([
-        np.bincount(_draw_indices(dist, m, mix_seed(seed, t)), minlength=k)
-        for t in range(trials)
-    ])
+    cum, last = _inverse_cdf(dist)
+    counts = np.empty((trials, k), dtype=np.intp)
+    step = max(1, _BLOCK_DRAWS // max(m, 1))
+    for lo in range(0, trials, step):
+        rows = range(lo, min(lo + step, trials))
+        idx = np.searchsorted(
+            cum, _uniform_rows([mix_seed(seed, t) for t in rows], m), side="right"
+        )
+        np.minimum(idx, last, out=idx)
+        idx += np.arange(len(rows))[:, None] * k
+        counts[lo : lo + len(rows)] = np.bincount(
+            idx.ravel(), minlength=len(rows) * k
+        ).reshape(len(rows), k)
+    return counts
 
 
 @dataclass(frozen=True)

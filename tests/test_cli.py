@@ -298,6 +298,15 @@ def test_bounds_inputs_file_rejects_reals_given_as_non_numbers(tmp_path, capsys,
     assert out == "" and "must be a number" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["m", "d", "dstar", "d_a"])
+def test_bounds_inputs_file_names_an_integer_too_large_for_a_float(tmp_path, capsys, field):
+    raw = {"m": 99, "delta": 0.05, "d": 2, "dstar": 1, "d_a": 3, field: 10**400}
+    path = write_json(tmp_path, "inputs.json", raw)
+    rc, out, err = run_cli(capsys, ["bounds", "--inputs", path])
+    assert rc == 2
+    assert out == "" and err == f"input error: {field} is too large for a float\n"
+
+
 def test_bounds_inputs_file_accepts_integral_floats(tmp_path, capsys):
     raw = {"m": 99.0, "delta": 0.05, "d": 2.0, "dstar": 1, "d_a": 3.0}
     path = write_json(tmp_path, "inputs.json", raw)
@@ -483,6 +492,14 @@ def test_erm_accepts_integral_floats(tmp_path, capsys):
     assert out == want
 
 
+def sim_config_json(tmp_path, kind: str, **extra) -> str:
+    if kind == "comparison":
+        return comparison_config_json(tmp_path, **extra)
+    cfg = {"phi_class": class_to_json(full_class(4)), "eps": 0.1, "delta": 0.01,
+           "m": 30, "trials": 5, "seed": 2, **extra}
+    return write_json(tmp_path, "dev.json", cfg)
+
+
 @pytest.mark.parametrize(
     "kind, field, value",
     [
@@ -495,12 +512,7 @@ def test_erm_accepts_integral_floats(tmp_path, capsys):
     ],
 )
 def test_sim_rejects_fractional_and_bool_integers(tmp_path, capsys, kind, field, value):
-    if kind == "comparison":
-        path = comparison_config_json(tmp_path, **{field: value})
-    else:
-        cfg = {"phi_class": class_to_json(full_class(4)), "eps": 0.1, "delta": 0.01,
-               "m": 30, "trials": 5, "seed": 2, field: value}
-        path = write_json(tmp_path, "dev.json", cfg)
+    path = sim_config_json(tmp_path, kind, **{field: value})
     rc, out, err = run_cli(capsys, ["sim", "--kind", kind, "--config", path])
     assert rc == 2
     assert out == ""
@@ -520,16 +532,60 @@ def test_sim_accepts_integral_floats(tmp_path, capsys):
     [("comparison", "m", "20"), ("comparison", "seed", "3"), ("deviation", "trials", "5")],
 )
 def test_sim_rejects_integers_given_as_strings(tmp_path, capsys, kind, field, value):
-    if kind == "comparison":
-        path = comparison_config_json(tmp_path, **{field: value})
-    else:
-        cfg = {"phi_class": class_to_json(full_class(4)), "eps": 0.1, "delta": 0.01,
-               "m": 30, "trials": 5, "seed": 2, field: value}
-        path = write_json(tmp_path, "dev.json", cfg)
+    path = sim_config_json(tmp_path, kind, **{field: value})
     rc, out, err = run_cli(capsys, ["sim", "--kind", kind, "--config", path])
     assert rc == 2
     assert out == ""
     assert err.startswith(f"input error: {field} must be an integer")
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("comparison", "delta", "0.05"),
+        ("comparison", "delta", True),
+        ("comparison", "c", True),
+        ("comparison", "c", "1"),
+        ("comparison", "c", None),
+        ("deviation", "eps", "0.1"),
+        ("deviation", "eps", False),
+        ("deviation", "delta", "0.01"),
+        ("deviation", "delta", [0.01]),
+    ],
+    ids=str,
+)
+def test_sim_rejects_reals_given_as_non_numbers(tmp_path, capsys, kind, field, value):
+    path = sim_config_json(tmp_path, kind, **{field: value})
+    rc, out, err = run_cli(capsys, ["sim", "--kind", kind, "--config", path])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"input error: {field} must be a number")
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [("comparison", "delta"), ("comparison", "c"), ("deviation", "eps"), ("deviation", "delta")],
+)
+def test_sim_names_a_real_too_large_for_a_float(tmp_path, capsys, kind, field):
+    path = sim_config_json(tmp_path, kind, **{field: 10**400})
+    rc, out, err = run_cli(capsys, ["sim", "--kind", kind, "--config", path])
+    assert rc == 2
+    assert out == ""
+    assert err == f"input error: {field} is too large for a float\n"
+
+
+@pytest.mark.parametrize(
+    "kind, change",
+    [("comparison", {"delta": 0.05, "c": 1}), ("comparison", {"c": 1.0}),
+     ("deviation", {"eps": 0.1, "delta": 0.01})],
+    ids=str,
+)
+def test_sim_accepts_reals_given_as_numbers(tmp_path, capsys, kind, change):
+    _, want, _ = run_cli(capsys, ["sim", "--kind", kind, "--config", sim_config_json(tmp_path, kind)])
+    path = sim_config_json(tmp_path, kind, **change)
+    rc, out, _ = run_cli(capsys, ["sim", "--kind", kind, "--config", path])
+    assert rc == 0
+    assert out == want
 
 
 @pytest.mark.parametrize("heavy", [[0, 2], [0, -1], [0, 0.5], [True, 0]], ids=str)

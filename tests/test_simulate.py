@@ -24,6 +24,7 @@ from priverm import (
     phi_prime_subclass,
     sample,
 )
+from priverm import simulate
 from priverm.constructions import full_class
 from priverm.core import DomainMismatchError, ignoring_loss, load_json, zero_one_loss
 from priverm.simulate import (
@@ -99,26 +100,40 @@ def test_sample_edge_cases():
         sample(dist, -1, 1)
 
 
+TRAILING_ZERO = FiniteDistribution((
+    (Triple(0, 0, 0), 0.5),
+    (Triple(1, 1, 1), 0.5 - 1e-12),
+    (Triple(2, 2, 0), 0.0),
+))
+
+
+TRAILING_DRAWS = np.array(
+    [0.0, 0.25, 0.75, 1 - 1e-12, 1 - 1e-13, np.nextafter(1.0, 0.0)]
+)
+
+
+def fixed_uniform_rows(seeds, m):
+    """Every row gets the first m of TRAILING_DRAWS, whatever its seed."""
+    return np.tile(TRAILING_DRAWS[:m], (len(seeds), 1))
+
+
 def test_sample_never_draws_a_trailing_zero_mass_point(monkeypatch):
     """Draws past a total of 1 - 1e-12 go to the last point with mass."""
-    dist = FiniteDistribution((
-        (Triple(0, 0, 0), 0.5),
-        (Triple(1, 1, 1), 0.5 - 1e-12),
-        (Triple(2, 2, 0), 0.0),
-    ))
+    dist = TRAILING_ZERO
     assert dist.cumulative[-1] < 1.0
-    draws = np.array([0.0, 0.25, 0.75, dist.cumulative[-1], 1 - 1e-13, np.nextafter(1.0, 0.0)])
-
-    class FixedDraws:
-        def __init__(self, seed):
-            pass
-
-        def random(self, m):
-            return draws[:m]
-
-    monkeypatch.setattr(np.random, "default_rng", FixedDraws)
-    s = sample(dist, len(draws), 0)
+    assert dist.cumulative[-1] == TRAILING_DRAWS[3]
+    monkeypatch.setattr(simulate, "_uniform_rows", fixed_uniform_rows)
+    s = sample(dist, len(TRAILING_DRAWS), 0)
     assert [t.x for t in s] == [0, 0, 1, 1, 1, 1]
+
+
+def test_trial_counts_clamp_rows_on_both_sides_of_a_block(monkeypatch):
+    """Blocks of two rows: rows 1 and 2 straddle the first boundary."""
+    m = len(TRAILING_DRAWS)
+    monkeypatch.setattr(simulate, "_uniform_rows", fixed_uniform_rows)
+    monkeypatch.setattr(simulate, "_BLOCK_DRAWS", 2 * m)
+    counts = _trial_counts(TRAILING_ZERO, m, 0, 5)
+    assert counts.tolist() == [[2, 4, 0]] * 5
 
 
 def reference_counts(dist: FiniteDistribution, m: int, seed: int, trials: int) -> np.ndarray:
@@ -137,13 +152,6 @@ def reference_counts(dist: FiniteDistribution, m: int, seed: int, trials: int) -
         )
         for t in range(trials)
     ])
-
-
-TRAILING_ZERO = FiniteDistribution((
-    (Triple(0, 0, 0), 0.5),
-    (Triple(1, 1, 1), 0.5 - 1e-12),
-    (Triple(2, 2, 0), 0.0),
-))
 
 
 @pytest.mark.filterwarnings("error")
@@ -166,9 +174,49 @@ def test_trial_counts_match_one_default_rng_per_trial(dist, m, trials, seed):
 
 
 @pytest.mark.filterwarnings("error")
-def test_sample_rejects_a_negative_seed():
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_sample_rejects_seeds_outside_64_bits(seed):
     with pytest.raises(ValueError):
-        sample(three_point_distribution(), 5, -1)
+        sample(three_point_distribution(), 5, seed)
+
+
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+DRAW_LENGTHS = (0, 1, 7, 200)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", DRAW_LENGTHS)
+def test_uniform_rows_equal_default_rng_at_edge_seeds(m):
+    rows = simulate._uniform_rows(EDGE_SEEDS, m)
+    assert rows.shape == (len(EDGE_SEEDS), m)
+    for s, row in zip(EDGE_SEEDS, rows):
+        assert np.array_equal(row, np.random.default_rng(s).random(m))
+    # a single seed takes the same path that sample() does
+    for s in EDGE_SEEDS:
+        assert np.array_equal(
+            simulate._uniform_rows([s], m)[0], np.random.default_rng(s).random(m)
+        )
+
+
+@pytest.mark.filterwarnings("error")
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+    st.sampled_from(DRAW_LENGTHS),
+)
+def test_uniform_rows_equal_default_rng(seeds, m):
+    rows = simulate._uniform_rows(seeds, m)
+    for s, row in zip(seeds, rows, strict=True):
+        assert np.array_equal(row, np.random.default_rng(s).random(m))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_sample_draws_default_rng_stream(seed):
+    dist = three_point_distribution()
+    u = np.random.default_rng(seed).random(50)
+    want = [dist.support[i][0] for i in np.searchsorted(dist.cumulative, u, side="right")]
+    assert list(sample(dist, 50, seed)) == want
 
 
 def test_sample_frequencies_match_support():
