@@ -10,9 +10,9 @@ turn.  ``sample`` takes the same path with one seed.  A drawn sample
 enters both experiments only as its count vector over the support; the
 comparison experiment hands all trials' counts to the ERM count kernel at
 once, the deviation experiment takes every trial's empirical flag rates
-from one matrix product.  True errors are
-computed exactly from the probability table, never estimated; the only
-randomness in any record is the sample itself.
+from one matrix product.  True errors are computed exactly from the
+probability table, never estimated; the only randomness in any record is
+the sample itself.
 """
 
 from __future__ import annotations
@@ -66,12 +66,12 @@ _MASK128 = (1 << 128) - 1
 _BLOCK_DRAWS = 1 << 16
 
 
-def _hash_constants(init: int, mult: int, n: int) -> list[int]:
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
     """The n + 1 values a SeedSequence hash constant takes, the same for every seed."""
     out = [init]
     for _ in range(n):
         out.append(out[-1] * mult & _M32)
-    return out
+    return np.array(out, dtype=np.uint32)
 
 
 # one hashmix per pool word, then one per ordered pair of pool words
@@ -88,9 +88,14 @@ def mix_seed(master: int, trial: int) -> int:
     return z ^ (z >> 31)
 
 
-def _hashmix(v: np.ndarray, consts: list[int], i: int) -> np.ndarray:
-    """SeedSequence's hash of the uint32 words v by its i-th hash constant."""
-    v = (v ^ consts[i]) * consts[i + 1]
+def _hashmix(v: np.ndarray, consts: np.ndarray, i: int, n: int) -> np.ndarray:
+    """SeedSequence's hash of uint32 words by hash constants i, ..., i + n - 1.
+
+    Row j of the n result rows hashes row j of v (or v itself, when it is
+    one row) by constant i + j.
+    """
+    c = consts[i : i + n + 1, None]
+    v = (v ^ c[:-1]) * c[1:]
     return v ^ (v >> 16)
 
 
@@ -106,19 +111,20 @@ def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
     seed, on Python ints.
     """
     s = np.array(seeds, dtype=np.uint64)
-    zero = np.zeros(len(s), dtype=np.uint32)
-    entropy = ((s & _M32).astype(np.uint32), (s >> 32).astype(np.uint32), zero, zero)
-    pool = [_hashmix(v, _HASH_A, i) for i, v in enumerate(entropy)]
+    pool = np.zeros((_POOL, len(s)), dtype=np.uint32)
+    pool[0] = s & _M32
+    pool[1] = s >> 32
+    pool = _hashmix(pool, _HASH_A, 0, _POOL)
     i = _POOL
     for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                v = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hashmix(pool[src], _HASH_A, i)
-                pool[dst] = v ^ (v >> 16)
-                i += 1
-    words = [_hashmix(pool[i % _POOL], _HASH_B, i) for i in range(2 * _POOL)]
+        # pool[src] is not a destination, so its hash mixes into all three at once
+        dst = [d for d in range(_POOL) if d != src]
+        v = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hashmix(pool[src], _HASH_A, i, len(dst))
+        pool[dst] = v ^ (v >> 16)
+        i += len(dst)
+    words = _hashmix(pool[np.arange(2 * _POOL) % _POOL], _HASH_B, 0, 2 * _POOL)
     # 32-bit words pair up little-endian into PCG64's four 64-bit seed words
-    seed64 = np.stack(words, axis=1).astype("<u4").view("<u8").tolist()
+    seed64 = np.ascontiguousarray(words.T, dtype="<u4").view("<u8").tolist()
     states = []
     for s0, s1, i0, i1 in seed64:
         inc = (i0 << 65 | i1 << 1 | 1) & _MASK128

@@ -576,8 +576,7 @@ def test_sim_names_a_real_too_large_for_a_float(tmp_path, capsys, kind, field):
 
 @pytest.mark.parametrize(
     "kind, change",
-    [("comparison", {"delta": 0.05, "c": 1}), ("comparison", {"c": 1.0}),
-     ("deviation", {"eps": 0.1, "delta": 0.01})],
+    [("comparison", {"delta": 0.05, "c": 1}), ("deviation", {"eps": 0.1, "delta": 0.01})],
     ids=str,
 )
 def test_sim_accepts_reals_given_as_numbers(tmp_path, capsys, kind, change):

@@ -191,11 +191,6 @@ def test_uniform_rows_equal_default_rng_at_edge_seeds(m):
     assert rows.shape == (len(EDGE_SEEDS), m)
     for s, row in zip(EDGE_SEEDS, rows):
         assert np.array_equal(row, np.random.default_rng(s).random(m))
-    # a single seed takes the same path that sample() does
-    for s in EDGE_SEEDS:
-        assert np.array_equal(
-            simulate._uniform_rows([s], m)[0], np.random.default_rng(s).random(m)
-        )
 
 
 @pytest.mark.filterwarnings("error")
