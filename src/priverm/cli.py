@@ -1,16 +1,16 @@
 """Command-line front end: vc, construct, erm, bounds, sim, verify.
 
-Exit codes: 0 success, 2 bad input (parse/validation), 3 node budget
-exhausted where an exact answer was required, 4 I/O failure.  A failed
-verification check exits 1.  ``--threads`` is accepted for compatibility
-and must be >= 1; the experiments run in one thread.
+Exit codes: 0 success, 2 bad input (parse/validation, or a size too
+large for memory), 3 node budget exhausted where an exact answer was
+required, 4 I/O failure.  A failed verification check exits 1.
+``--threads`` is accepted for compatibility and checked as >= 1 for every
+command; the experiments run in one thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -78,12 +78,12 @@ def _load_class(path: str, label: str):
     return class_from_json(load_json(path), label=label)
 
 
-def _config_float(value, what: str) -> float:
-    """A JSON number as a float; the message names the field when it is none or overflows."""
-    try:
-        return float(strict_real(value, what))
-    except OverflowError:
-        raise ValueError(f"{what} is too large for a float") from None
+def _thread_count(text: str) -> int:
+    """``--threads``: an integer >= 1, checked when the arguments are parsed."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
 
 
 # --- subcommands ------------------------------------------------------------
@@ -224,24 +224,17 @@ def cmd_sim(args) -> int:
 
     raw = load_json(args.config)
     if args.kind == "comparison":
-        delta = _config_float(raw["delta"], "delta")
-        if not 0 < delta < 1:
-            raise ValueError(f"delta must be in (0, 1), got {delta}")
-        C = _config_float(raw.get("c", 1.0), "c")
-        if not 0 < C < math.inf:
-            raise ValueError(f"c must be positive and finite, got {C}")
         config = ExperimentConfig(
             distribution=distribution_from_json(raw["distribution"]),
             H=class_from_json(raw["h_class"], label="X"),
             Phi=class_from_json(raw["phi_class"], label="X*"),
             m=strict_int(raw["m"], "m"),
             trials=strict_int(raw["trials"], "trials"),
-            delta=delta,
+            delta=strict_real(raw["delta"], "delta"),
             seed=strict_int(
                 args.seed if args.seed is not None else raw.get("seed", 0), "seed"
             ),
-            C=C,
-            threads=args.threads,
+            C=strict_real(raw.get("c", 1.0), "c"),
             output_dir=args.output_dir or raw.get("output_dir"),
         )
         records, summary = run_comparison(config)
@@ -254,27 +247,24 @@ def cmd_sim(args) -> int:
 
     # deviation experiment
     Phi = class_from_json(raw["phi_class"], label="X*")
+    search = raw.get("search", "prime")
+    if search not in ("prime", "full"):
+        raise ValueError(f'search must be "prime" or "full", got {search!r}')
     heavy = raw.get("heavy_side")
     family, _ = construct_theorem5_family(
         Phi,
-        eps=_config_float(raw["eps"], "eps"),
-        delta=_config_float(raw["delta"], "delta"),
+        eps=strict_real(raw["eps"], "eps"),
+        delta=strict_real(raw["delta"], "delta"),
         heavy_side=tuple(heavy) if heavy is not None else None,
-    )
-    search = (
-        phi_prime_subclass(Phi, family.pairs)
-        if raw.get("search", "prime") == "prime"
-        else Phi
     )
     report = run_theorem5_experiment(
         family,
-        search,
+        phi_prime_subclass(Phi, family.pairs) if search == "prime" else Phi,
         m=strict_int(raw["m"], "m"),
         trials=strict_int(raw["trials"], "trials"),
         seed=strict_int(
             args.seed if args.seed is not None else raw.get("seed", 0), "seed"
         ),
-        threads=args.threads,
     )
     if args.output_dir:
         os.makedirs(args.output_dir, exist_ok=True)
@@ -410,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility; must be >= 1"
+        "--threads", type=_thread_count, default=1,
+        help="accepted for compatibility; must be >= 1",
     )
     parser.add_argument(
         "--format", choices=("json", "csv", "table"), default="json"
@@ -482,6 +473,11 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        # an m or trials too large to allocate is bad input, not a crash
+        detail = f": {exc}" if str(exc) else ""
+        print(f"input error: out of memory{detail}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -333,11 +333,17 @@ def strict_int(value, what: str) -> int:
     return int(value)
 
 
-def strict_real(value, what: str):
-    """A number read from JSON, returned as given; anything else, bools included, is rejected."""
+def strict_real(value, what: str) -> float:
+    """A number read from JSON, as a float; anything else, bools included, is rejected.
+
+    An integer too large for a float is rejected with a message naming the field.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
 
 
 def _triple_from_json(e: dict) -> Triple:
@@ -363,7 +369,7 @@ def distribution_to_json(dist: FiniteDistribution) -> dict:
 
 def distribution_from_json(obj: dict) -> FiniteDistribution:
     return FiniteDistribution(
-        tuple((_triple_from_json(e), float(e["p"])) for e in obj["support"])
+        tuple((_triple_from_json(e), strict_real(e["p"], "p")) for e in obj["support"])
     )
 
 

@@ -18,6 +18,7 @@ the sample itself.
 from __future__ import annotations
 
 import csv
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -209,8 +210,9 @@ def _trial_counts(
 class ExperimentConfig:
     """Everything a comparison run depends on; the unit of reproducibility.
 
-    ``threads`` is validated and kept for compatibility; the experiments
-    run in one thread, and no result ever depended on it.
+    Every range is checked here, once, so a run never starts on a value
+    that would fail its trials: m and trials are at least 1, delta lies in
+    (0, 1), and C is positive and finite.
     """
 
     distribution: FiniteDistribution
@@ -221,16 +223,17 @@ class ExperimentConfig:
     delta: float
     seed: int
     C: float = 1.0
-    threads: int = 1
     output_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.m < 0:
-            raise ValueError(f"m must be >= 0, got {self.m}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if not 0 < self.delta < 1:
+            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        if not 0 < self.C < math.inf:
+            raise ValueError(f"c must be positive and finite, got {self.C}")
 
     def to_json(self) -> dict:
         return {
@@ -300,8 +303,8 @@ def run_comparison(
     trial's sample is drawn as its count vector over the support, and one
     call of the ERM count kernel solves both minimizers for every trial.
     The bounds and coverage events are then evaluated trial by trial.
-    Trials that raise are recorded as failures, not dropped silently; an
-    invalid C fails every trial with the solver's message.
+    ``config`` has checked every range, so every trial yields a record;
+    the summary keeps an empty ``failed_trials`` list for its readers.
     """
     _check_compatible(config)
     d = vc_dimension(config.H).vc
@@ -312,74 +315,62 @@ def run_comparison(
     points = [t for t, _ in dist.support]
     true_errors = [exact_true_error(h, dist) for h in config.H]
     counts = _trial_counts(dist, m, config.seed, config.trials)
+    C = positive_cost(config.C)
+    sol = solve_counts(
+        error_matrix(config.H, points), counts, flag_matrix(config.Phi, points), C
+    )
+    n_erm = sol.n_err[np.arange(config.trials), sol.h_erm]
+    solved = zip(
+        n_erm.tolist(),
+        sol.h_erm.tolist(),
+        sol.h_pr.tolist(),
+        sol.n_ig.tolist(),
+        sol.n_u.tolist(),
+    )
 
     records: list[TrialRecord] = []
-    failures: list[dict] = []
-    try:
-        C = positive_cost(config.C)
-    except (ValueError, TypeError) as exc:
-        failures = [{"trial": t, "error": str(exc)} for t in range(config.trials)]
-        solved = []
-    else:
-        sol = solve_counts(
-            error_matrix(config.H, points), counts, flag_matrix(config.Phi, points), C
-        )
-        n_erm = sol.n_err[np.arange(config.trials), sol.h_erm]
-        solved = zip(
-            n_erm.tolist(),
-            sol.h_erm.tolist(),
-            sol.h_pr.tolist(),
-            sol.n_ig.tolist(),
-            sol.n_u.tolist(),
-        )
-
     for t, (n_e, i_erm, i_pr, n_ig, n_u) in enumerate(solved):
-        eps_erm = n_e / m if m else 0.0
-        eps_ig = n_ig / m if m else 0.0
-        eps_u = n_u / m if m else 0.0
-        try:
-            inputs = BoundInputs(
-                m=m,
-                delta=config.delta,
-                d=d,
-                dstar=dstar,
-                d_a=d_a,
-                eps_erm=eps_erm,
-                eps_ig=eps_ig,
-                eps_u=eps_u,
-            )
-            b_e = bound_erm(inputs)
-            b_p = bound_pr(inputs)
-            te_erm = true_errors[i_erm]
-            te_pr = true_errors[i_pr]
-            gap = eps_erm - (eps_ig + eps_u)
-            suff = (
-                sufficient_condition(inputs).holds
-                if abs(gap) <= PREMISE_TOLERANCE
-                else None
-            )
-            records.append(TrialRecord(
-                trial=t,
-                eps_erm=eps_erm,
-                eps_ig=eps_ig,
-                eps_u=eps_u,
-                true_err_erm=te_erm,
-                true_err_pr=te_pr,
-                b_erm=b_e,
-                b_pr=b_p,
-                covered_erm=te_erm <= b_e,
-                covered_pr=te_pr <= b_p,
-                sufficient_holds=suff,
-                pr_leq_erm=b_p <= b_e,
-            ))
-        except Exception as exc:  # recorded, not dropped
-            failures.append({"trial": t, "error": str(exc)})
+        eps_erm, eps_ig, eps_u = n_e / m, n_ig / m, n_u / m
+        inputs = BoundInputs(
+            m=m,
+            delta=config.delta,
+            d=d,
+            dstar=dstar,
+            d_a=d_a,
+            eps_erm=eps_erm,
+            eps_ig=eps_ig,
+            eps_u=eps_u,
+        )
+        b_e = bound_erm(inputs)
+        b_p = bound_pr(inputs)
+        te_erm = true_errors[i_erm]
+        te_pr = true_errors[i_pr]
+        gap = eps_erm - (eps_ig + eps_u)
+        suff = (
+            sufficient_condition(inputs).holds
+            if abs(gap) <= PREMISE_TOLERANCE
+            else None
+        )
+        records.append(TrialRecord(
+            trial=t,
+            eps_erm=eps_erm,
+            eps_ig=eps_ig,
+            eps_u=eps_u,
+            true_err_erm=te_erm,
+            true_err_pr=te_pr,
+            b_erm=b_e,
+            b_pr=b_p,
+            covered_erm=te_erm <= b_e,
+            covered_pr=te_pr <= b_p,
+            sufficient_holds=suff,
+            pr_leq_erm=b_p <= b_e,
+        ))
 
     n = len(records)
     summary = {
         "trials": config.trials,
         "effective_trials": n,
-        "failed_trials": failures,
+        "failed_trials": [],
         "m": config.m,
         "delta": config.delta,
         "seed": config.seed,
@@ -387,14 +378,14 @@ def run_comparison(
         "d": d,
         "dstar": dstar,
         "d_a": d_a,
-        "coverage_erm": sum(r.covered_erm for r in records) / n if n else 0.0,
-        "coverage_pr": sum(r.covered_pr for r in records) / n if n else 0.0,
-        "mean_eps_erm": sum(r.eps_erm for r in records) / n if n else 0.0,
-        "mean_eps_ig": sum(r.eps_ig for r in records) / n if n else 0.0,
-        "mean_eps_u": sum(r.eps_u for r in records) / n if n else 0.0,
-        "mean_true_err_erm": sum(r.true_err_erm for r in records) / n if n else 0.0,
-        "mean_true_err_pr": sum(r.true_err_pr for r in records) / n if n else 0.0,
-        "pr_leq_erm_rate": sum(r.pr_leq_erm for r in records) / n if n else 0.0,
+        "coverage_erm": sum(r.covered_erm for r in records) / n,
+        "coverage_pr": sum(r.covered_pr for r in records) / n,
+        "mean_eps_erm": sum(r.eps_erm for r in records) / n,
+        "mean_eps_ig": sum(r.eps_ig for r in records) / n,
+        "mean_eps_u": sum(r.eps_u for r in records) / n,
+        "mean_true_err_erm": sum(r.true_err_erm for r in records) / n,
+        "mean_true_err_pr": sum(r.true_err_pr for r in records) / n,
+        "pr_leq_erm_rate": sum(r.pr_leq_erm for r in records) / n,
     }
     return records, summary
 
@@ -405,7 +396,6 @@ def run_theorem5_experiment(
     m: int,
     trials: int,
     seed: int,
-    threads: int = 1,
 ) -> dict:
     """Deviation of empirical flag-rate minimization under the hard family.
 
@@ -416,15 +406,12 @@ def run_theorem5_experiment(
     over the whole search class.  The reported frequencies are of the
     events |deviation| > eps.  The family's worst-case sample-size constants
     are far below desk scale, so frequencies here validate the qualitative
-    claim only; the summary states that gap.  ``threads`` is validated and
-    otherwise unused.
+    claim only; the summary states that gap.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     eps = family.eps
     dist = family.distribution
 

@@ -387,7 +387,7 @@ def test_criterion_9_manifest_determinism(tmp_path):
     first = tmp_path / "first"
     config = ExperimentConfig(
         distribution=dist, H=H, Phi=Phi, m=40, trials=50, delta=0.05,
-        seed=909, threads=1, output_dir=str(first),
+        seed=909, output_dir=str(first),
     )
     records, summary = run_comparison(config)
     persist_run(records, summary, config)
@@ -400,7 +400,7 @@ def test_criterion_9_manifest_determinism(tmp_path):
         H=class_from_json(echo["h_class"], label="X"),
         Phi=class_from_json(echo["phi_class"], label="X*"),
         m=echo["m"], trials=echo["trials"], delta=echo["delta"],
-        seed=manifest["seed"], C=echo["c"], threads=4, output_dir=str(second),
+        seed=manifest["seed"], C=echo["c"], output_dir=str(second),
     )
     records2, summary2 = run_comparison(replay)
     persist_run(records2, summary2, replay)
@@ -408,5 +408,5 @@ def test_criterion_9_manifest_determinism(tmp_path):
     a = (first / "trials.csv").read_bytes()
     b = (second / "trials.csv").read_bytes()
     assert a == b
-    _passline(9, f"trials.csv byte-identical across threads 1 and 4 "
-                 f"({len(a)} bytes, 50 trials rebuilt from the manifest)")
+    _passline(9, f"trials.csv byte-identical on a replay from the manifest "
+                 f"({len(a)} bytes, 50 trials)")

@@ -331,15 +331,16 @@ def test_bounds_missing_flags(capsys):
 # --- sim --------------------------------------------------------------------------
 
 
+SUPPORT_JSON = [
+    {"x": 0, "xstar": 0, "y": 0, "p": 0.4},
+    {"x": 1, "xstar": 1, "y": 1, "p": 0.35},
+    {"x": 2, "xstar": 2, "y": 0, "p": 0.25},
+]
+
+
 def comparison_config_json(tmp_path, **extra) -> str:
     cfg = {
-        "distribution": {
-            "support": [
-                {"x": 0, "xstar": 0, "y": 0, "p": 0.4},
-                {"x": 1, "xstar": 1, "y": 1, "p": 0.35},
-                {"x": 2, "xstar": 2, "y": 0, "p": 0.25},
-            ]
-        },
+        "distribution": {"support": SUPPORT_JSON},
         "h_class": H1_JSON,
         "phi_class": PHI1_JSON,
         "m": 20,
@@ -392,15 +393,35 @@ def test_sim_comparison_persists_run(tmp_path, capsys):
         assert (out_dir / name).exists()
 
 
-def test_sim_comparison_env_threads(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PRIVERM_THREADS", "2")
+def test_sim_comparison_env_threads(tmp_path, capsys):
+    # --threads is accepted for compatibility and changes no output byte
     path = comparison_config_json(tmp_path)
-    rc, out, _ = run_cli(capsys, ["sim", "--config", path])
+    rc, out, _ = run_cli(capsys, ["--threads", "2", "sim", "--config", path])
     assert rc == 0
     baseline_rc, baseline_out, _ = run_cli(capsys, ["sim", "--config", path])
-    monkeypatch.delenv("PRIVERM_THREADS")
     assert baseline_rc == 0
-    assert json.loads(out) == json.loads(baseline_out)
+    assert out == baseline_out
+    # and it is checked when the arguments are parsed, before any command runs
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "0", "bounds", "--m", "99", "--delta", "0.05",
+              "--d", "2", "--dstar", "1", "--d-a", "3"])
+    assert exc.value.code == 2
+    assert "argument --threads: must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["vc", "h.json"], ["construct", "--what", "theorem1"], ["verify", "--suite", "claims"],
+     ["erm", "--h-class", "h.json", "--sample", "s.json"], ["sim", "--config", "c.json"]],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_every_command_rejects_a_bad_thread_count(capsys, argv, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", threads, *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --threads" in err and "Traceback" not in err
 
 
 def test_sim_deviation(tmp_path, capsys):
@@ -441,6 +462,64 @@ def test_sim_deviation_writes_file(tmp_path, capsys):
     assert out.strip().endswith("deviation.json")
     report = json.loads((out_dir / "deviation.json").read_text())
     assert report["m"] == 30
+
+
+@pytest.mark.parametrize("search", ["primee", 7, None, ["prime"], "Prime"], ids=str)
+def test_sim_deviation_accepts_only_documented_search_values(tmp_path, capsys, search):
+    path = sim_config_json(tmp_path, "deviation", search=search)
+    rc, out, err = run_cli(capsys, ["sim", "--kind", "deviation", "--config", path])
+    assert rc == 2
+    assert out == ""
+    assert err == f'input error: search must be "prime" or "full", got {search!r}\n'
+
+
+def test_sim_deviation_search_values_choose_the_class(tmp_path, capsys):
+    reports = {}
+    for search in ("prime", "full", None):
+        extra = {} if search is None else {"search": search}
+        path = sim_config_json(tmp_path, "deviation", trials=200, **extra)
+        rc, out, _ = run_cli(capsys, ["sim", "--kind", "deviation", "--config", path])
+        assert rc == 0
+        reports[search] = out
+    assert reports[None] == reports["prime"] != reports["full"]
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [("comparison", "m", 2**33), ("comparison", "trials", 2**40),
+     ("deviation", "m", 2**33), ("deviation", "trials", 2**40)],
+)
+def test_sim_size_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch, kind, field, value):
+    # no memory is asked of the system: every large np.empty fails as numpy's would
+    import numpy as np
+
+    real_empty = np.empty
+
+    def empty(shape, dtype=float, **kwargs):
+        size = math.prod(shape) if isinstance(shape, tuple) else shape
+        if size * np.dtype(dtype).itemsize > 2**30:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return real_empty(shape, dtype, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
+    path = sim_config_json(tmp_path, kind, **{field: value})
+    out_dir = tmp_path / "run"
+    rc, out, err = run_cli(
+        capsys, ["--output-dir", str(out_dir), "sim", "--kind", kind, "--config", path]
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("input error: out of memory: Unable to allocate")
+    assert not out_dir.exists()
+
+
+def test_memory_error_without_a_message_exits_2(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr("priverm.cli.cmd_bounds", exhausted)
+    rc, out, err = run_cli(capsys, ["bounds", "--m", "99"])
+    assert (rc, out, err) == (2, "", "input error: out of memory\n")
 
 
 @pytest.mark.parametrize("c", [0.0, -1.5, "nan", "inf"])
@@ -551,11 +630,16 @@ def test_sim_rejects_integers_given_as_strings(tmp_path, capsys, kind, field, va
         ("deviation", "eps", False),
         ("deviation", "delta", "0.01"),
         ("deviation", "delta", [0.01]),
+        ("comparison", "p", "0.4"),
+        ("comparison", "p", True),
     ],
     ids=str,
 )
 def test_sim_rejects_reals_given_as_non_numbers(tmp_path, capsys, kind, field, value):
-    path = sim_config_json(tmp_path, kind, **{field: value})
+    extra = {field: value}
+    if field == "p":  # the probability of the first support point
+        extra = {"distribution": {"support": [{**SUPPORT_JSON[0], "p": value}, *SUPPORT_JSON[1:]]}}
+    path = sim_config_json(tmp_path, kind, **extra)
     rc, out, err = run_cli(capsys, ["sim", "--kind", kind, "--config", path])
     assert rc == 2
     assert out == ""
@@ -605,11 +689,12 @@ DELETE = object()
 SMALL_INT = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 40), st.floats(-3, 40),
     st.sampled_from([math.nan, math.inf, -math.inf]), st.text(max_size=3),
-    st.lists(st.integers(0, 3), max_size=2), st.just(DELETE),
+    st.sampled_from(["3", "0", "20"]), st.lists(st.integers(0, 3), max_size=2),
+    st.just(DELETE),
 )
 REAL = st.one_of(
     st.none(), st.booleans(), st.floats(), st.integers(-2, 2), st.just(10**400),
-    st.text(max_size=3), st.just(DELETE),
+    st.text(max_size=3), st.sampled_from(["0.05", "0.35", "1"]), st.just(DELETE),
 )
 ANY = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3), st.text(max_size=4),
@@ -641,6 +726,7 @@ def junk_for(path):
     return SMALL_INT if leaf in INTS else REAL if leaf in REALS else ANY
 
 
+VC_PATHS = [(), ("domain_size",), ("hypotheses",), ("hypotheses", 0), ("hypotheses", 2)]
 ERM_PATHS = [
     ("h", ()), ("h", ("domain_size",)), ("h", ("hypotheses",)), ("h", ("hypotheses", 0)),
     ("p", ("domain_size",)), ("p", ("hypotheses", 1)),
@@ -664,11 +750,16 @@ DEVIATION_PATHS = [
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
 def test_malformed_erm_and_sim_inputs_exit_cleanly(tmp_path, capsys, data):
-    command = data.draw(st.sampled_from(["erm", "comparison", "deviation"]))
-    if command == "erm":
+    command = data.draw(st.sampled_from(["vc", "erm", "comparison", "deviation"]))
+    if command == "vc":
+        path = data.draw(st.sampled_from(VC_PATHS))
+        value = data.draw(junk_for(path))
+        argv = ["vc", write_json(tmp_path, "h.json", mutate(H1_JSON, path, value))]
+    elif command == "erm":
         files = {"h": H1_JSON, "p": PHI1_JSON, "s": SAMPLE_JSON}
         name, path = data.draw(st.sampled_from(ERM_PATHS))
-        files[name] = mutate(files[name], path, data.draw(junk_for(path)))
+        value = data.draw(junk_for(path))
+        files[name] = mutate(files[name], path, value)
         paths = {k: write_json(tmp_path, f"{k}.json", v) for k, v in files.items()}
         argv = ["erm", "--h-class", paths["h"], "--phi-class", paths["p"],
                 "--sample", paths["s"]]
@@ -680,11 +771,19 @@ def test_malformed_erm_and_sim_inputs_exit_cleanly(tmp_path, capsys, data):
             cfg = {"phi_class": class_to_json(full_class(4)), "eps": 0.1, "delta": 0.01,
                    "m": 30, "trials": 5, "seed": 2, "heavy_side": [0, 1]}
             path = data.draw(st.sampled_from(DEVIATION_PATHS))
-        cfg = mutate(cfg, path, data.draw(junk_for(path)))
+        value = data.draw(junk_for(path))
+        cfg = mutate(cfg, path, value)
         argv = ["sim", "--kind", command, "--config", write_json(tmp_path, "cfg.json", cfg)]
-    rc, _, err = run_cli(capsys, argv)
+    rc, out, err = run_cli(capsys, argv)
     assert rc in (0, 2, 3, 4), err
     assert "Traceback" not in err
+    number_field = bool(path) and path[-1] in INTS + REALS
+    if number_field and value is not DELETE and (
+        isinstance(value, bool) or not isinstance(value, (int, float))
+    ):
+        assert rc == 2, (path, value)
+    if command == "comparison" and rc == 0:
+        assert json.loads(out)["failed_trials"] == []
 
 
 BOUNDS_FIELDS = ("m", "delta", "d", "dstar", "d_a", "eps_erm", "eps_ig", "eps_u")

@@ -1,6 +1,7 @@
 """Seeded sampling, the comparison and deviation experiments, persistence."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -26,7 +27,14 @@ from priverm import (
 )
 from priverm import simulate
 from priverm.constructions import full_class
-from priverm.core import DomainMismatchError, ignoring_loss, load_json, zero_one_loss
+from priverm.cli import main
+from priverm.core import (
+    DomainMismatchError,
+    class_to_json,
+    ignoring_loss,
+    load_json,
+    zero_one_loss,
+)
 from priverm.simulate import (
     TRIALS_CSV_HEADER,
     ExperimentConfig,
@@ -230,9 +238,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         comparison_config(trials=0)
     with pytest.raises(ValueError):
-        comparison_config(threads=0)
-    with pytest.raises(ValueError):
         comparison_config(m=-1)
+    # the no-op threads option is gone from the library
+    with pytest.raises(TypeError):
+        comparison_config(threads=1)
+    # C may be an exact Fraction; no float is needed to check its range
+    assert comparison_config(C=Fraction(1, 3)).C == Fraction(1, 3)
 
 
 def test_comparison_rejects_incompatible_support():
@@ -271,10 +282,21 @@ def test_comparison_trivial_phi_gives_equal_true_errors():
         assert r.true_err_erm == r.true_err_pr
 
 
-def test_comparison_thread_count_does_not_change_records():
-    base, _ = run_comparison(comparison_config(threads=1))
-    four, _ = run_comparison(comparison_config(threads=4))
-    assert base == four
+def test_comparison_thread_count_does_not_change_records(tmp_path, capsys):
+    # --threads stays a CLI flag for compatibility; the library has no such option
+    cfg = comparison_config()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg.to_json()), encoding="utf-8")
+    outs = []
+    for threads in ("1", "4"):
+        out = tmp_path / f"run{threads}"
+        assert main(["--threads", threads, "--output-dir", str(out), "sim",
+                     "--config", str(path)]) == 0
+        outs.append((out / "trials.csv").read_bytes())
+    capsys.readouterr()
+    cfg = comparison_config(output_dir=str(tmp_path / "lib"))
+    persist_run(*run_comparison(cfg), cfg)
+    assert outs[0] == outs[1] == (tmp_path / "lib" / "trials.csv").read_bytes()
 
 
 def test_privileged_error_decomposition_per_trial():
@@ -336,9 +358,9 @@ def test_persist_run_requires_output_dir():
 
 def test_persisted_csv_is_byte_stable(tmp_path):
     paths = []
-    for i, threads in enumerate((1, 4)):
+    for i in range(2):
         out = tmp_path / f"run{i}"
-        cfg = comparison_config(threads=threads, output_dir=str(out))
+        cfg = comparison_config(output_dir=str(out))
         records, summary = run_comparison(cfg)
         persist_run(records, summary, cfg)
         paths.append(out / "trials.csv")
@@ -393,13 +415,21 @@ def test_deviation_vanishes_at_large_sample():
     assert rep["freq_existential"] == 0.0
 
 
-def test_deviation_threads_do_not_change_result():
+def test_deviation_threads_do_not_change_result(tmp_path, capsys):
+    # --threads stays a CLI flag for compatibility; the library has no such option
     Phi = full_class(4, "X*")
     family, _ = construct_theorem5_family(Phi, eps=0.1, delta=0.01)
     prime = phi_prime_subclass(Phi, family.pairs)
-    a = run_theorem5_experiment(family, prime, m=40, trials=200, seed=8, threads=1)
-    b = run_theorem5_experiment(family, prime, m=40, trials=200, seed=8, threads=4)
-    assert a == b
+    want = run_theorem5_experiment(family, prime, m=40, trials=200, seed=8)
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps({"phi_class": class_to_json(Phi), "eps": 0.1, "delta": 0.01,
+                                "m": 40, "trials": 200, "seed": 8}), encoding="utf-8")
+    for threads in ("1", "4"):
+        assert main(["--threads", threads, "sim", "--kind", "deviation",
+                     "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == want
+    with pytest.raises(TypeError):
+        run_theorem5_experiment(family, prime, m=40, trials=200, seed=8, threads=1)
 
 
 def test_deviation_requires_star_in_subclass():
@@ -422,44 +452,52 @@ def test_deviation_validates_sizes():
         run_theorem5_experiment(family, prime, m=5, trials=0, seed=1)
 
 
-# --- failure recording -------------------------------------------------------------------
+# --- bad configs are rejected up front ---------------------------------------------------
 
 
-def test_failed_trials_are_recorded_not_dropped():
-    # delta passes config validation but fails bound construction per trial
-    cfg = comparison_config(delta=1.5, trials=4)
-    records, summary = run_comparison(cfg)
-    assert records == []
-    assert summary["effective_trials"] == 0
-    assert [f["trial"] for f in summary["failed_trials"]] == [0, 1, 2, 3]
-    assert all(f["error"] for f in summary["failed_trials"])
-    assert summary["coverage_erm"] == 0.0
+def test_bad_delta_is_rejected_before_any_trial():
+    # no config holds a bad delta, not even one derived from a valid config,
+    # so no run ever reaches its trials with one
+    valid = comparison_config(trials=4)
+    with pytest.raises(ValueError, match=r"^delta must be in \(0, 1\), got 1.5$"):
+        dataclasses.replace(valid, delta=1.5)
 
 
-def test_failed_trials_are_recorded_under_threads():
-    cfg = comparison_config(delta=1.5, trials=4, threads=3)
-    records, summary = run_comparison(cfg)
-    assert records == []
-    assert len(summary["failed_trials"]) == 4
+def test_bad_sim_config_leaves_no_run_directory(tmp_path, capsys):
+    cfg = comparison_config(trials=4).to_json()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, "delta": 1.5}), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["--threads", "3", "--output-dir", str(out), "sim",
+                 "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: delta must be in (0, 1), got 1.5\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "overrides, error",
     [
-        ({"delta": 1.5}, "delta must be in (0,1), got 1.5"),
-        ({"C": 0}, "C must be positive, got 0"),
-        ({"C": -2.5}, "C must be positive, got -2.5"),
-        ({"C": float("nan")}, "Invalid literal for Fraction: 'nan'"),
+        ({"delta": 1.5}, "delta must be in (0, 1), got 1.5"),
+        ({"C": 0}, "c must be positive and finite, got 0"),
+        ({"C": -2.5}, "c must be positive and finite, got -2.5"),
+        ({"C": float("nan")}, "c must be positive and finite, got nan"),
         ({"m": 0}, "m must be >= 1, got 0"),
-        ({"m": 0, "C": 0}, "C must be positive, got 0"),
+        ({"m": 0, "C": 0}, "m must be >= 1, got 0"),
+        ({"trials": 0}, "trials must be >= 1, got 0"),
+        ({"delta": 0}, "delta must be in (0, 1), got 0"),
+        ({"delta": 1}, "delta must be in (0, 1), got 1"),
+        ({"C": math.inf}, "c must be positive and finite, got inf"),
+        ({"C": Fraction(-1, 3)}, "c must be positive and finite, got -1/3"),
     ],
+    ids=["delta-1.5", "c-0", "c-negative", "c-nan", "m-0", "m-0-and-c-0",
+         "trials-0", "delta-0", "delta-1", "c-inf", "c-negative-fraction"],
 )
-def test_failed_trials_keep_their_order_and_messages(overrides, error):
-    records, summary = run_comparison(comparison_config(trials=3, **overrides))
-    assert records == []
-    assert summary["failed_trials"] == [
-        {"trial": t, "error": error} for t in range(3)
-    ]
+def test_bad_comparison_config_is_rejected_up_front(overrides, error):
+    with pytest.raises(ValueError) as exc:
+        comparison_config(**{"trials": 3, **overrides})
+    assert str(exc.value) == error
 
 
 # --- the comparison against a brute-force per-trial oracle ------------------------------
