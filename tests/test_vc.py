@@ -548,6 +548,29 @@ def test_aux_class_degenerate_phis():
     assert {h.bits for h in aux_none} == {h.bits for h in f_none}
 
 
+def _product_class_pairs():
+    """Theorem-1 pairs, then seeded random pairs whose classes carry symmetries."""
+    for d, dstar in [(1, 1), (2, 2), (3, 3), (1, 2), (2, 1), (2, 3), (3, 2)]:
+        yield construct_theorem1(d)[0], construct_theorem1(dstar)[1]
+    rng = random.Random(20261019)
+    for _ in range(200):
+        yield tuple(
+            _symmetric_class(rng, rng.randint(1, 4), rng.randint(1, 6), rng.randint(0, 2))
+            for _ in range(2)
+        )
+
+
+def test_product_classes_match_golden_digest():
+    # pins the domain, member bits and lifted symmetries of 414 F and aux
+    # classes, so a builder that reorders points or members fails here
+    rows = []
+    for H, Phi in _product_class_pairs():
+        for cls in (build_f_class(H, Phi), build_aux_class(H, Phi)):
+            rows.append((cls.domain, [h.bits for h in cls.members], cls.symmetries))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "18a1f5b2fece5988dbd5d2d7765183c08e5ad31db1e8ec12304f9a4f0989571a"
+
+
 def test_build_classes_reject_empty():
     with pytest.raises(ValueError):
         build_f_class(h1(), HypothesisClass(FiniteDomain(3, "X*"), ()))
