@@ -46,6 +46,7 @@ from .core import (
     strict_real,
 )
 from .vc import (
+    DEFAULT_NODE_BUDGET,
     MODE_EXACT,
     build_aux_class,
     build_f_class,
@@ -412,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vc", help="exact VC dimension of a class file")
     p.add_argument("class_file")
     p.add_argument("--mode", choices=("exact", "lower-bound-only"), default="exact")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=cmd_vc)
 
     p = sub.add_parser("construct", help="emit a named construction")

@@ -47,14 +47,14 @@ def product_index(x: int, xstar: int, y: int, n_xstar: int) -> int:
     return (x * n_xstar + xstar) * 2 + y
 
 
+def product_points(n_x: int, n_xstar: int) -> list[tuple[int, int, int]]:
+    """The (x, x*, y) of each product point, in enumeration order."""
+    return [(x, xs, y) for x in range(n_x) for xs in range(n_xstar) for y in (0, 1)]
+
+
 def product_legend(n_x: int, n_xstar: int) -> list[str]:
     """Index-to-name map for a product domain, in enumeration order."""
-    return [
-        f"(x={x},x*={xs},y={y})"
-        for x in range(n_x)
-        for xs in range(n_xstar)
-        for y in range(2)
-    ]
+    return [f"(x={x},x*={xs},y={y})" for x, xs, y in product_points(n_x, n_xstar)]
 
 
 def labeled_domain(n: int, label: str = "X") -> FiniteDomain:

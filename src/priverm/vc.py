@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
-from operator import itemgetter
-from typing import Optional, Sequence
+from operator import itemgetter, or_
+from typing import Callable, Optional, Sequence
 
 from .core import (
     DomainMismatchError,
@@ -41,6 +41,7 @@ from .core import (
     labeled_domain,
     product_domain,
     product_index,
+    product_points,
 )
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -73,8 +74,7 @@ class VcReport:
     lower-bound-only mode; ``vc`` is then a verified lower bound.  ``witness``
     is the lexicographically first shattered set of size ``vc``; ``levels[k]``
     counts the shattered k-subsets for k <= vc (levels[0] is 1 for the empty
-    set), counted on first read.  A report for a supplied witness has no
-    counts: its ``levels`` is empty.  ``nodes`` counts the split attempts of
+    set), counted on first read.  ``nodes`` counts the split attempts of
     the search, plus one per domain point for building the columns.  A
     node's remaining points are tested once after its first descent fails,
     so ``nodes``, and where the budget runs out the lower bound reached,
@@ -88,13 +88,11 @@ class VcReport:
     vc: int
     exact: bool
     witness: tuple[int, ...]
-    nodes: int = 0
-    columns: Optional[_Columns] = field(default=None, repr=False)
+    nodes: int
+    columns: _Columns = field(repr=False)
 
     @cached_property
     def levels(self) -> tuple[int, ...]:
-        if self.columns is None:
-            return ()
         return _count_shattered(self.columns, self.vc)
 
     def _key(self) -> tuple:
@@ -390,7 +388,6 @@ def vc_dimension(
     cls: HypothesisClass,
     mode: str = MODE_EXACT,
     budget: Optional[int] = DEFAULT_NODE_BUDGET,
-    witness: Optional[Sequence[int]] = None,
 ) -> VcReport:
     """VC dimension by branch-and-bound search for shattered sets.
 
@@ -398,20 +395,13 @@ def vc_dimension(
     log2 |class| and the number of non-constant points; the search ends at
     the first k with no shattered set.  ``nodes`` counts split attempts, and
     passing the node budget returns the largest size found so far as a lower
-    bound with ``exact=False``.  In lower-bound-only mode a supplied
-    ``witness`` is verified instead of searching (or the search result is
-    reported as a lower bound).
+    bound with ``exact=False``.  Lower-bound-only mode reports the search
+    result as a lower bound; ``is_shattered`` verifies a claimed set.
     """
     if mode not in (MODE_EXACT, MODE_LOWER_BOUND):
         raise ValueError(f"unknown mode {mode!r}")
     if len(cls) == 0:
         raise ValueError("class must be nonempty")
-
-    if mode == MODE_LOWER_BOUND and witness is not None:
-        pts = tuple(sorted(_validate_subset(cls, witness)))
-        if not is_shattered(cls, pts):
-            raise ValueError(f"supplied witness {pts} is not shattered")
-        return VcReport(vc=len(pts), exact=False, witness=pts, nodes=1)
 
     full = (1 << len(cls)) - 1
     cols = _columns(cls)
@@ -495,49 +485,30 @@ def k_fold_union(r: HypothesisClass, k: int) -> HypothesisClass:
 # --- derived loss classes ---------------------------------------------------
 
 
-def _error_mask(h: Hypothesis, n_xstar: int) -> int:
-    """Bit at ((x,x*),y) set iff h(x) != y, over the product enumeration."""
-    m = 0
-    p = 0
-    for x in range(h.domain.size):
-        hx = h.bits[x]
-        for _ in range(n_xstar):
-            for y in (0, 1):
-                if hx != y:
-                    m |= 1 << p
-                p += 1
-    return m
+def _product_class(
+    H: HypothesisClass, Phi: HypothesisClass, combine: Callable[[int, int], int]
+) -> HypothesisClass:
+    """Class of ``combine(e, g)`` over all (h, phi) pairs, on product points.
 
-
-def _ignore_mask(phi: Hypothesis, n_x: int) -> int:
-    """Bit at ((x,x*),y) set iff phi(x*) = 1, over the product enumeration."""
-    m = 0
-    p = 0
-    for _ in range(n_x):
-        for xs in range(phi.domain.size):
-            v = phi.bits[xs]
-            for _ in (0, 1):
-                if v:
-                    m |= 1 << p
-                p += 1
-    return m
-
-
-def _lifted_symmetries(
-    H: HypothesisClass, Phi: HypothesisClass
-) -> tuple[tuple[int, ...], ...]:
-    """Generators of H and Phi acting on product points ((x, x*), y).
-
-    g of H maps ((x, x*), y) to ((g x, x*), y) and g of Phi maps it to
-    ((x, g x*), y), each in the product enumeration of ``product_index``.
+    e has the bit of product point ((x, x*), y) set iff h(x) != y, and g iff
+    phi(x*) = 1.  Each generator of H, then of Phi, is lifted to the product
+    points: g of H maps ((x, x*), y) to ((g x, x*), y), g of Phi to
+    ((x, g x*), y).
     """
-    points = [
-        (x, xs, y)
-        for x in range(H.domain.size)
-        for xs in range(Phi.domain.size)
-        for y in (0, 1)
-    ]
+    if len(H) == 0 or len(Phi) == 0:
+        raise ValueError("both classes must be nonempty")
     n_xs = Phi.domain.size
+    dom = product_domain(H.domain.size, n_xs)
+    points = product_points(H.domain.size, n_xs)
+    errs = [
+        sum(1 << p for p, (x, _, y) in enumerate(points) if h.bits[x] != y)
+        for h in H.members
+    ]
+    flags = [
+        sum(1 << p for p, (_, xs, _) in enumerate(points) if phi.bits[xs])
+        for phi in Phi.members
+    ]
+    members = {combine(e, g) for e in errs for g in flags}
     lifted = [
         tuple(product_index(g[x], xs, y, n_xs) for x, xs, y in points)
         for g in H.symmetries
@@ -546,7 +517,9 @@ def _lifted_symmetries(
         tuple(product_index(x, g[xs], y, n_xs) for x, xs, y in points)
         for g in Phi.symmetries
     ]
-    return tuple(lifted)
+    return HypothesisClass.from_hypotheses(
+        dom, (Hypothesis.from_mask(dom, m) for m in members), tuple(lifted)
+    )
 
 
 def build_f_class(H: HypothesisClass, Phi: HypothesisClass) -> HypothesisClass:
@@ -554,17 +527,7 @@ def build_f_class(H: HypothesisClass, Phi: HypothesisClass) -> HypothesisClass:
 
     The symmetries of H and Phi are lifted to product points.
     """
-    if len(H) == 0 or len(Phi) == 0:
-        raise ValueError("both classes must be nonempty")
-    dom = product_domain(H.domain.size, Phi.domain.size)
-    errs = [_error_mask(h, Phi.domain.size) for h in H.members]
-    igs = [_ignore_mask(phi, H.domain.size) for phi in Phi.members]
-    members = {e | g for e in errs for g in igs}
-    return HypothesisClass.from_hypotheses(
-        dom,
-        (Hypothesis.from_mask(dom, m) for m in members),
-        _lifted_symmetries(H, Phi),
-    )
+    return _product_class(H, Phi, or_)
 
 
 def build_aux_class(H: HypothesisClass, Phi: HypothesisClass) -> HypothesisClass:
@@ -572,18 +535,7 @@ def build_aux_class(H: HypothesisClass, Phi: HypothesisClass) -> HypothesisClass
 
     The symmetries of H and Phi are lifted to product points.
     """
-    if len(H) == 0 or len(Phi) == 0:
-        raise ValueError("both classes must be nonempty")
-    dom = product_domain(H.domain.size, Phi.domain.size)
-    full = (1 << dom.size) - 1
-    errs = [_error_mask(h, Phi.domain.size) for h in H.members]
-    igs = [full ^ _ignore_mask(phi, H.domain.size) for phi in Phi.members]
-    members = {e & g for e in errs for g in igs}
-    return HypothesisClass.from_hypotheses(
-        dom,
-        (Hypothesis.from_mask(dom, m) for m in members),
-        _lifted_symmetries(H, Phi),
-    )
+    return _product_class(H, Phi, lambda e, g: e & ~g)
 
 
 def build_loss_class(cls: HypothesisClass, which: str) -> HypothesisClass:

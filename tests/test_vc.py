@@ -358,9 +358,11 @@ def test_vc_report_equality_and_witness_levels():
     assert a == b and hash(a) == hash(b)
     assert a != vc_dimension(full_class(3))
     assert a.levels == (1, 4, 6, 4, 1)
-    # a verified witness carries no counts
-    report = vc_dimension(full_class(4), mode=MODE_LOWER_BOUND, witness=[1, 3])
-    assert report.levels == () and report.to_json()["levels"] == []
+    # a lower-bound-only report counts the levels of the size it reached
+    report = vc_dimension(full_class(4), mode=MODE_LOWER_BOUND)
+    assert report.witness == (0, 1, 2, 3) and not report.exact
+    assert report.levels == (1, 4, 6, 4, 1)
+    assert report.to_json()["levels"] == [1, 4, 6, 4, 1]
 
 
 def test_vc_budget_stops_at_largest_size_found():
@@ -379,12 +381,11 @@ def test_vc_budget_degrades_to_lower_bound():
 
 
 def test_vc_lower_bound_mode_with_witness():
-    cls = full_class(3)
-    report = vc_dimension(cls, mode=MODE_LOWER_BOUND, witness=[2, 0])
-    assert report.vc == 2 and not report.exact
-    assert report.witness == (0, 2)
-    with pytest.raises(ValueError):
-        vc_dimension(h1(), mode=MODE_LOWER_BOUND, witness=[0, 1])
+    # a claimed set is verified by is_shattered, in any order, and its size
+    # is then a lower bound on the VC dimension
+    assert is_shattered(full_class(3), [2, 0])
+    assert vc_dimension(full_class(3), mode=MODE_LOWER_BOUND).vc >= 2
+    assert not is_shattered(h1(), [0, 1])
 
 
 def test_vc_lower_bound_mode_without_witness_searches():
