@@ -10,6 +10,7 @@ command; the experiments run in one thread.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -66,9 +67,14 @@ def _emit(obj: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(obj, indent=2, sort_keys=True))
     elif fmt == "csv":
+        # list and dict values are written as JSON, in one quoted field each
         keys = sorted(obj)
-        print(",".join(keys))
-        print(",".join(str(obj[k]) for k in keys))
+        rows = csv.writer(sys.stdout, lineterminator="\n")
+        rows.writerow(keys)
+        rows.writerow(
+            json.dumps(v, sort_keys=True) if isinstance(v, (list, dict)) else str(v)
+            for v in map(obj.get, keys)
+        )
     else:
         width = max(len(k) for k in obj)
         for k in sorted(obj):
@@ -161,40 +167,22 @@ def cmd_erm(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.inputs:
-        raw = load_json(args.inputs)
-        if not isinstance(raw, dict):
-            raise ValueError("bounds inputs must be a JSON object")
-        raw.update(
-            {
-                k: v
-                for k, v in vars(args).items()
-                if k in ("m", "delta", "d", "dstar", "d_a", "eps_erm", "eps_ig", "eps_u")
-                and v is not None
-            }
-        )
-        for k in ("m", "d", "dstar", "d_a"):
-            if k in raw:
-                raw[k] = strict_int(raw[k], k)
-        for k in ("delta", "eps_erm", "eps_ig", "eps_u"):
-            if k in raw:
-                raw[k] = strict_real(raw[k], k)
-        inputs = BoundInputs(**raw)
-    else:
-        required = ("m", "delta", "d", "dstar", "d_a")
-        missing = [k for k in required if getattr(args, k) is None]
-        if missing:
-            raise ValueError(f"missing required flags: {', '.join(missing)}")
-        inputs = BoundInputs(
-            m=args.m,
-            delta=args.delta,
-            d=args.d,
-            dstar=args.dstar,
-            d_a=args.d_a,
-            eps_erm=args.eps_erm or 0.0,
-            eps_ig=args.eps_ig or 0.0,
-            eps_u=args.eps_u or 0.0,
-        )
+    # the file's object, if any, with every given flag written over it
+    raw = load_json(args.inputs) if args.inputs else {}
+    if not isinstance(raw, dict):
+        raise ValueError("bounds inputs must be a JSON object")
+    ints, reals = ("m", "d", "dstar", "d_a"), ("delta", "eps_erm", "eps_ig", "eps_u")
+    raw.update({k: getattr(args, k) for k in ints + reals if getattr(args, k) is not None})
+    for k in ints:
+        if k in raw:
+            raw[k] = strict_int(raw[k], k)
+    for k in reals:
+        if k in raw:
+            raw[k] = strict_real(raw[k], k)
+    missing = [k for k in ("m", "delta", "d", "dstar", "d_a") if k not in raw]
+    if missing:
+        raise ValueError(f"missing required flags: {', '.join(missing)}")
+    inputs = BoundInputs(**raw)
     nec = necessary_condition(inputs) if inputs.d > 0 else None
     gap = inputs.eps_erm - (inputs.eps_ig + inputs.eps_u)
     report = {

@@ -81,6 +81,14 @@ _HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
 _HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
 
 
+def _check_seed(seed: int) -> int:
+    """The seed as an int, if it lies in [0, 2**64); else ``ValueError``."""
+    seed = operator.index(seed)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def mix_seed(master: int, trial: int) -> int:
     """Fixed 64-bit mixing of (master seed, trial index) into a trial seed."""
     z = (master + 0x9E3779B97F4A7C15 * (trial + 1)) & _MASK64
@@ -172,9 +180,7 @@ def sample(dist: FiniteDistribution, m: int, seed: int) -> TripleSample:
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    seed = operator.index(seed)
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    seed = _check_seed(seed)
     cum, last = _inverse_cdf(dist)
     idx = np.searchsorted(cum, _uniform_rows([seed], m)[0], side="right")
     return TripleSample(tuple(dist.support[i][0] for i in np.minimum(idx, last)))
@@ -212,7 +218,7 @@ class ExperimentConfig:
 
     Every range is checked here, once, so a run never starts on a value
     that would fail its trials: m and trials are at least 1, delta lies in
-    (0, 1), and C is positive and finite.
+    (0, 1), C is positive and finite, and the seed lies in [0, 2**64).
     """
 
     distribution: FiniteDistribution
@@ -234,6 +240,7 @@ class ExperimentConfig:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if not 0 < self.C < math.inf:
             raise ValueError(f"c must be positive and finite, got {self.C}")
+        _check_seed(self.seed)
 
     def to_json(self) -> dict:
         return {
@@ -406,12 +413,13 @@ def run_theorem5_experiment(
     over the whole search class.  The reported frequencies are of the
     events |deviation| > eps.  The family's worst-case sample-size constants
     are far below desk scale, so frequencies here validate the qualitative
-    claim only; the summary states that gap.
+    claim only; the summary states that gap.  The seed lies in [0, 2**64).
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_seed(seed)
     eps = family.eps
     dist = family.distribution
 

@@ -8,8 +8,10 @@ Another runs numpy-free commands in a fresh interpreter to check that
 numpy stays unloaded.
 """
 
+import csv
 import functools
 import importlib
+import io
 import json
 import math
 import os
@@ -328,6 +330,15 @@ def test_bounds_missing_flags(capsys):
     assert "missing required flags" in err
 
 
+def test_bounds_inputs_file_missing_a_required_key_names_it(tmp_path, capsys):
+    path = write_json(tmp_path, "inputs.json", {"delta": 0.05, "d": 2, "dstar": 1, "d_a": 3})
+    rc, out, err = run_cli(capsys, ["bounds", "--inputs", path])
+    assert (rc, out, err) == (2, "", "input error: missing required flags: m\n")
+    # a flag fills the key the file lacks
+    rc, out, _ = run_cli(capsys, ["bounds", "--inputs", path, "--m", "99"])
+    assert rc == 0 and json.loads(out)["r_fast_d"] == r_fast(2, 99, 0.05)
+
+
 # --- sim --------------------------------------------------------------------------
 
 
@@ -379,6 +390,22 @@ def test_sim_comparison_seed_flag_wins(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, ["--seed", "4", "sim", "--config", path])
     assert rc == 0
     assert json.loads(out)["seed"] == 4
+
+
+@pytest.mark.parametrize("kind", ["comparison", "deviation"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_sim_rejects_a_seed_outside_64_bits(tmp_path, capsys, kind, seed):
+    # such a seed would replay the run of its residue mod 2**64
+    path = sim_config_json(tmp_path, kind)
+    out_dir = tmp_path / "run"
+    rc, out, err = run_cli(
+        capsys,
+        ["--seed", str(seed), "--output-dir", str(out_dir), "sim", "--kind", kind,
+         "--config", path],
+    )
+    assert (rc, out) == (2, "")
+    assert err == f"input error: seed must be in [0, 2**64), got {seed}\n"
+    assert not out_dir.exists()
 
 
 def test_sim_comparison_persists_run(tmp_path, capsys):
@@ -901,6 +928,27 @@ def test_format_csv(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "exact,levels,vc,witness"
     assert lines[1].startswith("True,")
+
+
+@pytest.mark.parametrize("command", ["vc", "bounds"])
+def test_format_csv_writes_one_field_per_key(tmp_path, capsys, command):
+    if command == "vc":
+        argv = ["vc", write_json(tmp_path, "h1.json", H1_JSON)]
+    else:
+        argv = ["bounds", "--m", "99", "--delta", "0.05", "--d", "2", "--dstar", "1",
+                "--d-a", "3"]
+    rc, out, _ = run_cli(capsys, ["--format", "csv", *argv])
+    assert rc == 0
+    header, row = csv.reader(io.StringIO(out))
+    _, json_out, _ = run_cli(capsys, argv)
+    want = json.loads(json_out)
+    assert header == sorted(want) and len(row) == len(header)
+    for key, field in zip(header, row):
+        # lists and dicts come back as JSON, scalars as their text
+        if isinstance(want[key], (list, dict)):
+            assert json.loads(field) == want[key]
+        else:
+            assert field == str(want[key])
 
 
 # --- entry point: installed script, else the checkout's [project.scripts] -------------

@@ -452,6 +452,17 @@ def test_deviation_validates_sizes():
         run_theorem5_experiment(family, prime, m=5, trials=0, seed=1)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_deviation_rejects_seeds_outside_64_bits(seed):
+    # mix_seed would reduce the seed mod 2**64 and replay another seed's run
+    Phi = full_class(4, "X*")
+    family, _ = construct_theorem5_family(Phi, eps=0.1, delta=0.01)
+    prime = phi_prime_subclass(Phi, family.pairs)
+    with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+        run_theorem5_experiment(family, prime, m=5, trials=3, seed=seed)
+    assert run_theorem5_experiment(family, prime, m=5, trials=3, seed=2**64 - 1)
+
+
 # --- bad configs are rejected up front ---------------------------------------------------
 
 
@@ -490,9 +501,12 @@ def test_bad_sim_config_leaves_no_run_directory(tmp_path, capsys):
         ({"delta": 1}, "delta must be in (0, 1), got 1"),
         ({"C": math.inf}, "c must be positive and finite, got inf"),
         ({"C": Fraction(-1, 3)}, "c must be positive and finite, got -1/3"),
+        ({"seed": -1}, "seed must be in [0, 2**64), got -1"),
+        ({"seed": 2**64}, f"seed must be in [0, 2**64), got {2**64}"),
     ],
     ids=["delta-1.5", "c-0", "c-negative", "c-nan", "m-0", "m-0-and-c-0",
-         "trials-0", "delta-0", "delta-1", "c-inf", "c-negative-fraction"],
+         "trials-0", "delta-0", "delta-1", "c-inf", "c-negative-fraction",
+         "seed-negative", "seed-2**64"],
 )
 def test_bad_comparison_config_is_rejected_up_front(overrides, error):
     with pytest.raises(ValueError) as exc:
