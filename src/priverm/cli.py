@@ -3,19 +3,20 @@
 Exit codes: 0 success, 2 bad input (parse/validation, or a size too
 large for memory), 3 node budget exhausted where an exact answer was
 required, 4 I/O failure.  A failed verification check exits 1.
-``--threads`` is accepted for compatibility and checked as >= 1 for every
-command; the experiments run in one thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
+from typing import get_type_hints
 
 from .bounds import (
+    PREMISE_TOLERANCE,
     BoundInputs,
     alpha_threshold,
     bound_erm,
@@ -48,7 +49,6 @@ from .core import (
 )
 from .vc import (
     DEFAULT_NODE_BUDGET,
-    MODE_EXACT,
     build_aux_class,
     build_f_class,
     is_shattered,
@@ -63,34 +63,30 @@ EXIT_BUDGET = 3
 EXIT_IO = 4
 
 
+def _text(value) -> str:
+    """One csv or table value: JSON for lists and dicts, ``str`` for scalars."""
+    if isinstance(value, (list, dict)):
+        return json.dumps(value, sort_keys=True)
+    return str(value)
+
+
 def _emit(obj: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(obj, indent=2, sort_keys=True))
     elif fmt == "csv":
-        # list and dict values are written as JSON, in one quoted field each
+        # a list or dict value is one quoted field
         keys = sorted(obj)
         rows = csv.writer(sys.stdout, lineterminator="\n")
         rows.writerow(keys)
-        rows.writerow(
-            json.dumps(v, sort_keys=True) if isinstance(v, (list, dict)) else str(v)
-            for v in map(obj.get, keys)
-        )
+        rows.writerow(_text(obj[k]) for k in keys)
     else:
         width = max(len(k) for k in obj)
         for k in sorted(obj):
-            print(f"{k:<{width}}  {obj[k]}")
+            print(f"{k:<{width}}  {_text(obj[k])}")
 
 
 def _load_class(path: str, label: str):
     return class_from_json(load_json(path), label=label)
-
-
-def _thread_count(text: str) -> int:
-    """``--threads``: an integer >= 1, checked when the arguments are parsed."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
 
 
 # --- subcommands ------------------------------------------------------------
@@ -98,9 +94,9 @@ def _thread_count(text: str) -> int:
 
 def cmd_vc(args) -> int:
     cls = _load_class(args.class_file, label="X")
-    report = vc_dimension(cls, mode=args.mode, budget=args.budget)
+    report = vc_dimension(cls, budget=args.budget)
     _emit(report.to_json(), args.format)
-    if args.mode == MODE_EXACT and not report.exact:
+    if not report.exact:
         print(
             "node budget exhausted before the exact answer "
             f"(nodes={report.nodes}, level={report.vc})",
@@ -171,15 +167,20 @@ def cmd_bounds(args) -> int:
     raw = load_json(args.inputs) if args.inputs else {}
     if not isinstance(raw, dict):
         raise ValueError("bounds inputs must be a JSON object")
-    ints, reals = ("m", "d", "dstar", "d_a"), ("delta", "eps_erm", "eps_ig", "eps_u")
-    raw.update({k: getattr(args, k) for k in ints + reals if getattr(args, k) is not None})
-    for k in ints:
-        if k in raw:
-            raw[k] = strict_int(raw[k], k)
-    for k in reals:
-        if k in raw:
-            raw[k] = strict_real(raw[k], k)
-    missing = [k for k in ("m", "delta", "d", "dstar", "d_a") if k not in raw]
+    fields = dataclasses.fields(BoundInputs)
+    unknown = sorted(raw.keys() - {f.name for f in fields})
+    if unknown:
+        raise ValueError(f"unknown bounds inputs: {', '.join(unknown)}")
+    types = get_type_hints(BoundInputs)
+    for f in fields:
+        if getattr(args, f.name) is not None:
+            raw[f.name] = getattr(args, f.name)
+        if f.name in raw:
+            read = strict_int if types[f.name] is int else strict_real
+            raw[f.name] = read(raw[f.name], f.name)
+    missing = [
+        f.name for f in fields if f.default is dataclasses.MISSING and f.name not in raw
+    ]
     if missing:
         raise ValueError(f"missing required flags: {', '.join(missing)}")
     inputs = BoundInputs(**raw)
@@ -194,7 +195,7 @@ def cmd_bounds(args) -> int:
         "d_a_interval": list(d_a_interval(inputs.d, inputs.dstar)),
         "alpha_root": alpha_threshold(),
     }
-    if abs(gap) <= 1e-9:
+    if abs(gap) <= PREMISE_TOLERANCE:
         suff = sufficient_condition(inputs)
         report["sufficient"] = suff.to_json()
     if nec is not None:
@@ -329,7 +330,7 @@ def _suite_lemma1(d: int, dstar: int) -> bool:
 def _suite_lemma2(d: int, dstar: int) -> bool:
     H, _ = construct_theorem1(d)
     _, Phi = construct_theorem1(dstar)
-    witness = construct_lemma2_witness(H, Phi, verify=True)
+    witness = construct_lemma2_witness(H, Phi)
     aux = build_aux_class(H, Phi)
     ra = vc_dimension(aux)
     lower, upper = d_a_interval(d, dstar)
@@ -389,10 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument(
-        "--threads", type=_thread_count, default=1,
-        help="accepted for compatibility; must be >= 1",
-    )
-    parser.add_argument(
         "--format", choices=("json", "csv", "table"), default="json"
     )
     parser.add_argument("--output-dir", default=None)
@@ -400,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vc", help="exact VC dimension of a class file")
     p.add_argument("class_file")
-    p.add_argument("--mode", choices=("exact", "lower-bound-only"), default="exact")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=cmd_vc)
 

@@ -108,14 +108,15 @@ def construct_lemma1_tight(d: int, dstar: int) -> tuple[HypothesisClass, Hypothe
 
 
 def construct_lemma2_witness(
-    H: HypothesisClass, Phi: HypothesisClass, verify: bool = True
+    H: HypothesisClass, Phi: HypothesisClass
 ) -> tuple[Triple, ...]:
     """A set of d+d*-2 triples shattered by the auxiliary loss class.
 
     Uses the lexicographically first shattered sets {x_1..x_d} of H and
     {x*_1..x*_d*} of Phi: the first d-1 x-points are paired with the last
     x*-point, and the last x-point with the first d*-1 x*-points, all with
-    label 0.  Requires d, d* > 1.
+    label 0.  Requires d, d* > 1.  The witness is checked with
+    ``is_shattered`` before it is returned.
     """
     hrep = vc_dimension(H)
     prep = vc_dimension(Phi)
@@ -129,13 +130,10 @@ def construct_lemma2_witness(
     c1 = [Triple(xs[i], xss[-1], 0) for i in range(len(xs) - 1)]
     c2 = [Triple(xs[-1], xss[j], 0) for j in range(len(xss) - 1)]
     witness = tuple(c1 + c2)
-    if verify:
-        aux = build_aux_class(H, Phi)
-        idx = [
-            product_index(t.x, t.xstar, t.y, Phi.domain.size) for t in witness
-        ]
-        if not is_shattered(aux, idx):
-            raise AssertionError("constructed witness is not shattered")
+    aux = build_aux_class(H, Phi)
+    idx = [product_index(t.x, t.xstar, t.y, Phi.domain.size) for t in witness]
+    if not is_shattered(aux, idx):
+        raise AssertionError("constructed witness is not shattered")
     return witness
 
 

@@ -145,8 +145,13 @@ def _uniform_rows(seeds: Sequence[int], m: int) -> np.ndarray:
     """len(seeds)×m uniforms: row r equals ``default_rng(seeds[r]).random(m)``.
 
     One generator is reused; each row sets its PCG64 state and draws.
+    Callers ask for at most 2**16 rows, so an array too big for numpy means
+    that m is too large.
     """
-    out = np.empty((len(seeds), m))
+    try:
+        out = np.empty((len(seeds), m))
+    except ValueError as exc:
+        raise ValueError(f"m is too large for an array: {exc}") from None
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
     for row, (state, inc) in zip(out, _pcg64_states(seeds)):
@@ -197,7 +202,10 @@ def _trial_counts(
     """
     k = len(dist.support)
     cum, last = _inverse_cdf(dist)
-    counts = np.empty((trials, k), dtype=np.intp)
+    try:
+        counts = np.empty((trials, k), dtype=np.intp)
+    except ValueError as exc:
+        raise ValueError(f"trials is too large for an array: {exc}") from None
     step = max(1, _BLOCK_DRAWS // max(m, 1))
     for lo in range(0, trials, step):
         rows = range(lo, min(lo + step, trials))

@@ -46,9 +46,6 @@ from .core import (
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
-MODE_EXACT = "exact"
-MODE_LOWER_BOUND = "lower-bound-only"
-
 
 @dataclass(frozen=True)
 class ProjectionTable:
@@ -70,9 +67,9 @@ class _Columns:
 class VcReport:
     """Outcome of a VC computation.
 
-    ``exact`` is False when the search stopped at the node budget or ran in
-    lower-bound-only mode; ``vc`` is then a verified lower bound.  ``witness``
-    is the lexicographically first shattered set of size ``vc``; ``levels[k]``
+    ``exact`` is False only when the search stopped at the node budget;
+    ``vc`` is then a verified lower bound.  ``witness`` is the
+    lexicographically first shattered set of size ``vc``; ``levels[k]``
     counts the shattered k-subsets for k <= vc (levels[0] is 1 for the empty
     set), counted on first read.  ``nodes`` counts the split attempts of
     the search, plus one per domain point for building the columns.  A
@@ -385,9 +382,7 @@ def is_shattered(cls: HypothesisClass, subset: Sequence[int]) -> bool:
 
 
 def vc_dimension(
-    cls: HypothesisClass,
-    mode: str = MODE_EXACT,
-    budget: Optional[int] = DEFAULT_NODE_BUDGET,
+    cls: HypothesisClass, budget: Optional[int] = DEFAULT_NODE_BUDGET
 ) -> VcReport:
     """VC dimension by branch-and-bound search for shattered sets.
 
@@ -395,11 +390,8 @@ def vc_dimension(
     log2 |class| and the number of non-constant points; the search ends at
     the first k with no shattered set.  ``nodes`` counts split attempts, and
     passing the node budget returns the largest size found so far as a lower
-    bound with ``exact=False``.  Lower-bound-only mode reports the search
-    result as a lower bound; ``is_shattered`` verifies a claimed set.
+    bound with ``exact=False``; ``is_shattered`` verifies a claimed set.
     """
-    if mode not in (MODE_EXACT, MODE_LOWER_BOUND):
-        raise ValueError(f"unknown mode {mode!r}")
     if len(cls) == 0:
         raise ValueError("class must be nonempty")
 
@@ -414,8 +406,6 @@ def vc_dimension(
     best, nodes, exact = _largest_shattered(
         columns, vc_cap, cls.domain.size, budget, orbits
     )
-    if mode == MODE_LOWER_BOUND:
-        exact = False
     return VcReport(
         vc=len(best),
         exact=exact,

@@ -164,7 +164,7 @@ def test_criterion_4_aux_dimension_sandwich():
         assert rep.exact, "sandwich needs the exact dimension"
         lower, upper = d_a_interval(d, dstar)
         assert lower <= rep.vc <= upper, (d, dstar, rep.vc, lower, upper)
-        witness = construct_lemma2_witness(H, Phi, verify=True)
+        witness = construct_lemma2_witness(H, Phi)
         assert len(witness) == d + dstar - 2
         return rep.vc
 

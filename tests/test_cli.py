@@ -100,12 +100,16 @@ def test_vc_budget_exhausted_reports_nodes_and_level(tmp_path, capsys):
 
 
 def test_vc_lower_bound_mode(tmp_path, capsys):
+    # there is no --mode: a lower bound comes only from a search cut by --budget
     path = write_json(tmp_path, "full8.json", class_to_json(full_class(8)))
-    rc, out, _ = run_cli(capsys, ["vc", path, "--mode", "lower-bound-only"])
-    assert rc == 0
-    report = json.loads(out)
-    assert report["vc"] == 8
-    assert report["exact"] is False
+    for argv in (["vc", path], ["sim", "--config", comparison_config_json(tmp_path)]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--mode", "lower-bound-only"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --mode lower-bound-only" in captured.err
+        assert "Traceback" not in captured.err
 
 
 # --- construct ------------------------------------------------------------------
@@ -324,6 +328,17 @@ def test_bounds_inputs_file_must_hold_an_object(tmp_path, capsys):
     assert "JSON object" in err
 
 
+@pytest.mark.parametrize(
+    "extra, names",
+    [({"foo": 1}, "foo"), ({"foo": 1, "eps-erm": 0.1, "C": 2}, "C, eps-erm, foo")],
+)
+def test_bounds_inputs_file_rejects_unknown_keys(tmp_path, capsys, extra, names):
+    raw = {"m": 99, "delta": 0.05, "d": 2, "dstar": 1, "d_a": 3, **extra}
+    path = write_json(tmp_path, "inputs.json", raw)
+    rc, out, err = run_cli(capsys, ["bounds", "--inputs", path])
+    assert (rc, out, err) == (2, "", f"input error: unknown bounds inputs: {names}\n")
+
+
 def test_bounds_missing_flags(capsys):
     rc, _, err = run_cli(capsys, ["bounds", "--m", "99"])
     assert rc == 2
@@ -421,19 +436,17 @@ def test_sim_comparison_persists_run(tmp_path, capsys):
 
 
 def test_sim_comparison_env_threads(tmp_path, capsys):
-    # --threads is accepted for compatibility and changes no output byte
-    path = comparison_config_json(tmp_path)
-    rc, out, _ = run_cli(capsys, ["--threads", "2", "sim", "--config", path])
-    assert rc == 0
-    baseline_rc, baseline_out, _ = run_cli(capsys, ["sim", "--config", path])
-    assert baseline_rc == 0
-    assert out == baseline_out
-    # and it is checked when the arguments are parsed, before any command runs
-    with pytest.raises(SystemExit) as exc:
-        main(["--threads", "0", "bounds", "--m", "99", "--delta", "0.05",
-              "--d", "2", "--dstar", "1", "--d-a", "3"])
-    assert exc.value.code == 2
-    assert "argument --threads: must be >= 1, got 0" in capsys.readouterr().err
+    # there is no --threads: argparse rejects it before any command runs
+    bounds = ["bounds", "--m", "99", "--delta", "0.05", "--d", "2", "--dstar", "1",
+              "--d-a", "3"]
+    for argv in (["sim", "--config", comparison_config_json(tmp_path)], bounds):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "2", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "priverm: error: argument command: invalid choice: '2'" in captured.err
+        assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(
@@ -442,13 +455,14 @@ def test_sim_comparison_env_threads(tmp_path, capsys):
      ["erm", "--h-class", "h.json", "--sample", "s.json"], ["sim", "--config", "c.json"]],
     ids=lambda argv: argv[0],
 )
-@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("threads", ["0", "-3", "2"])
 def test_every_command_rejects_a_bad_thread_count(capsys, argv, threads):
+    # priverm has no --threads flag, so argparse rejects every thread count
     with pytest.raises(SystemExit) as exc:
         main(["--threads", threads, *argv])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "argument --threads" in err and "Traceback" not in err
+    assert "priverm: error:" in err and "Traceback" not in err
 
 
 def test_sim_deviation(tmp_path, capsys):
@@ -537,6 +551,23 @@ def test_sim_size_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch, ki
     assert rc == 2
     assert out == ""
     assert err.startswith("input error: out of memory: Unable to allocate")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("kind", ["comparison", "deviation"])
+@pytest.mark.parametrize(
+    "field, value", [("m", 2**62), ("m", 10**400), ("trials", 10**400)],
+    ids=["m-2**62", "m-10**400", "trials-10**400"],
+)
+def test_sim_size_too_large_for_an_array_names_its_field(tmp_path, capsys, kind, field, value):
+    # numpy rejects these shapes before it allocates, so no memory is asked for
+    path = sim_config_json(tmp_path, kind, **{field: value})
+    out_dir = tmp_path / "run"
+    rc, out, err = run_cli(
+        capsys, ["--output-dir", str(out_dir), "sim", "--kind", kind, "--config", path]
+    )
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"input error: {field} is too large for an array: ")
     assert not out_dir.exists()
 
 
@@ -919,6 +950,11 @@ def test_format_table(capsys):
     assert rc == 0
     assert "b_erm" in out
     assert not out.lstrip().startswith("{")
+    # list and dict values print as JSON, so they read back
+    rows = dict(line.split(None, 1) for line in out.splitlines())
+    assert json.loads(rows["necessary"])["pr_leq_erm"] is False
+    assert "holds" in json.loads(rows["sufficient"])
+    assert json.loads(rows["d_a_interval"])[0] == 0.0
 
 
 def test_format_csv(tmp_path, capsys):

@@ -105,11 +105,14 @@ def test_lemma2_witness_sizes():
 
 def test_lemma2_witness_shattered_by_aux_class():
     H, Phi = construct_theorem1(2)
-    w = construct_lemma2_witness(H, Phi, verify=False)
+    w = construct_lemma2_witness(H, Phi)
     aux = build_aux_class(H, Phi)
     idx = [product_index(t.x, t.xstar, t.y, Phi.domain.size) for t in w]
     assert is_shattered(aux, idx)
     assert all(t.y == 0 for t in w)
+    # the witness is always checked; there is no option to skip it
+    with pytest.raises(TypeError):
+        construct_lemma2_witness(H, Phi, verify=False)
 
 
 def test_lemma2_witness_random_classes():
@@ -120,7 +123,7 @@ def test_lemma2_witness_random_classes():
         Phi = rand_class(rng, 4, 12, "X*")
         if vc_dimension(H).vc <= 1 or vc_dimension(Phi).vc <= 1:
             continue
-        w = construct_lemma2_witness(H, Phi)  # verify=True raises on failure
+        w = construct_lemma2_witness(H, Phi)  # raises if not shattered
         assert len(w) == vc_dimension(H).vc + vc_dimension(Phi).vc - 2
         built += 1
 

@@ -283,20 +283,16 @@ def test_comparison_trivial_phi_gives_equal_true_errors():
 
 
 def test_comparison_thread_count_does_not_change_records(tmp_path, capsys):
-    # --threads stays a CLI flag for compatibility; the library has no such option
+    # runs have one thread and no thread option; the CLI writes the library's bytes
     cfg = comparison_config()
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_json()), encoding="utf-8")
-    outs = []
-    for threads in ("1", "4"):
-        out = tmp_path / f"run{threads}"
-        assert main(["--threads", threads, "--output-dir", str(out), "sim",
-                     "--config", str(path)]) == 0
-        outs.append((out / "trials.csv").read_bytes())
+    out = tmp_path / "run"
+    assert main(["--output-dir", str(out), "sim", "--config", str(path)]) == 0
     capsys.readouterr()
     cfg = comparison_config(output_dir=str(tmp_path / "lib"))
     persist_run(*run_comparison(cfg), cfg)
-    assert outs[0] == outs[1] == (tmp_path / "lib" / "trials.csv").read_bytes()
+    assert (out / "trials.csv").read_bytes() == (tmp_path / "lib" / "trials.csv").read_bytes()
 
 
 def test_privileged_error_decomposition_per_trial():
@@ -416,7 +412,7 @@ def test_deviation_vanishes_at_large_sample():
 
 
 def test_deviation_threads_do_not_change_result(tmp_path, capsys):
-    # --threads stays a CLI flag for compatibility; the library has no such option
+    # runs have one thread and no thread option; the CLI reports the library's result
     Phi = full_class(4, "X*")
     family, _ = construct_theorem5_family(Phi, eps=0.1, delta=0.01)
     prime = phi_prime_subclass(Phi, family.pairs)
@@ -424,10 +420,8 @@ def test_deviation_threads_do_not_change_result(tmp_path, capsys):
     path = tmp_path / "dev.json"
     path.write_text(json.dumps({"phi_class": class_to_json(Phi), "eps": 0.1, "delta": 0.01,
                                 "m": 40, "trials": 200, "seed": 8}), encoding="utf-8")
-    for threads in ("1", "4"):
-        assert main(["--threads", threads, "sim", "--kind", "deviation",
-                     "--config", str(path)]) == 0
-        assert json.loads(capsys.readouterr().out) == want
+    assert main(["sim", "--kind", "deviation", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == want
     with pytest.raises(TypeError):
         run_theorem5_experiment(family, prime, m=40, trials=200, seed=8, threads=1)
 
@@ -479,8 +473,7 @@ def test_bad_sim_config_leaves_no_run_directory(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**cfg, "delta": 1.5}), encoding="utf-8")
     out = tmp_path / "run"
-    assert main(["--threads", "3", "--output-dir", str(out), "sim",
-                 "--config", str(path)]) == 2
+    assert main(["--output-dir", str(out), "sim", "--config", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "input error: delta must be in (0, 1), got 1.5\n"

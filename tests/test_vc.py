@@ -29,7 +29,7 @@ from priverm import (
 )
 from priverm.constructions import H1_PATTERNS, PHI1_PATTERNS, construct_theorem1, full_class
 from priverm.core import DomainMismatchError, class_from_json, class_to_json, product_index
-from priverm.vc import MODE_LOWER_BOUND, project
+from priverm.vc import project
 
 from conftest import rand_class
 
@@ -358,11 +358,6 @@ def test_vc_report_equality_and_witness_levels():
     assert a == b and hash(a) == hash(b)
     assert a != vc_dimension(full_class(3))
     assert a.levels == (1, 4, 6, 4, 1)
-    # a lower-bound-only report counts the levels of the size it reached
-    report = vc_dimension(full_class(4), mode=MODE_LOWER_BOUND)
-    assert report.witness == (0, 1, 2, 3) and not report.exact
-    assert report.levels == (1, 4, 6, 4, 1)
-    assert report.to_json()["levels"] == [1, 4, 6, 4, 1]
 
 
 def test_vc_budget_stops_at_largest_size_found():
@@ -384,18 +379,15 @@ def test_vc_lower_bound_mode_with_witness():
     # a claimed set is verified by is_shattered, in any order, and its size
     # is then a lower bound on the VC dimension
     assert is_shattered(full_class(3), [2, 0])
-    assert vc_dimension(full_class(3), mode=MODE_LOWER_BOUND).vc >= 2
     assert not is_shattered(h1(), [0, 1])
 
 
-def test_vc_lower_bound_mode_without_witness_searches():
-    report = vc_dimension(full_class(3), mode=MODE_LOWER_BOUND)
-    assert report.vc == 3 and not report.exact
-
-
 def test_vc_rejects_bad_mode_and_empty_class():
-    with pytest.raises(ValueError):
-        vc_dimension(h1(), mode="guess")
+    # the search has no modes: exact is False only when the budget cut it short
+    with pytest.raises(TypeError):
+        vc_dimension(h1(), mode="lower-bound-only")
+    with pytest.raises(ValueError, match="class must be nonempty"):
+        vc_dimension(HypothesisClass.from_patterns(FiniteDomain(3, "X"), []))
 
 
 # --- growth function and Sauer ------------------------------------------------
