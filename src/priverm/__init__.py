@@ -25,11 +25,8 @@ from priverm.vc import (
     VcReport,
     build_aux_class,
     build_f_class,
-    build_loss_class,
-    growth_function,
     is_shattered,
     k_fold_union,
-    sauer_bound,
     union_class,
     vc_dimension,
 )
@@ -59,7 +56,6 @@ from priverm.bounds import (
 _LAZY = {
     "ErmResult": "erm",
     "PrivilegedErmResult": "erm",
-    "empirical_stats": "erm",
     "erm_privileged": "erm",
     "erm_standard": "erm",
     "ExperimentConfig": "simulate",

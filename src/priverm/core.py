@@ -12,9 +12,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 PROB_TOLERANCE = 1e-12
+
+# ASCII base-2 digits to and from the byte values 0 and 1
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class DomainMismatchError(ValueError):
@@ -83,7 +88,7 @@ class Hypothesis:
             raise ValueError(
                 f"bit pattern length {len(self.bits)} != domain size {self.domain.size}"
             )
-        if any(b not in (0, 1) for b in self.bits):
+        if not set(self.bits) <= {0, 1}:
             raise ValueError("bits must all be 0 or 1")
 
     @cached_property
@@ -114,7 +119,10 @@ class Hypothesis:
 
     @classmethod
     def from_mask(cls, domain: FiniteDomain, mask: int) -> "Hypothesis":
-        return cls(domain, tuple((mask >> i) & 1 for i in range(domain.size)))
+        """Bit i of ``mask`` labels point i; bits past the domain are ignored."""
+        n = domain.size
+        digits = format(mask & ((1 << n) - 1), f"0{n}b")[::-1]
+        return cls(domain, tuple(digits.encode().translate(_FROM_DIGITS)))
 
 
 @dataclass(frozen=True)
@@ -128,12 +136,16 @@ class HypothesisClass:
     ``symmetries`` optionally lists point permutations that map the member
     set onto itself, each as a tuple whose entry p is the image of point p.
     They generate a group the exact VC search uses to drop whole orbits of
-    points (see ``vc.vc_dimension``, which checks each one before use and
-    rejects a bad one).  Only the named constructions set them: the triplet
-    products of ``construct_theorem1`` and the loss classes that
-    ``build_f_class`` and ``build_aux_class`` lift from those.  Every other
-    class, including one read from JSON, carries none.  The field takes no
-    part in equality, hashing, ``repr`` or ``class_to_json``.
+    points (see ``orbits``, which checks them once per class, on first
+    read).  Only the named constructions set them: the triplet products of
+    ``construct_theorem1`` and the loss classes that ``build_f_class`` and
+    ``build_aux_class`` lift from those.  Every other class, including one
+    read from JSON, carries none.  The field takes no part in equality,
+    hashing, ``repr`` or ``class_to_json``.
+
+    ``columns`` and ``orbits`` are computed on first read and kept with the
+    class, which is frozen; like the field above, they take no part in
+    equality, hashing or ``repr``.
     """
 
     domain: FiniteDomain
@@ -143,14 +155,23 @@ class HypothesisClass:
     )
 
     def __post_init__(self) -> None:
+        # one pass accepts a valid class: each member on the class domain,
+        # with bits strictly after the previous member's (sorted, no repeats)
+        dom, prev = self.domain, ()
         for h in self.members:
-            if h.domain != self.domain:
+            if h.domain != dom or h.bits <= prev:
+                break
+            prev = h.bits
+        else:
+            return
+        # on a fault, a foreign member is named before a repeat and a repeat
+        # before misorder, wherever in the members each one sits
+        for h in self.members:
+            if h.domain != dom:
                 raise DomainMismatchError("all members must share the class domain")
-        seen = {h.bits for h in self.members}
-        if len(seen) != len(self.members):
+        if len({h.bits for h in self.members}) != len(self.members):
             raise ValueError("members must be deduplicated")
-        if list(self.members) != sorted(self.members, key=lambda h: h.bits):
-            raise ValueError("members must be in canonical (lexicographic) order")
+        raise ValueError("members must be in canonical (lexicographic) order")
 
     @classmethod
     def from_hypotheses(
@@ -179,6 +200,58 @@ class HypothesisClass:
 
     def __getitem__(self, i: int) -> Hypothesis:
         return self.members[i]
+
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """Bit column of each point: bit i is member i's label there.
+
+        Rows are read last member first, so member i lands on bit i of the
+        base-2 parse.
+        """
+        rows = [h.bits for h in reversed(self.members)]
+        return tuple([int(bytes(col).translate(_TO_DIGITS), 2) for col in zip(*rows)])
+
+    @cached_property
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
+        """Orbit of each point under ``symmetries``, () for a point they all fix.
+
+        Each generator is checked first: it must permute the domain and map
+        the member set onto itself, else ``ValueError``.  A read that raises
+        keeps nothing, so a class with a bad generator raises on every read.
+        Orbits come from union-find over the generators; the group is never
+        enumerated.
+        """
+        n = self.domain.size
+        identity = list(range(n))
+        rows = {h.bits for h in self.members}
+        for g in self.symmetries:
+            if sorted(g) != identity:
+                raise ValueError(f"symmetry {tuple(g)} is not a permutation of {n} points")
+            inverse = [0] * n
+            for p, q in enumerate(g):
+                inverse[q] = p
+            image = itemgetter(*inverse)
+            # one point has only the identity, and there itemgetter returns a bit
+            if n > 1 and any(image(r) not in rows for r in rows):
+                raise ValueError(f"symmetry {tuple(g)} does not map the class onto itself")
+        parent = list(range(n))
+
+        def find(p: int) -> int:
+            while parent[p] != p:
+                parent[p] = parent[parent[p]]
+                p = parent[p]
+            return p
+
+        for g in self.symmetries:
+            for p in range(n):
+                a, b = find(p), find(g[p])
+                if a != b:
+                    parent[a] = b
+        roots = [find(p) for p in range(n)]
+        groups: dict[int, list[int]] = {}
+        for p, r in enumerate(roots):
+            groups.setdefault(r, []).append(p)
+        return tuple([tuple(groups[r]) if len(groups[r]) > 1 else () for r in roots])
 
 
 @dataclass(frozen=True)

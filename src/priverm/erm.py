@@ -223,19 +223,3 @@ def erm_privileged(
         n_ignored=n_ig,
         n_unexplained=n_u,
     )
-
-
-def empirical_stats(
-    h: Hypothesis, phi: Hypothesis, S: TripleSample
-) -> tuple[float, float, float]:
-    """(flagged fraction, unexplained-error fraction, raw error fraction)."""
-    if S.m == 0:
-        return 0.0, 0.0, 0.0
-    n_ig = n_u = n_err = 0
-    for t in S.triples:
-        flagged = phi.bits[t.xstar] == 1
-        errored = h.bits[t.x] != t.y
-        n_ig += flagged
-        n_err += errored
-        n_u += errored and not flagged
-    return n_ig / S.m, n_u / S.m, n_err / S.m

@@ -1,7 +1,8 @@
-"""Shattering checks, exact VC dimension, growth functions, and loss classes.
+"""Shattering checks, exact VC dimension, unions, and product loss classes.
 
-The engine works on integer bit columns: for each domain point j, ``col[j]``
-has bit i set iff member i labels point j with 1.  A subset is shattered iff
+The engine works on integer bit columns: for each domain point j,
+``cls.columns[j]`` has bit i set iff member i labels point j with 1; a
+class builds them on first read and keeps them.  A subset is shattered iff
 progressively splitting the member set by each column leaves every cell
 nonempty.  Exact VC dimension is found by branch-and-bound: for target sizes
 k = 1, 2, ... a depth-first search over the points in increasing order
@@ -13,11 +14,11 @@ each survivor only the survivors after it (forward checking); a node whose
 first descent succeeds tests no more than it walked.  The first k-set the
 search reaches is therefore the lexicographically first shattered k-set,
 and the search ends at the first k with none.  A class that carries
-symmetries (point permutations that map it onto itself, checked before
-use) drops more: when a root's descent fails, no shattered set of that
-size or larger holds the root or any of its images, so its whole orbit is
-dropped for the rest of the search.  A class without them runs the search
-above node for node.
+symmetries (point permutations that map it onto itself, checked once per
+class, on first read of ``cls.orbits``) drops more: when a root's descent
+fails, no shattered set of that size or larger holds the root or any of its
+images, so its whole orbit is dropped for the rest of the search.  A class
+without them runs the search above node for node.
 ``VcReport.levels`` counts the shattered sets of each size up to the VC
 dimension by a second depth-first search, which also passes only the
 extending points down, run only when the counts are read.  A node budget
@@ -29,30 +30,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
-from operator import itemgetter, or_
+from itertools import combinations_with_replacement
+from operator import or_
 from typing import Callable, Optional, Sequence
 
 from .core import (
     DomainMismatchError,
-    FiniteDomain,
     Hypothesis,
     HypothesisClass,
-    labeled_domain,
     product_domain,
     product_index,
     product_points,
 )
 
 DEFAULT_NODE_BUDGET = 10_000_000
-
-
-@dataclass(frozen=True)
-class ProjectionTable:
-    """Distinct bit patterns a class induces on an ordered point subset."""
-
-    subset: tuple[int, ...]
-    patterns: frozenset[tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -72,7 +63,7 @@ class VcReport:
     lexicographically first shattered set of size ``vc``; ``levels[k]``
     counts the shattered k-subsets for k <= vc (levels[0] is 1 for the empty
     set), counted on first read.  ``nodes`` counts the split attempts of
-    the search, plus one per domain point for building the columns.  A
+    the search, plus one per domain point for the columns, built or not.  A
     node's remaining points are tested once after its first descent fails,
     so ``nodes``, and where the budget runs out the lower bound reached,
     differ from a search without forward checking wherever a first descent
@@ -129,68 +120,6 @@ def _validate_subset(cls: HypothesisClass, subset: Sequence[int]) -> tuple[int, 
                 f"index {p} outside domain of size {cls.domain.size}"
             )
     return pts
-
-
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _columns(cls: HypothesisClass, points: Optional[Sequence[int]] = None) -> list[int]:
-    """Bit column of each point in ``points`` (default: the whole domain).
-
-    Rows are read last member first, so member i lands on bit i of the
-    base-2 parse.
-    """
-    rows = [h.bits for h in reversed(cls.members)]
-    cols = zip(*rows) if points is None else (map(itemgetter(p), rows) for p in points)
-    return [int(bytes(col).translate(_DIGITS), 2) for col in cols]
-
-
-def _orbits(
-    cls: HypothesisClass, active: Sequence[int]
-) -> Optional[list[tuple[int, ...]]]:
-    """Orbit of each active point under ``cls.symmetries``, as column indices.
-
-    Each generator is checked first: it must permute the domain and map the
-    member set onto itself, else ``ValueError``.  Orbits come from
-    union-find over the generators; the group is never enumerated.  A point
-    whose orbit is itself alone gets (); None when every orbit is a
-    singleton.
-    """
-    n = cls.domain.size
-    identity = list(range(n))
-    rows = {h.bits for h in cls.members}
-    for g in cls.symmetries:
-        if sorted(g) != identity:
-            raise ValueError(f"symmetry {tuple(g)} is not a permutation of {n} points")
-        inverse = [0] * n
-        for p, q in enumerate(g):
-            inverse[q] = p
-        image = itemgetter(*inverse)
-        # one point has only the identity, and there itemgetter returns a bit
-        if n > 1 and any(image(r) not in rows for r in rows):
-            raise ValueError(f"symmetry {tuple(g)} does not map the class onto itself")
-    parent = list(range(n))
-
-    def find(p: int) -> int:
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    for g in cls.symmetries:
-        for p in active:
-            a, b = find(p), find(g[p])
-            if a != b:
-                parent[a] = b
-    groups: dict[int, list[int]] = {}
-    for i, p in enumerate(active):
-        groups.setdefault(find(p), []).append(i)
-    orbits: list[tuple[int, ...]] = [()] * len(active)
-    for group in groups.values():
-        if len(group) > 1:
-            for i in group:
-                orbits[i] = tuple(group)
-    return orbits if any(orbits) else None
 
 
 def _split(cells: list[int], col: int, floor: int) -> Optional[list[int]]:
@@ -361,21 +290,15 @@ def _count_shattered(columns: _Columns, top: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def project(cls: HypothesisClass, subset: Sequence[int]) -> ProjectionTable:
-    """Table of distinct labelings cls realizes on the given points."""
-    pts = _validate_subset(cls, subset)
-    patterns = {tuple(h.bits[p] for p in pts) for h in cls.members}
-    return ProjectionTable(subset=pts, patterns=frozenset(patterns))
-
-
 def is_shattered(cls: HypothesisClass, subset: Sequence[int]) -> bool:
     """True iff the class realizes all 2^|subset| labelings on the subset."""
     pts = _validate_subset(cls, subset)
     if len(cls) < (1 << len(pts)):
         return False
+    cols = cls.columns
     cells = [(1 << len(cls)) - 1]
-    for col in _columns(cls, pts):
-        cells = _split(cells, col, 1)
+    for p in pts:
+        cells = _split(cells, cols[p], 1)
         if cells is None:
             return False
     return True
@@ -396,12 +319,19 @@ def vc_dimension(
         raise ValueError("class must be nonempty")
 
     full = (1 << len(cls)) - 1
-    cols = _columns(cls)
+    cols = cls.columns
     # points whose column is non-constant; only these can join a shattered set
     active = [p for p, col in enumerate(cols) if col != 0 and col != full]
     columns = _Columns(full, tuple([cols[p] for p in active]))
     vc_cap = min(len(cls).bit_length() - 1, len(active))
-    orbits = _orbits(cls, active) if cls.symmetries else None
+    orbits = None
+    if cls.symmetries:
+        # a symmetry maps constant columns to constant ones, so the orbit of
+        # an active point holds active points only
+        index = {p: i for i, p in enumerate(active)}
+        orbits = [tuple([index[q] for q in cls.orbits[p]]) for p in active]
+        if not any(orbits):
+            orbits = None
 
     best, nodes, exact = _largest_shattered(
         columns, vc_cap, cls.domain.size, budget, orbits
@@ -413,38 +343,6 @@ def vc_dimension(
         nodes=nodes,
         columns=columns,
     )
-
-
-def growth_function(cls: HypothesisClass, m: int) -> int:
-    """Max number of distinct labelings over any m-point subset.
-
-    Exact by enumeration of all m-subsets; intended for small domains.
-    """
-    if not 0 <= m <= cls.domain.size:
-        raise ValueError(f"m must be in [0, {cls.domain.size}], got {m}")
-    if m == 0:
-        return 1
-    best = 0
-    for pts in combinations(range(cls.domain.size), m):
-        seen = set()
-        for h in cls.members:
-            pat = 0
-            for j, p in enumerate(pts):
-                if h.bits[p]:
-                    pat |= 1 << j
-            seen.add(pat)
-        if len(seen) > best:
-            best = len(seen)
-            if best == 1 << m:
-                return best
-    return best
-
-
-def sauer_bound(d: int, m: int) -> int:
-    """Sum of C(m, i) for i = 0..d."""
-    if d < 0 or m < 0:
-        raise ValueError("d and m must be nonnegative")
-    return sum(math.comb(m, i) for i in range(min(d, m) + 1))
 
 
 def union_class(a: HypothesisClass, b: HypothesisClass) -> HypothesisClass:
@@ -526,25 +424,3 @@ def build_aux_class(H: HypothesisClass, Phi: HypothesisClass) -> HypothesisClass
     The symmetries of H and Phi are lifted to product points.
     """
     return _product_class(H, Phi, lambda e, g: e & ~g)
-
-
-def build_loss_class(cls: HypothesisClass, which: str) -> HypothesisClass:
-    """Loss class over (point, y) pairs.
-
-    ``nonprivileged`` gives the misclassification indicators (x,y) -> 1[h(x)!=y];
-    ``privileged`` gives the flag indicators (x*,y) -> 1[phi(x*)=1].  Both have
-    the same VC dimension as the input class.
-    """
-    if len(cls) == 0:
-        raise ValueError("class must be nonempty")
-    dom = labeled_domain(cls.domain.size, cls.domain.label)
-    out = []
-    for h in cls.members:
-        if which == "nonprivileged":
-            bits = tuple(h.bits[x] ^ y for x in range(cls.domain.size) for y in (0, 1))
-        elif which == "privileged":
-            bits = tuple(h.bits[x] for x in range(cls.domain.size) for _ in (0, 1))
-        else:
-            raise ValueError(f"which must be 'nonprivileged' or 'privileged', got {which!r}")
-        out.append(Hypothesis(dom, bits))
-    return HypothesisClass.from_hypotheses(dom, out)

@@ -1052,14 +1052,14 @@ PACKAGE_EXPORTS = {
         "aux_loss composite_loss exact_true_error f_loss ignoring_loss zero_one_loss"
     ),
     "vc": (
-        "VcReport build_aux_class build_f_class build_loss_class growth_function "
-        "is_shattered k_fold_union sauer_bound union_class vc_dimension"
+        "VcReport build_aux_class build_f_class is_shattered k_fold_union "
+        "union_class vc_dimension"
     ),
     "constructions": (
         "Theorem5Family construct_lemma1_tight construct_lemma2_witness "
         "construct_theorem1 construct_theorem5_family phi_prime_subclass"
     ),
-    "erm": "ErmResult PrivilegedErmResult empirical_stats erm_privileged erm_standard",
+    "erm": "ErmResult PrivilegedErmResult erm_privileged erm_standard",
     "bounds": (
         "BoundInputs alpha_threshold bound_erm bound_pr d_a_interval "
         "necessary_condition r_fast r_slow sufficient_condition"

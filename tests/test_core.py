@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from priverm import (
@@ -105,6 +105,96 @@ def test_class_dedup_and_canonical_order():
         HypothesisClass(dom, (Hypothesis(dom, (1, 0)), Hypothesis(dom, (0, 1))))
     with pytest.raises(DomainMismatchError):
         HypothesisClass(dom, (Hypothesis(FiniteDomain(3), (0, 0, 0)),))
+
+
+# --- construction against the per-element checks it replaced --------------------
+
+
+def _old_bits_ok(bits) -> bool:
+    return not any(b not in (0, 1) for b in bits)
+
+
+def _old_class_fault(domain, members):
+    """(type, message) the member checks raised before the one-pass check, or None."""
+    for h in members:
+        if h.domain != domain:
+            return DomainMismatchError, "all members must share the class domain"
+    if len({h.bits for h in members}) != len(members):
+        return ValueError, "members must be deduplicated"
+    if list(members) != sorted(members, key=lambda h: h.bits):
+        return ValueError, "members must be in canonical (lexicographic) order"
+    return None
+
+
+def _class_fault(domain, members):
+    try:
+        HypothesisClass(domain, tuple(members))
+    except ValueError as e:
+        return type(e), str(e)
+    return None
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_from_mask_matches_the_per_bit_formula(data):
+    n = data.draw(st.integers(1, 200))
+    mask = data.draw(st.integers(-(1 << (n + 2)), (1 << (n + 2)) - 1))
+    h = Hypothesis.from_mask(FiniteDomain(n), mask)
+    assert h.bits == tuple((mask >> i) & 1 for i in range(n))
+    assert all(type(b) is int for b in h.bits)
+
+
+@pytest.mark.parametrize("bad", [2, -1, "1", 0.5, None, "0"])
+def test_hypothesis_rejects_values_that_are_not_bits(bad):
+    with pytest.raises(ValueError, match="bits must all be 0 or 1"):
+        Hypothesis(FiniteDomain(3), (0, bad, 1))
+
+
+@pytest.mark.parametrize("good", [True, False, 1.0, 0.0])
+def test_hypothesis_accepts_values_equal_to_a_bit(good):
+    assert Hypothesis(FiniteDomain(2), (1, good)).bits == (1, good)
+
+
+@given(st.lists(
+    st.one_of(st.integers(-2, 3), st.booleans(), st.floats(-1, 2), st.sampled_from("01x")),
+    min_size=1, max_size=8,
+))
+def test_bit_check_matches_the_per_element_check(bits):
+    try:
+        Hypothesis(FiniteDomain(len(bits)), tuple(bits))
+        ok = True
+    except ValueError:
+        ok = False
+    assert ok == _old_bits_ok(bits)
+
+
+def test_class_faults_keep_their_type_and_message():
+    dom, other = FiniteDomain(2), FiniteDomain(2, "X*")
+    a, b, c = (Hypothesis(dom, p) for p in [(0, 0), (0, 1), (1, 0)])
+    cases = {
+        "member on another domain": (a, Hypothesis(other, (0, 1)), c),
+        "adjacent duplicate": (a, b, b, c),
+        "non-adjacent duplicate, unsorted": (c, a, b, a),
+        "unsorted": (a, c, b),
+    }
+    want = {
+        "member on another domain": (DomainMismatchError, "all members must share the class domain"),
+        "adjacent duplicate": (ValueError, "members must be deduplicated"),
+        "non-adjacent duplicate, unsorted": (ValueError, "members must be deduplicated"),
+        "unsorted": (ValueError, "members must be in canonical (lexicographic) order"),
+    }
+    for name, members in cases.items():
+        assert _class_fault(dom, members) == _old_class_fault(dom, members) == want[name], name
+    assert _class_fault(dom, (a, b, c)) is None
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.booleans(), st.lists(st.integers(0, 1), min_size=3, max_size=3)),
+                max_size=8))
+def test_class_check_matches_the_three_member_checks(raw):
+    dom, other = FiniteDomain(3), FiniteDomain(3, "X*")
+    members = [Hypothesis(other if off else dom, tuple(bits)) for off, bits in raw]
+    assert _class_fault(dom, members) == _old_class_fault(dom, members)
 
 
 def test_triple_validation():

@@ -7,12 +7,10 @@ import pytest
 
 from priverm import (
     FiniteDomain,
-    Hypothesis,
     HypothesisClass,
     Triple,
     TripleSample,
     composite_loss,
-    empirical_stats,
     erm_privileged,
     erm_standard,
     ignoring_loss,
@@ -272,37 +270,3 @@ def test_composite_loss_agrees_with_objective():
             for t in S
         )
         assert res.objective == pytest.approx(total / S.m, abs=1e-12)
-
-
-# --- empirical statistics --------------------------------------------------------
-
-
-def test_empirical_stats_counting():
-    domx = FiniteDomain(5, "X")
-    doms = FiniteDomain(5, "X*")
-    h = Hypothesis(domx, (0, 1, 1, 0, 0))  # errs where its bit disagrees with y=0
-    phi = Hypothesis(doms, (0, 0, 1, 1, 0))  # flags points 2 and 3
-    S = TripleSample(tuple(Triple(i, i, 0) for i in range(5)))
-    eps_ig, eps_u, raw = empirical_stats(h, phi, S)
-    assert eps_ig == 0.4
-    assert eps_u == 0.2  # only the error at x=1 goes unflagged
-    assert raw == 0.4
-
-
-def test_empirical_stats_degenerate_phis():
-    domx = FiniteDomain(2, "X")
-    doms = FiniteDomain(2, "X*")
-    h = Hypothesis(domx, (1, 0))
-    S = TripleSample((Triple(0, 0, 0), Triple(1, 1, 1), Triple(0, 1, 1)))
-    ones = Hypothesis(doms, (1, 1))
-    zeros = Hypothesis(doms, (0, 0))
-    assert empirical_stats(h, ones, S) == (1.0, 0.0, pytest.approx(2 / 3))
-    ig, u, raw = empirical_stats(h, zeros, S)
-    assert ig == 0.0 and u == raw
-
-
-def test_empirical_stats_empty_sample():
-    domx = FiniteDomain(1, "X")
-    doms = FiniteDomain(1, "X*")
-    h, phi = Hypothesis(domx, (0,)), Hypothesis(doms, (1,))
-    assert empirical_stats(h, phi, TripleSample(())) == (0.0, 0.0, 0.0)

@@ -1,4 +1,4 @@
-"""Shattering, exact VC dimension, growth functions, unions, loss classes."""
+"""Shattering, exact VC dimension, per-class caches, unions, loss classes."""
 
 import dataclasses
 import hashlib
@@ -16,20 +16,24 @@ from priverm import (
     HypothesisClass,
     build_aux_class,
     build_f_class,
-    build_loss_class,
     f_loss,
     aux_loss,
     Triple,
-    growth_function,
+    ignoring_loss,
     is_shattered,
     k_fold_union,
-    sauer_bound,
     union_class,
     vc_dimension,
+    zero_one_loss,
 )
 from priverm.constructions import H1_PATTERNS, PHI1_PATTERNS, construct_theorem1, full_class
-from priverm.core import DomainMismatchError, class_from_json, class_to_json, product_index
-from priverm.vc import project
+from priverm.core import (
+    DomainMismatchError,
+    class_from_json,
+    class_to_json,
+    labeled_domain,
+    product_index,
+)
 
 from conftest import rand_class
 
@@ -86,12 +90,6 @@ def test_full_class_shatters_everything():
 
 def test_empty_subset_is_shattered():
     assert is_shattered(h1(), [])
-
-
-def test_project_counts_patterns():
-    table = project(h1(), (0, 1))
-    assert table.subset == (0, 1)
-    assert table.patterns == {(0, 0), (1, 0), (1, 1)}
 
 
 # --- vc_dimension -------------------------------------------------------------
@@ -338,6 +336,46 @@ def test_vc_rejects_bad_symmetries():
         vc_dimension(dataclasses.replace(H, symmetries=((1, 0, 2, 3, 4, 5),)))
 
 
+# --- per-class columns and orbits ----------------------------------------------
+
+
+def test_bad_symmetry_raises_on_every_search():
+    # a read that raises keeps nothing, so the check runs again
+    H, _ = construct_theorem1(2)
+    bad = dataclasses.replace(H, symmetries=((1, 0, 2, 3, 4, 5),))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="onto itself"):
+            vc_dimension(bad)
+        assert "orbits" not in vars(bad)
+
+
+def test_cached_class_answers_as_a_fresh_one():
+    H, Phi = construct_theorem1(2)
+    diag = [product_index(i, i, 0, Phi.domain.size) for i in range(6)]
+    for build in (build_f_class, build_aux_class):
+        cached = build(H, Phi)
+        first = vc_dimension(cached)
+        assert "columns" in vars(cached) and "orbits" in vars(cached)
+        for _ in range(2):
+            again, fresh = vc_dimension(cached), vc_dimension(build(H, Phi))
+            for report in (again, fresh):
+                assert (report.vc, report.witness, report.nodes, report.levels) == (
+                    first.vc, first.witness, first.nodes, first.levels
+                )
+        for pts in (first.witness, diag, diag[:3], (0, 1), ()):
+            assert is_shattered(cached, pts) == is_shattered(build(H, Phi), pts)
+
+
+def test_cached_reads_stay_out_of_equality_hash_and_repr():
+    H, Phi = construct_theorem1(2)
+    cached, fresh = build_f_class(H, Phi), build_f_class(H, Phi)
+    vc_dimension(cached)
+    assert "columns" in vars(cached) and "orbits" in vars(cached)
+    assert cached == fresh and hash(cached) == hash(fresh)
+    assert repr(cached) == repr(fresh)
+    assert "columns" not in vars(fresh)
+
+
 @pytest.mark.parametrize("budget", [20, 60, 200, 600])
 def test_vc_budget_on_symmetric_class_stops_at_lex_first_lower_bound(budget):
     H, _ = construct_theorem1(2)
@@ -390,32 +428,15 @@ def test_vc_rejects_bad_mode_and_empty_class():
         vc_dimension(HypothesisClass.from_patterns(FiniteDomain(3, "X"), []))
 
 
-# --- growth function and Sauer ------------------------------------------------
+# --- Sauer's lemma -------------------------------------------------------------
 
 
-def test_growth_function_h1():
-    cls = h1()
-    assert growth_function(cls, 0) == 1
-    assert growth_function(cls, 1) == 2
-    assert growth_function(cls, 3) == 4  # all four members distinct on 3 points
-    with pytest.raises(ValueError):
-        growth_function(cls, 4)
-
-
-def test_growth_function_full_class():
-    cls = full_class(4)
-    for m in range(5):
-        assert growth_function(cls, m) == 2**m
-
-
-def test_sauer_bound_values():
-    assert sauer_bound(0, 5) == 1
-    assert sauer_bound(2, 4) == 11
-    for m in range(6):
-        assert sauer_bound(m, m) == 2**m
-    assert sauer_bound(7, 3) == 8  # d past m truncates
-    with pytest.raises(ValueError):
-        sauer_bound(-1, 3)
+def growth(cls: HypothesisClass, m: int) -> int:
+    """Most distinct labelings the class makes on any m points, by enumeration."""
+    return max(
+        len({tuple(h.bits[p] for p in pts) for h in cls.members})
+        for pts in combinations(range(cls.domain.size), m)
+    )
 
 
 @settings(deadline=None, max_examples=30)
@@ -425,8 +446,8 @@ def test_sauer_lemma_on_random_classes(seed, size, members):
     cls = rand_class(rng, size, members)
     d = vc_dimension(cls).vc
     for m in range(size + 1):
-        g = growth_function(cls, m)
-        assert g <= sauer_bound(d, m)
+        g = growth(cls, m)
+        assert g <= sum(math.comb(m, i) for i in range(min(d, m) + 1))
         if g < 2**m:
             assert d < m
 
@@ -525,7 +546,7 @@ def test_f_class_members_match_pointwise_loss():
 def test_f_class_all_labelings_on_restricted_triple():
     F = build_f_class(h1(), phi1())
     diag = [product_index(i, i, 0, 3) for i in range(3)]
-    assert len(project(F, diag).patterns) == 8
+    assert len({tuple(h.bits[p] for p in diag) for h in F}) == 8
 
 
 def test_aux_class_degenerate_phis():
@@ -570,21 +591,18 @@ def test_build_classes_reject_empty():
 
 
 def test_loss_class_preserves_vc():
+    # the loss classes over (point, y) pairs, from the per-point losses, have
+    # the VC dimension of the class they come from
     for cls in (h1(), phi1(), full_class(3)):
-        for which in ("nonprivileged", "privileged"):
-            lifted = build_loss_class(cls, which)
+        n = cls.domain.size
+        dom = labeled_domain(n, cls.domain.label)
+        for loss in (zero_one_loss, ignoring_loss):
+            lifted = HypothesisClass.from_patterns(
+                dom, ([loss(h(x), y) for x in range(n) for y in (0, 1)] for h in cls)
+            )
             assert vc_dimension(lifted).vc == vc_dimension(cls).vc
 
 
-def test_loss_class_semantics():
-    dom = FiniteDomain(2)
-    cls = HypothesisClass.from_patterns(dom, [(0, 1)])
-    non = build_loss_class(cls, "nonprivileged")
-    assert non[0].bits == (0, 1, 1, 0)  # h(x) xor y over (x, y) pairs
-    priv = build_loss_class(cls, "privileged")
-    assert priv[0].bits == (0, 0, 1, 1)  # flag value repeated for both labels
-    with pytest.raises(ValueError):
-        build_loss_class(cls, "other")
 
 
 def test_f_member_is_or_of_lifted_members():
