@@ -20,6 +20,8 @@ PROB_TOLERANCE = 1e-12
 # ASCII base-2 digits to and from the byte values 0 and 1
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# any value equal to a bit (1.0, True), looked up as that bit's int
+_BIT = {0: 0, 1: 1}
 
 
 class DomainMismatchError(ValueError):
@@ -75,9 +77,11 @@ def labeled_index(point: int, y: int) -> int:
 class Hypothesis:
     """A total binary labeling of a finite domain.
 
-    ``bits[i]`` is the label of point ``i``.  Hypotheses are immutable and
-    hashable; the integer ``mask`` view (bit i = label of point i) is cached
-    for fast projections.
+    ``bits[i]`` is the label of point ``i``.  Any value equal to 0 or 1 is
+    accepted as a bit (``True``, ``1.0``) and stored as the int 0 or 1, so
+    a hypothesis equals, hashes and serialises like its int twin.
+    Hypotheses are immutable and hashable; the integer ``mask`` view (bit i
+    = label of point i) is cached for fast projections.
     """
 
     domain: FiniteDomain
@@ -88,8 +92,17 @@ class Hypothesis:
             raise ValueError(
                 f"bit pattern length {len(self.bits)} != domain size {self.domain.size}"
             )
-        if not set(self.bits) <= {0, 1}:
-            raise ValueError("bits must all be 0 or 1")
+        try:
+            # ints and bools in one pass; a float, a string or None raises
+            raw = bytes(self.bits)
+        except (TypeError, ValueError):
+            raw = None
+        if raw is None or raw.translate(None, b"\x00\x01"):
+            try:
+                raw = bytes(map(_BIT.__getitem__, self.bits))
+            except KeyError:
+                raise ValueError("bits must all be 0 or 1") from None
+        object.__setattr__(self, "bits", tuple(raw))
 
     @cached_property
     def mask(self) -> int:
@@ -122,7 +135,11 @@ class Hypothesis:
         """Bit i of ``mask`` labels point i; bits past the domain are ignored."""
         n = domain.size
         digits = format(mask & ((1 << n) - 1), f"0{n}b")[::-1]
-        return cls(domain, tuple(digits.encode().translate(_FROM_DIGITS)))
+        # n ints, each 0 or 1, by construction: nothing for __post_init__ to check
+        h = object.__new__(cls)
+        object.__setattr__(h, "domain", domain)
+        object.__setattr__(h, "bits", tuple(digits.encode().translate(_FROM_DIGITS)))
+        return h
 
 
 @dataclass(frozen=True)

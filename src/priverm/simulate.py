@@ -4,15 +4,18 @@ Per-trial randomness comes from one master seed: trial t uses a 64-bit
 splitmix-style hash of (seed, t), so each trial's draw is fixed however the
 trials are computed.  Trial t's uniforms are exactly those of
 ``np.random.default_rng(mix_seed(seed, t))``, but no generator is built per
-trial: NumPy's SeedSequence hash and PCG64's seeding run over a block of
-trial seeds at once, and one generator is set to each trial's state in
-turn.  ``sample`` takes the same path with one seed.  A drawn sample
-enters both experiments only as its count vector over the support; the
-comparison experiment hands all trials' counts to the ERM count kernel at
-once, the deviation experiment takes every trial's empirical flag rates
-from one matrix product.  True errors are computed exactly from the
-probability table, never estimated; the only randomness in any record is
-the sample itself.
+trial: a block of trial seeds is mixed as one uint64 array, NumPy's
+SeedSequence hash and PCG64's seeding run over the block at once, and one
+generator is set to each trial's state in turn.  ``sample`` takes the same
+path with one seed.  A drawn sample enters both experiments only as its
+count vector over the support, counted by thresholds: a trial's draws
+below each cumulative total of the support.  The comparison experiment
+hands all trials' counts to the ERM count kernel at once and evaluates the
+bounds once per distinct solved outcome; the deviation experiment takes
+every trial's empirical flag rates from one matrix product and counts its
+events over arrays.  True errors are computed exactly from the probability
+table, never estimated; the only randomness in any record is the sample
+itself.
 """
 
 from __future__ import annotations
@@ -89,8 +92,13 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def mix_seed(master: int, trial: int) -> int:
-    """Fixed 64-bit mixing of (master seed, trial index) into a trial seed."""
+def mix_seed(master: int, trial: int | np.ndarray) -> int | np.ndarray:
+    """Fixed 64-bit mixing of (master seed, trial index) into a trial seed.
+
+    ``trial`` may also be a uint64 array of trial indices; the result is
+    then the uint64 array of their seeds, element by element the same as
+    the scalar calls (uint64 arithmetic wraps mod 2**64, as the masks do).
+    """
     z = (master + 0x9E3779B97F4A7C15 * (trial + 1)) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -198,25 +206,27 @@ def _trial_counts(
 
     Trial t draws what ``sample(dist, m, mix_seed(seed, t))`` draws.  Rows
     are drawn in blocks of at most 2**16 uniforms (one row when m is
-    larger), and each block is counted by one bincount with row offsets.
+    larger), each block's seeds mixed as one array.  ``sample``'s index of
+    a draw u is at most j exactly when u < cum[j], because cum is
+    non-decreasing; so a row's count of draws below cum[j], for each
+    j < last, gives its counts up to point j, and the rest go to ``last``.
     """
     k = len(dist.support)
     cum, last = _inverse_cdf(dist)
     try:
-        counts = np.empty((trials, k), dtype=np.intp)
+        counts = np.zeros((trials, k), dtype=np.intp)
     except ValueError as exc:
         raise ValueError(f"trials is too large for an array: {exc}") from None
     step = max(1, _BLOCK_DRAWS // max(m, 1))
     for lo in range(0, trials, step):
-        rows = range(lo, min(lo + step, trials))
-        idx = np.searchsorted(
-            cum, _uniform_rows([mix_seed(seed, t) for t in rows], m), side="right"
-        )
-        np.minimum(idx, last, out=idx)
-        idx += np.arange(len(rows))[:, None] * k
-        counts[lo : lo + len(rows)] = np.bincount(
-            idx.ravel(), minlength=len(rows) * k
-        ).reshape(len(rows), k)
+        hi = min(lo + step, trials)
+        # a Python int master keeps the array's arithmetic in uint64
+        trial_seeds = mix_seed(operator.index(seed), np.arange(lo, hi, dtype=np.uint64))
+        u = _uniform_rows(trial_seeds, m)
+        below = np.empty((hi - lo, last), dtype=np.intp)
+        for j in range(last):
+            below[:, j] = np.count_nonzero(u < cum[j], axis=1)
+        counts[lo:hi, : last + 1] = np.diff(below, axis=1, prepend=0, append=m)
     return counts
 
 
@@ -317,9 +327,15 @@ def run_comparison(
     member of H, are computed once from the classes themselves.  Each
     trial's sample is drawn as its count vector over the support, and one
     call of the ERM count kernel solves both minimizers for every trial.
-    The bounds and coverage events are then evaluated trial by trial.
+    Every field of a record but ``trial`` is a function of the solved
+    outcome (standard ERM's error count, both minimizers' indices, and the
+    privileged flag and unflagged-error counts), so the bounds, the
+    sufficient condition and the coverage events are evaluated once per
+    distinct outcome of this call, and each trial gets its own record.
     ``config`` has checked every range, so every trial yields a record;
     the summary keeps an empty ``failed_trials`` list for its readers.
+    Its means are taken with ``math.fsum``, so they are the same on every
+    Python version.
     """
     _check_compatible(config)
     d = vc_dimension(config.H).vc
@@ -343,8 +359,8 @@ def run_comparison(
         sol.n_u.tolist(),
     )
 
-    records: list[TrialRecord] = []
-    for t, (n_e, i_erm, i_pr, n_ig, n_u) in enumerate(solved):
+    def evaluate(n_e: int, i_erm: int, i_pr: int, n_ig: int, n_u: int) -> tuple:
+        """The record fields after ``trial`` of one solved outcome."""
         eps_erm, eps_ig, eps_u = n_e / m, n_ig / m, n_u / m
         inputs = BoundInputs(
             m=m,
@@ -366,20 +382,18 @@ def run_comparison(
             if abs(gap) <= PREMISE_TOLERANCE
             else None
         )
-        records.append(TrialRecord(
-            trial=t,
-            eps_erm=eps_erm,
-            eps_ig=eps_ig,
-            eps_u=eps_u,
-            true_err_erm=te_erm,
-            true_err_pr=te_pr,
-            b_erm=b_e,
-            b_pr=b_p,
-            covered_erm=te_erm <= b_e,
-            covered_pr=te_pr <= b_p,
-            sufficient_holds=suff,
-            pr_leq_erm=b_p <= b_e,
-        ))
+        return (
+            eps_erm, eps_ig, eps_u, te_erm, te_pr, b_e, b_p,
+            te_erm <= b_e, te_pr <= b_p, suff, b_p <= b_e,
+        )
+
+    outcomes: dict[tuple, tuple] = {}
+    records: list[TrialRecord] = []
+    for t, key in enumerate(solved):
+        fields = outcomes.get(key)
+        if fields is None:
+            fields = outcomes[key] = evaluate(*key)
+        records.append(TrialRecord(t, *fields))
 
     n = len(records)
     summary = {
@@ -395,11 +409,11 @@ def run_comparison(
         "d_a": d_a,
         "coverage_erm": sum(r.covered_erm for r in records) / n,
         "coverage_pr": sum(r.covered_pr for r in records) / n,
-        "mean_eps_erm": sum(r.eps_erm for r in records) / n,
-        "mean_eps_ig": sum(r.eps_ig for r in records) / n,
-        "mean_eps_u": sum(r.eps_u for r in records) / n,
-        "mean_true_err_erm": sum(r.true_err_erm for r in records) / n,
-        "mean_true_err_pr": sum(r.true_err_pr for r in records) / n,
+        "mean_eps_erm": math.fsum(r.eps_erm for r in records) / n,
+        "mean_eps_ig": math.fsum(r.eps_ig for r in records) / n,
+        "mean_eps_u": math.fsum(r.eps_u for r in records) / n,
+        "mean_true_err_erm": math.fsum(r.true_err_erm for r in records) / n,
+        "mean_true_err_pr": math.fsum(r.true_err_pr for r in records) / n,
         "pr_leq_erm_rate": sum(r.pr_leq_erm for r in records) / n,
     }
     return records, summary
@@ -418,10 +432,11 @@ def run_theorem5_experiment(
     ``sample`` would produce), picks phi_hat minimizing the empirical flag
     rate over Phi_prime (first member on ties), and records the deviations
     of phi_hat and of phi_star, plus the largest true-minus-empirical gap
-    over the whole search class.  The reported frequencies are of the
-    events |deviation| > eps.  The family's worst-case sample-size constants
-    are far below desk scale, so frequencies here validate the qualitative
-    claim only; the summary states that gap.  The seed lies in [0, 2**64).
+    over the whole search class, each as a float64 array over the trials.
+    The reported frequencies are of the events |deviation| > eps, and
+    ``mean_dev_star`` is taken with ``math.fsum``.  The family's worst-case
+    sample-size constants are far below desk scale, so frequencies here
+    validate the qualitative claim only; the summary states that gap.  The seed lies in [0, 2**64).
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -449,20 +464,24 @@ def run_theorem5_experiment(
     p_star = true_rates[star_idx]
 
     counts = _trial_counts(dist, m, seed, trials)
-    dev_hat: list[float] = []
-    dev_star: list[float] = []
-    dev_max: list[float] = []
+    dev_hat = np.empty(trials)
+    dev_star = np.empty(trials)
+    dev_max = np.empty(trials)
     # counts are integers below 2**53, so every product and sum is exact
     step = max(1, BLOCK_CELLS // len(flag))
     for lo in range(0, trials, step):
         emp = counts[lo : lo + step] @ flag.T / m
+        rows = slice(lo, lo + len(emp))
         hat = emp.argmin(axis=1)
-        dev_hat += (true_rates[hat] - emp[np.arange(len(emp)), hat]).tolist()
-        dev_star += (p_star - emp[:, star_idx]).tolist()
-        dev_max += (true_rates - emp).max(axis=1).tolist()
+        dev_hat[rows] = true_rates[hat] - emp[np.arange(len(emp)), hat]
+        dev_star[rows] = p_star - emp[:, star_idx]
+        dev_max[rows] = (true_rates - emp).max(axis=1)
 
-    def freq(events) -> float:
-        return sum(events) / trials
+    def freq(events: np.ndarray) -> float:
+        return np.count_nonzero(events) / trials
+
+    abs_hat = np.abs(dev_hat) > eps
+    abs_star = np.abs(dev_star) > eps
 
     return {
         "m": m,
@@ -473,17 +492,12 @@ def run_theorem5_experiment(
         "alpha": family.alpha,
         "heavy_side": list(family.heavy_side),
         "p_star": float(p_star),
-        "mean_dev_star": sum(dev_star) / trials,
-        "freq_signed_hat": freq([d > eps for d in dev_hat]),
-        "freq_abs_hat": freq([abs(d) > eps for d in dev_hat]),
-        "freq_abs_star": freq([abs(d) > eps for d in dev_star]),
-        "freq_claim": freq(
-            [
-                abs(a) > eps or abs(b) > eps
-                for a, b in zip(dev_hat, dev_star)
-            ]
-        ),
-        "freq_existential": freq([d > eps for d in dev_max]),
+        "mean_dev_star": math.fsum(dev_star.tolist()) / trials,
+        "freq_signed_hat": freq(dev_hat > eps),
+        "freq_abs_hat": freq(abs_hat),
+        "freq_abs_star": freq(abs_star),
+        "freq_claim": freq(abs_hat | abs_star),
+        "freq_existential": freq(dev_max > eps),
         "note": (
             "worst-case sample-size constants are not reachable at desk "
             "scale; frequencies validate the qualitative claim only"

@@ -36,6 +36,7 @@ from priverm.core import (
     sample_from_json,
     sample_to_json,
 )
+from priverm.vc import is_shattered, vc_dimension
 
 bits_strategy = st.lists(st.integers(0, 1), min_size=1, max_size=16)
 
@@ -152,7 +153,25 @@ def test_hypothesis_rejects_values_that_are_not_bits(bad):
 
 @pytest.mark.parametrize("good", [True, False, 1.0, 0.0])
 def test_hypothesis_accepts_values_equal_to_a_bit(good):
-    assert Hypothesis(FiniteDomain(2), (1, good)).bits == (1, good)
+    h = Hypothesis(FiniteDomain(2), (1, good))
+    twin = Hypothesis(FiniteDomain(2), (1, int(good)))
+    assert h == twin and hash(h) == hash(twin)
+    assert all(type(b) is int for b in h.bits)
+    assert h.to_bitstring() == twin.to_bitstring() == f"1{int(good)}"
+
+
+def test_class_of_bits_equal_to_ints_searches_and_serialises_like_its_twin():
+    dom = FiniteDomain(3)
+    loose = [(1.0, 0, True), (0.0, True, 1), (False, 0.0, 0)]
+    exact = [tuple(int(b) for b in p) for p in loose]
+    cls, twin = (HypothesisClass.from_patterns(dom, ps) for ps in (loose, exact))
+    assert cls == twin
+    assert class_to_json(cls) == class_to_json(twin)
+    assert class_to_json(cls)["hypotheses"] == ["000", "011", "101"]
+    for attr in ("vc", "witness", "nodes", "levels"):
+        assert getattr(vc_dimension(cls), attr) == getattr(vc_dimension(twin), attr)
+    for points in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]:
+        assert is_shattered(cls, points) == is_shattered(twin, points)
 
 
 @given(st.lists(

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from priverm import (
@@ -26,6 +26,13 @@ from priverm import (
     sample,
 )
 from priverm import simulate
+from priverm.bounds import (
+    PREMISE_TOLERANCE,
+    BoundInputs,
+    bound_erm,
+    bound_pr,
+    sufficient_condition,
+)
 from priverm.constructions import full_class
 from priverm.cli import main
 from priverm.core import (
@@ -86,6 +93,18 @@ def test_mix_seed_spreads_nearby_inputs():
     assert len(seen) == 8 * 64
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("master", [0, 2**64 - 1])
+def test_mix_seed_of_an_array_equals_the_scalar_calls(master):
+    """A block's seeds mixed as one uint64 array, across a block boundary."""
+    step = simulate._BLOCK_DRAWS // 200
+    for lo, hi in [(0, step), (step - 3, step + 3), (2**64 - 4, 2**64)]:
+        trials = np.arange(lo, hi, dtype=np.uint64)
+        got = mix_seed(master, trials)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [mix_seed(master, t) for t in range(lo, hi)]
+
+
 def test_sample_deterministic_per_seed():
     dist = three_point_distribution()
     a = sample(dist, 100, 12)
@@ -141,6 +160,24 @@ def test_trial_counts_clamp_rows_on_both_sides_of_a_block(monkeypatch):
     assert counts.tolist() == [[2, 4, 0]] * 5
 
 
+MIDDLE_ZEROS = FiniteDistribution((
+    (Triple(0, 0, 0), 0.3), (Triple(1, 1, 1), 0.0), (Triple(2, 2, 0), 0.0), (Triple(3, 0, 1), 0.7),
+))
+
+
+@pytest.mark.parametrize("dist", [three_point_distribution(), MIDDLE_ZEROS])
+def test_trial_counts_put_a_draw_equal_to_a_cumulative_total_past_it(dist, monkeypatch):
+    """As ``searchsorted(side="right")`` does, so zero-mass points get no draw."""
+    cum = np.asarray(dist.cumulative)
+    draws = np.concatenate([[0.0], cum[:-1], np.nextafter(cum[:-1], 0.0)])
+    monkeypatch.setattr(
+        simulate, "_uniform_rows", lambda seeds, m: np.tile(draws[:m], (len(seeds), 1))
+    )
+    want = np.bincount(np.searchsorted(cum, draws, side="right"), minlength=len(cum))
+    counts = _trial_counts(dist, len(draws), 0, 3)
+    assert counts.tolist() == [want.tolist()] * 3
+
+
 def reference_counts(dist: FiniteDistribution, m: int, seed: int, trials: int) -> np.ndarray:
     """Trial counts drawn one ``default_rng(mix_seed(seed, t))`` per trial."""
     cum = np.asarray(dist.cumulative)
@@ -164,8 +201,11 @@ def reference_counts(dist: FiniteDistribution, m: int, seed: int, trials: int) -
 @pytest.mark.parametrize(
     "dist",
     [three_point_distribution(), TRAILING_ZERO,
-     FiniteDistribution(((Triple(1, 2, 0), 1.0),))],
-    ids=["three_point", "trailing_zero", "point_mass"],
+     FiniteDistribution(((Triple(1, 2, 0), 1.0),)),
+     FiniteDistribution(((Triple(0, 0, 0), 0.0), (Triple(1, 1, 1), 0.3),
+                         (Triple(2, 2, 0), 0.7))),
+     MIDDLE_ZEROS],
+    ids=["three_point", "trailing_zero", "point_mass", "leading_zero", "middle_zeros"],
 )
 @pytest.mark.parametrize(
     "m, trials", [(200, 700), (50, 2000), (70_000, 3), (0, 4), (1, 5)]
@@ -176,6 +216,14 @@ def test_trial_counts_match_one_default_rng_per_trial(dist, m, trials, seed):
     want = reference_counts(dist, m, seed, trials)
     assert got.shape == (trials, len(dist.support))
     assert np.array_equal(got, want)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [np.int64(12345), np.uint64(2**64 - 1), True])
+def test_trial_counts_take_any_integer_seed_as_its_int(seed):
+    dist = three_point_distribution()
+    got = _trial_counts(dist, 30, seed, 4)
+    assert np.array_equal(got, reference_counts(dist, 30, int(seed), 4))
 
 
 @pytest.mark.filterwarnings("error")
@@ -267,9 +315,9 @@ def test_comparison_records_and_summary():
     assert summary["coverage_erm"] == pytest.approx(
         sum(r.covered_erm for r in records) / len(records)
     )
-    assert summary["mean_eps_u"] == pytest.approx(
-        sum(r.eps_u for r in records) / len(records)
-    )
+    for f in ("eps_erm", "eps_ig", "eps_u", "true_err_erm", "true_err_pr"):
+        want = math.fsum(getattr(r, f) for r in records) / len(records)
+        assert summary[f"mean_{f}"] == want
 
 
 def test_comparison_trivial_phi_gives_equal_true_errors():
@@ -426,6 +474,34 @@ def test_deviation_threads_do_not_change_result(tmp_path, capsys):
         run_theorem5_experiment(family, prime, m=40, trials=200, seed=8, threads=1)
 
 
+HEAVY_SIDES = ((0, 0, 0, 0), (1, 1, 1, 1), (0, 1, 0, 1), (1, 0, 1, 0))
+
+
+def test_deviation_reports_are_pinned():
+    """Four heavy sides, searching Phi' and all of Phi, as the list-based code gave them.
+
+    ``mean_dev_star`` is left out of the digest and checked on its own: it is
+    the correctly rounded mean of the fixed member's deviations.
+    """
+    Phi = full_class(8, "X*")
+    m, trials, seed = 50, 2000, 4321
+    reports = []
+    for heavy in HEAVY_SIDES:
+        family, dist = construct_theorem5_family(Phi, eps=0.1, delta=0.005, heavy_side=heavy)
+        prime = phi_prime_subclass(Phi, family.pairs)
+        flags = [family.phi_star.bits[t.xstar] for t, _ in dist.support]
+        flagged = [int(row @ flags) for row in reference_counts(dist, m, seed, trials)]
+        for search in (prime, Phi):
+            rep = run_theorem5_experiment(family, search, m=m, trials=trials, seed=seed)
+            p_star = rep["p_star"]
+            assert p_star == pytest.approx((1 - family.alpha) / 2, abs=1e-12)
+            dev_star = [p_star - n / m for n in flagged]
+            assert rep.pop("mean_dev_star") == math.fsum(dev_star) / trials
+            reports.append(rep)
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == "31b3d892b795f4734f57b14032349aade52839e6c1e7fd0a4c98f0f007889939"
+
+
 def test_deviation_requires_star_in_subclass():
     Phi = full_class(4, "X*")
     family, _ = construct_theorem5_family(Phi, eps=0.1, delta=0.01)
@@ -543,6 +619,24 @@ def oracle_trial(cfg: ExperimentConfig, t: int) -> tuple:
     )
 
 
+def assert_bounds_match_a_fresh_evaluation(cfg: ExperimentConfig, records, summary) -> None:
+    """Each record's bounds and flags, evaluated again from that record alone."""
+    for r in records:
+        inputs = BoundInputs(
+            m=cfg.m, delta=cfg.delta, d=summary["d"], dstar=summary["dstar"],
+            d_a=summary["d_a"], eps_erm=r.eps_erm, eps_ig=r.eps_ig, eps_u=r.eps_u,
+        )
+        b_e, b_p = bound_erm(inputs), bound_pr(inputs)
+        premise = abs(r.eps_erm - (r.eps_ig + r.eps_u)) <= PREMISE_TOLERANCE
+        assert (r.b_erm, r.b_pr) == (b_e, b_p)
+        assert r.covered_erm == (r.true_err_erm <= b_e)
+        assert r.covered_pr == (r.true_err_pr <= b_p)
+        assert r.pr_leq_erm == (b_p <= b_e)
+        assert r.sufficient_holds == (
+            sufficient_condition(inputs).holds if premise else None
+        )
+
+
 # 1/3 as a float is 3333333333333333/10**16: its integer keys overflow int64
 ORACLE_COSTS = (1, 2, 0.5, 1 / 3, Fraction(10**15 + 1, 10**15))
 
@@ -554,6 +648,8 @@ ORACLE_COSTS = (1, 2, 0.5, 1 / 3, Fraction(10**15 + 1, 10**15))
     st.integers(1, 80),
     st.integers(1, 4),
 )
+# 30 trials, of which some share every part of the solved outcome but h_pr
+@example(20, 1, 10, 30)
 def test_comparison_records_match_brute_force_oracle(seed, C, m, trials):
     rng = random.Random(seed)
     n_x, n_xs = rng.randint(1, 4), rng.randint(1, 4)
@@ -575,6 +671,31 @@ def test_comparison_records_match_brute_force_oracle(seed, C, m, trials):
     for r in records:
         got = (r.eps_erm, r.eps_ig, r.eps_u, r.true_err_erm, r.true_err_pr)
         assert got == oracle_trial(cfg, r.trial)
+    assert_bounds_match_a_fresh_evaluation(cfg, records, summary)
+
+
+def outcomes(records) -> set:
+    return {dataclasses.replace(r, trial=0) for r in records}
+
+
+def test_comparison_on_a_point_mass_shares_one_outcome():
+    dist = FiniteDistribution(((Triple(2, 0, 1), 1.0),))
+    cfg = comparison_config(distribution=dist, trials=50)
+    records, summary = run_comparison(cfg)
+    assert [r.trial for r in records] == list(range(50))
+    assert len(outcomes(records)) == 1
+    assert_bounds_match_a_fresh_evaluation(cfg, records, summary)
+    for r in records[:3]:
+        got = (r.eps_erm, r.eps_ig, r.eps_u, r.true_err_erm, r.true_err_pr)
+        assert got == oracle_trial(cfg, r.trial)
+
+
+def test_comparison_at_large_m_repeats_few_outcomes():
+    cfg = comparison_config(m=20_000, trials=40)
+    records, summary = run_comparison(cfg)
+    assert [r.trial for r in records] == list(range(40))
+    assert len(outcomes(records)) >= 30
+    assert_bounds_match_a_fresh_evaluation(cfg, records, summary)
 
 
 def test_criterion_9_trials_csv_is_pinned(tmp_path):
