@@ -25,6 +25,7 @@ from priverm.vc import (
     VcReport,
     build_aux_class,
     build_f_class,
+    count_shattered,
     is_shattered,
     k_fold_union,
     union_class,

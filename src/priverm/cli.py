@@ -51,6 +51,7 @@ from .vc import (
     DEFAULT_NODE_BUDGET,
     build_aux_class,
     build_f_class,
+    count_shattered,
     is_shattered,
     union_class,
     vc_dimension,
@@ -95,7 +96,8 @@ def _load_class(path: str, label: str):
 def cmd_vc(args) -> int:
     cls = _load_class(args.class_file, label="X")
     report = vc_dimension(cls, budget=args.budget)
-    _emit(report.to_json(), args.format)
+    levels = count_shattered(cls, report.vc)
+    _emit({**report.to_json(), "levels": list(levels)}, args.format)
     if not report.exact:
         print(
             "node budget exhausted before the exact answer "
@@ -121,7 +123,7 @@ def cmd_construct(args) -> int:
             "j_class": class_to_json(J),
             "domain_size": H.domain.size,
         }
-    elif args.what == "theorem5":
+    else:  # theorem5
         Phi = full_class(args.dstar, label="X*")
         heavy = tuple(int(c) for c in args.heavy_side) if args.heavy_side else None
         family, dist = construct_theorem5_family(
@@ -134,8 +136,6 @@ def cmd_construct(args) -> int:
             "heavy_side": list(family.heavy_side),
             "phi_star": family.phi_star.to_bitstring(),
         }
-    else:
-        raise ValueError(f"unknown construction {args.what!r}")
 
     if args.output_dir:
         os.makedirs(args.output_dir, exist_ok=True)

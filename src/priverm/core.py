@@ -10,6 +10,7 @@ risk, true error, VC dimension) is computed exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -64,15 +65,6 @@ def product_legend(n_x: int, n_xstar: int) -> list[str]:
     return [f"(x={x},x*={xs},y={y})" for x, xs, y in product_points(n_x, n_xstar)]
 
 
-def labeled_domain(n: int, label: str = "X") -> FiniteDomain:
-    """Domain of (point, y) pairs, enumerated point-major, y-last."""
-    return FiniteDomain(size=n * 2, label=f"{label}×Y")
-
-
-def labeled_index(point: int, y: int) -> int:
-    return point * 2 + y
-
-
 @dataclass(frozen=True)
 class Hypothesis:
     """A total binary labeling of a finite domain.
@@ -81,7 +73,8 @@ class Hypothesis:
     accepted as a bit (``True``, ``1.0``) and stored as the int 0 or 1, so
     a hypothesis equals, hashes and serialises like its int twin.
     Hypotheses are immutable and hashable; the integer ``mask`` view (bit i
-    = label of point i) is cached for fast projections.
+    = label of point i) is computed on first read and kept for
+    ``k_fold_union``, which ORs members.
     """
 
     domain: FiniteDomain
@@ -307,8 +300,8 @@ class TripleSample:
 class FiniteDistribution:
     """A probability table over (x, x*, y) triples.
 
-    Probabilities must sum to 1 within ``PROB_TOLERANCE`` and support triples
-    must be distinct.  Expectations over the support are therefore exact up
+    Probabilities must sum to 1 within ``PROB_TOLERANCE``, summed with
+    ``math.fsum``, and support triples must be distinct.  Expectations over the support are therefore exact up
     to float summation, with summation order fixed by the support order.
     """
 
@@ -321,7 +314,8 @@ class FiniteDistribution:
         for t, p in self.support:
             if not 0.0 <= p <= 1.0:
                 raise InvalidDistributionError(f"probability {p} outside [0,1] for {t}")
-        total = sum(p for _, p in self.support)
+        # correctly rounded, so the verdict does not depend on the Python version
+        total = math.fsum(p for _, p in self.support)
         if abs(total - 1.0) > PROB_TOLERANCE:
             raise InvalidDistributionError(
                 f"probabilities sum to {total!r}, not 1 within {PROB_TOLERANCE}"

@@ -6,10 +6,11 @@ trials are computed.  Trial t's uniforms are exactly those of
 ``np.random.default_rng(mix_seed(seed, t))``, but no generator is built per
 trial: a block of trial seeds is mixed as one uint64 array, NumPy's
 SeedSequence hash and PCG64's seeding run over the block at once, and one
-generator is set to each trial's state in turn.  ``sample`` takes the same
-path with one seed.  A drawn sample enters both experiments only as its
-count vector over the support, counted by thresholds: a trial's draws
-below each cumulative total of the support.  The comparison experiment
+generator is set to each trial's state in turn.  ``sample`` draws through
+``default_rng`` itself, so a trial drawn again by ``sample`` checks the
+batched path.  A drawn sample enters both experiments only as its count
+vector over the support, counted by thresholds: a trial's draws below each
+cumulative total of the support.  The comparison experiment
 hands all trials' counts to the ERM count kernel at once and evaluates the
 bounds once per distinct solved outcome; the deviation experiment takes
 every trial's empirical flag rates from one matrix product and counts its
@@ -195,7 +196,8 @@ def sample(dist: FiniteDistribution, m: int, seed: int) -> TripleSample:
         raise ValueError(f"m must be >= 0, got {m}")
     seed = _check_seed(seed)
     cum, last = _inverse_cdf(dist)
-    idx = np.searchsorted(cum, _uniform_rows([seed], m)[0], side="right")
+    u = np.random.default_rng(seed).random(m)
+    idx = np.searchsorted(cum, u, side="right")
     return TripleSample(tuple(dist.support[i][0] for i in np.minimum(idx, last)))
 
 

@@ -19,17 +19,17 @@ class, on first read of ``cls.orbits``) drops more: when a root's descent
 fails, no shattered set of that size or larger holds the root or any of its
 images, so its whole orbit is dropped for the rest of the search.  A class
 without them runs the search above node for node.
-``VcReport.levels`` counts the shattered sets of each size up to the VC
-dimension by a second depth-first search, which also passes only the
-extending points down, run only when the counts are read.  A node budget
-degrades the answer to a verified lower bound instead of running forever.
+A node budget degrades the answer to a verified lower bound instead of
+running forever.  ``count_shattered`` counts the shattered sets of each size
+up to a given one by a second depth-first search, which also passes only the
+extending points down; it is a separate call, costlier than the search, and
+a report holds only the search's answer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from operator import or_
 from typing import Callable, Optional, Sequence
@@ -47,63 +47,31 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
-class _Columns:
-    """The member set and the bit columns of the searched points."""
-
-    full: int
-    cols: tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
 class VcReport:
     """Outcome of a VC computation.
 
     ``exact`` is False only when the search stopped at the node budget;
     ``vc`` is then a verified lower bound.  ``witness`` is the
-    lexicographically first shattered set of size ``vc``; ``levels[k]``
-    counts the shattered k-subsets for k <= vc (levels[0] is 1 for the empty
-    set), counted on first read.  ``nodes`` counts the split attempts of
-    the search, plus one per domain point for the columns, built or not.  A
-    node's remaining points are tested once after its first descent fails,
-    so ``nodes``, and where the budget runs out the lower bound reached,
-    differ from a search without forward checking wherever a first descent
-    fails; they are equal on searches whose first descents all succeed.
-    Orbit drops move ``nodes``, and where a budgeted search stops, only on
-    classes that carry symmetries; ``vc``, ``witness`` and ``levels`` of an
-    exact search never depend on them.
+    lexicographically first shattered set of size ``vc``.  ``nodes`` counts
+    the split attempts of the search, plus one per domain point for the
+    columns, built or not.  A node's remaining points are tested once after
+    its first descent fails, so ``nodes``, and where the budget runs out the
+    lower bound reached, differ from a search without forward checking
+    wherever a first descent fails; they are equal on searches whose first
+    descents all succeed.  Orbit drops move ``nodes``, and where a budgeted
+    search stops, only on classes that carry symmetries; ``vc`` and
+    ``witness`` of an exact search never depend on them.  Two reports are
+    equal, and hash alike, iff these four fields are; the shattered-set
+    counts are not part of a report (see ``count_shattered``).
     """
 
     vc: int
     exact: bool
     witness: tuple[int, ...]
     nodes: int
-    columns: _Columns = field(repr=False)
-
-    @cached_property
-    def levels(self) -> tuple[int, ...]:
-        return _count_shattered(self.columns, self.vc)
-
-    def _key(self) -> tuple:
-        return (self.vc, self.exact, self.witness, self.nodes)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VcReport):
-            return NotImplemented
-        if self._key() != other._key():
-            return False
-        # equal columns give equal counts, so only differing ones are counted
-        return self.columns == other.columns or self.levels == other.levels
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def to_json(self) -> dict:
-        return {
-            "vc": self.vc,
-            "exact": self.exact,
-            "witness": list(self.witness),
-            "levels": list(self.levels),
-        }
+        return {"vc": self.vc, "exact": self.exact, "witness": list(self.witness)}
 
 
 class _BudgetExhausted(Exception):
@@ -138,14 +106,16 @@ def _split(cells: list[int], col: int, floor: int) -> Optional[list[int]]:
 
 
 def _largest_shattered(
-    columns: _Columns,
+    full: int,
+    cols: Sequence[int],
     top: int,
     nodes: int,
     budget: Optional[int],
     orbits: Optional[list[tuple[int, ...]]] = None,
 ) -> tuple[tuple[int, ...], int, bool]:
-    """Lex-first shattered set of column indices of the largest size <= top.
+    """Lex-first shattered set of indices into ``cols`` of the largest size <= top.
 
+    ``full`` is the member set and ``cols`` the non-constant columns.
     Sizes k = 1, 2, ... are searched in turn; the first k-set reached is the
     lex-first shattered one, and the search ends at the first k with none.
     Adding a point with ``need`` points still to place (itself included)
@@ -168,7 +138,6 @@ def _largest_shattered(
     ``budget`` (if not, the set is the largest found before the node count
     passed it).
     """
-    cols = columns.cols
     limit = math.inf if budget is None else budget
     chosen: list[int] = []
     # columns whose orbit held a failed root; stays empty without orbits
@@ -241,7 +210,7 @@ def _largest_shattered(
             live = range(len(cols))
             if dead:
                 live = [i for i in live if i not in dead]
-            if not extend(live, 0, [columns.full], k):
+            if not extend(live, 0, [full], k):
                 break
             best = tuple(chosen)
             chosen.clear()
@@ -250,15 +219,32 @@ def _largest_shattered(
     return best, nodes, True
 
 
-def _count_shattered(columns: _Columns, top: int) -> tuple[int, ...]:
+def _active(cls: HypothesisClass) -> tuple[int, list[int], list[int]]:
+    """The member set, the points whose column is non-constant, their columns.
+
+    Only these points can join a shattered set.
+    """
+    if len(cls) == 0:
+        raise ValueError("class must be nonempty")
+    full = (1 << len(cls)) - 1
+    cols = cls.columns
+    active = [p for p, col in enumerate(cols) if col != 0 and col != full]
+    return full, active, [cols[p] for p in active]
+
+
+def count_shattered(cls: HypothesisClass, top: int) -> tuple[int, ...]:
     """Number of shattered sets of each size 0..top, each set visited once.
 
-    A shattered set extends by a later point iff that point's column cuts
-    every cell of the set's partition in two.  A point that fails to extend
-    a set fails for all its supersets, so each set hands its children only
-    the points that extend it.  Sets of size ``top`` are counted without
-    building their cells.
+    Counts over the class's non-constant columns in point order; sizes past
+    the VC dimension count 0.  A shattered set extends by a later point iff
+    that point's column cuts every cell of the set's partition in two.  A
+    point that fails to extend a set fails for all its supersets, so each
+    set hands its children only the points that extend it.  Sets of size
+    ``top`` are counted without building their cells.
     """
+    if top < 0:
+        raise ValueError(f"top must be >= 0, got {top}")
+    full, _, cols = _active(cls)
     counts = [0] * (top + 1)
 
     def visit(cells: list[int], cands: Sequence[int], size: int) -> None:
@@ -286,7 +272,7 @@ def _count_shattered(columns: _Columns, top: int) -> tuple[int, ...]:
         for j, nxt in enumerate(splits):
             visit(nxt, kept[j + 1 :], size + 1)
 
-    visit([columns.full], columns.cols, 0)
+    visit([full], cols, 0)
     return tuple(counts)
 
 
@@ -315,14 +301,7 @@ def vc_dimension(
     passing the node budget returns the largest size found so far as a lower
     bound with ``exact=False``; ``is_shattered`` verifies a claimed set.
     """
-    if len(cls) == 0:
-        raise ValueError("class must be nonempty")
-
-    full = (1 << len(cls)) - 1
-    cols = cls.columns
-    # points whose column is non-constant; only these can join a shattered set
-    active = [p for p, col in enumerate(cols) if col != 0 and col != full]
-    columns = _Columns(full, tuple([cols[p] for p in active]))
+    full, active, cols = _active(cls)
     vc_cap = min(len(cls).bit_length() - 1, len(active))
     orbits = None
     if cls.symmetries:
@@ -334,14 +313,13 @@ def vc_dimension(
             orbits = None
 
     best, nodes, exact = _largest_shattered(
-        columns, vc_cap, cls.domain.size, budget, orbits
+        full, cols, vc_cap, cls.domain.size, budget, orbits
     )
     return VcReport(
         vc=len(best),
         exact=exact,
         witness=tuple([active[i] for i in best]),
         nodes=nodes,
-        columns=columns,
     )
 
 

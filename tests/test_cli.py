@@ -1052,7 +1052,7 @@ PACKAGE_EXPORTS = {
         "aux_loss composite_loss exact_true_error f_loss ignoring_loss zero_one_loss"
     ),
     "vc": (
-        "VcReport build_aux_class build_f_class is_shattered k_fold_union "
+        "VcReport build_aux_class build_f_class count_shattered is_shattered k_fold_union "
         "union_class vc_dimension"
     ),
     "constructions": (

@@ -127,6 +127,13 @@ def test_sample_edge_cases():
         sample(dist, -1, 1)
 
 
+@pytest.mark.parametrize("m", [2**62, 10**400])
+def test_sample_rejects_an_m_too_large_for_an_array(m):
+    # numpy rejects these shapes before it allocates, so no memory is asked for
+    with pytest.raises(ValueError):
+        sample(three_point_distribution(), m, 1)
+
+
 TRAILING_ZERO = FiniteDistribution((
     (Triple(0, 0, 0), 0.5),
     (Triple(1, 1, 1), 0.5 - 1e-12),
@@ -142,11 +149,21 @@ def fixed_uniform_rows(seeds, m):
     return np.tile(TRAILING_DRAWS[:m], (len(seeds), 1))
 
 
+class FixedGenerator:
+    """Stands in for ``default_rng(seed)``: draws the first m of TRAILING_DRAWS."""
+
+    def __init__(self, seed):
+        pass
+
+    def random(self, m):
+        return TRAILING_DRAWS[:m].copy()
+
+
 def test_sample_never_draws_a_trailing_zero_mass_point(monkeypatch):
     """Draws past a total of 1 - 1e-12 go to the last point with mass."""
     dist = TRAILING_ZERO
     assert dist.cumulative[-1] < 1.0
-    monkeypatch.setattr(simulate, "_uniform_rows", fixed_uniform_rows)
+    monkeypatch.setattr(np.random, "default_rng", FixedGenerator)
     s = sample(dist, len(TRAILING_DRAWS), 0)
     assert [t.x for t in s] == [0, 0, 1, 1, 1, 1]
 

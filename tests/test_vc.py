@@ -16,9 +16,11 @@ from priverm import (
     HypothesisClass,
     build_aux_class,
     build_f_class,
+    count_shattered,
     f_loss,
     aux_loss,
     Triple,
+    VcReport,
     ignoring_loss,
     is_shattered,
     k_fold_union,
@@ -31,7 +33,6 @@ from priverm.core import (
     DomainMismatchError,
     class_from_json,
     class_to_json,
-    labeled_domain,
     product_index,
 )
 
@@ -117,16 +118,13 @@ def test_vc_full_class():
 
 def test_vc_report_shape():
     report = vc_dimension(full_class(3))
-    assert len(report.levels) == report.vc + 1
-    assert report.levels[0] == 1
-    assert all(c > 0 for c in report.levels)
+    levels = count_shattered(full_class(3), report.vc)
+    assert len(levels) == report.vc + 1
+    assert levels[0] == 1
+    assert all(c > 0 for c in levels)
     assert is_shattered(full_class(3), report.witness)
-    assert report.to_json() == {
-        "vc": 3,
-        "exact": True,
-        "witness": [0, 1, 2],
-        "levels": [1, 3, 3, 1],
-    }
+    assert report.to_json() == {"vc": 3, "exact": True, "witness": [0, 1, 2]}
+    assert levels == (1, 3, 3, 1)
 
 
 def test_vc_f_class_d1_against_brute_force():
@@ -179,7 +177,7 @@ def assert_matches_oracle(cls: HypothesisClass) -> None:
     assert report.exact
     assert report.vc == len(counts) - 1
     assert report.witness == first
-    assert report.levels == tuple(counts)
+    assert count_shattered(cls, report.vc) == tuple(counts)
 
 
 @settings(deadline=None, max_examples=80)
@@ -228,7 +226,7 @@ def test_vc_reports_match_golden_digest():
     rows = []
     for cls in _golden_classes():
         r = vc_dimension(cls)
-        rows.append((r.vc, r.witness, r.exact, r.levels))
+        rows.append((r.vc, r.witness, r.exact, count_shattered(cls, r.vc)))
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "b01e88e33660423757f183fb179dfe4001b12ff8054727f1b8bc2aa60f819523"
 
@@ -264,8 +262,9 @@ def test_vc_orbit_drops_cut_named_d2_searches():
 # --- symmetry generators ------------------------------------------------------
 
 
-def _report_key(report) -> tuple:
-    return (report.vc, report.witness, report.exact, report.levels)
+def _report_key(cls: HypothesisClass) -> tuple:
+    report = vc_dimension(cls)
+    return (report.vc, report.witness, report.exact, count_shattered(cls, report.vc))
 
 
 def _stripped(cls: HypothesisClass) -> HypothesisClass:
@@ -301,7 +300,7 @@ def _symmetric_class(rng: random.Random, n: int, k: int, n_gens: int) -> Hypothe
 @given(st.integers(0, 10_000), st.integers(1, 7), st.integers(1, 12), st.integers(1, 2))
 def test_vc_with_symmetries_matches_stripped_class_and_oracle(seed, size, members, n_gens):
     cls = _symmetric_class(random.Random(seed), size, members, n_gens)
-    assert _report_key(vc_dimension(cls)) == _report_key(vc_dimension(_stripped(cls)))
+    assert _report_key(cls) == _report_key(_stripped(cls))
     assert_matches_oracle(cls)
 
 
@@ -311,10 +310,9 @@ def test_vc_named_classes_match_their_stripped_copies(d, dstar):
     _, Phi = construct_theorem1(dstar)
     for cls in (build_f_class(H, Phi), build_aux_class(H, Phi)):
         assert len(cls.symmetries) == d + dstar - 2
-        report, plain = vc_dimension(cls), vc_dimension(_stripped(cls))
-        assert _report_key(report) == _report_key(plain)
+        assert _report_key(cls) == _report_key(_stripped(cls))
         if d == dstar == 1:
-            assert report.nodes == plain.nodes
+            assert vc_dimension(cls).nodes == vc_dimension(_stripped(cls)).nodes
 
 
 def test_symmetries_stay_out_of_equality_and_json():
@@ -355,13 +353,12 @@ def test_cached_class_answers_as_a_fresh_one():
     for build in (build_f_class, build_aux_class):
         cached = build(H, Phi)
         first = vc_dimension(cached)
+        levels = count_shattered(cached, first.vc)
         assert "columns" in vars(cached) and "orbits" in vars(cached)
         for _ in range(2):
-            again, fresh = vc_dimension(cached), vc_dimension(build(H, Phi))
-            for report in (again, fresh):
-                assert (report.vc, report.witness, report.nodes, report.levels) == (
-                    first.vc, first.witness, first.nodes, first.levels
-                )
+            for c in (cached, build(H, Phi)):
+                assert vc_dimension(c) == first
+                assert count_shattered(c, first.vc) == levels
         for pts in (first.witness, diag, diag[:3], (0, 1), ()):
             assert is_shattered(cached, pts) == is_shattered(build(H, Phi), pts)
 
@@ -395,14 +392,42 @@ def test_vc_report_equality_and_witness_levels():
     a, b = vc_dimension(full_class(4)), vc_dimension(full_class(4))
     assert a == b and hash(a) == hash(b)
     assert a != vc_dimension(full_class(3))
-    assert a.levels == (1, 4, 6, 4, 1)
+    assert count_shattered(full_class(4), a.vc) == (1, 4, 6, 4, 1)
+
+
+def test_vc_report_is_its_four_fields():
+    assert [f.name for f in dataclasses.fields(VcReport)] == ["vc", "exact", "witness", "nodes"]
+    a = VcReport(vc=2, exact=True, witness=(0, 1), nodes=9)
+    b = VcReport(vc=2, exact=True, witness=(0, 1), nodes=9)
+    assert a == b and hash(a) == hash(b) == hash((2, True, (0, 1), 9))
+    for change in ({"vc": 1}, {"exact": False}, {"witness": (0, 2)}, {"nodes": 10}):
+        assert a != dataclasses.replace(a, **change)
+
+
+def test_count_shattered_sizes():
+    cls = h1()
+    assert count_shattered(cls, 0) == (1,)
+    assert count_shattered(cls, 1) == (1, 3)
+    # past the VC dimension the counts are 0
+    assert count_shattered(cls, 4) == (1, 3, 0, 0, 0)
+    assert count_shattered(full_class(3), 5) == (1, 3, 3, 1, 0, 0)
+    with pytest.raises(ValueError, match="top must be >= 0"):
+        count_shattered(cls, -1)
+    with pytest.raises(ValueError, match="nonempty"):
+        count_shattered(HypothesisClass(FiniteDomain(3), ()), 1)
+
+
+def test_count_shattered_on_constant_columns_is_the_empty_set_only():
+    cls = HypothesisClass.from_patterns(FiniteDomain(3), [(0, 1, 0)])
+    assert count_shattered(cls, 0) == (1,)
+    assert count_shattered(cls, 2) == (1, 0, 0)
 
 
 def test_vc_budget_stops_at_largest_size_found():
     report = vc_dimension(full_class(6), budget=20)
     assert (report.vc, report.exact, report.witness) == (4, False, (0, 1, 2, 3))
     assert report.nodes > 20
-    assert report.levels == (1, 6, 15, 20, 15)
+    assert count_shattered(full_class(6), report.vc) == (1, 6, 15, 20, 15)
 
 
 def test_vc_budget_degrades_to_lower_bound():
@@ -595,7 +620,8 @@ def test_loss_class_preserves_vc():
     # the VC dimension of the class they come from
     for cls in (h1(), phi1(), full_class(3)):
         n = cls.domain.size
-        dom = labeled_domain(n, cls.domain.label)
+        # (point, y) pairs, point-major, y-last
+        dom = FiniteDomain(2 * n, f"{cls.domain.label}×Y")
         for loss in (zero_one_loss, ignoring_loss):
             lifted = HypothesisClass.from_patterns(
                 dom, ([loss(h(x), y) for x in range(n) for y in (0, 1)] for h in cls)
