@@ -5,18 +5,14 @@ the fast/slow rates, the two error bounds they induce, the auxiliary
 dimension interval, and the exact pre-asymptotic forms of the sufficient
 and necessary conditions for the privileged bound to win.  Asymptotic
 variants (anything with an o(1)) are reported as annotations, never
-evaluated.
+evaluated.  The source formulas write bare "log"; the concentration-bound
+lineage behind them is natural-log, so every rate uses ``math.log``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-# All rates use this logarithm.  The source formulas write bare "log"; the
-# concentration-bound lineage behind them is natural-log, so that is the
-# default.  Swap here (e.g. to math.log2) for sensitivity runs.
-_log = math.log
+from dataclasses import asdict, dataclass
 
 PREMISE_TOLERANCE = 1e-9
 
@@ -65,7 +61,7 @@ def r_fast(d: int, m: int, delta: float) -> float:
         raise ValueError(f"delta must be in (0,1), got {delta}")
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
-    return (8.0 * d * _log(m + 1) + 4.0 * _log(4.0 / delta)) / m
+    return (8.0 * d * math.log(m + 1) + 4.0 * math.log(4.0 / delta)) / m
 
 
 def r_slow(x: float, d: int, m: int, delta: float) -> float:
@@ -120,7 +116,7 @@ class SufficiencyReport:
         return self.rhs - self.lhs
 
     def to_json(self) -> dict:
-        return {"holds": self.holds, "lhs": self.lhs, "rhs": self.rhs}
+        return asdict(self)
 
 
 def sufficient_condition(inputs: BoundInputs) -> SufficiencyReport:
@@ -171,17 +167,7 @@ class NecessityReport:
     alpha_root: float
 
     def to_json(self) -> dict:
-        return {
-            "b_erm": self.b_erm,
-            "b_pr": self.b_pr,
-            "pr_leq_erm": self.pr_leq_erm,
-            "lemma5_lhs": self.lemma5_lhs,
-            "lemma5_rhs": self.lemma5_rhs,
-            "lemma5_holds": self.lemma5_holds,
-            "a_const": self.a_const,
-            "alpha": self.alpha,
-            "alpha_root": self.alpha_root,
-        }
+        return asdict(self)
 
 
 def necessary_condition(inputs: BoundInputs) -> NecessityReport:
@@ -190,7 +176,7 @@ def necessary_condition(inputs: BoundInputs) -> NecessityReport:
         raise ValueError("d must be positive to form alpha = dstar/d")
     b_e = bound_erm(inputs)
     b_p = bound_pr(inputs)
-    a_const = _log(4.0 / inputs.delta) / (2.0 * _log(inputs.m + 1))
+    a_const = math.log(4.0 / inputs.delta) / (2.0 * math.log(inputs.m + 1))
     lhs = math.sqrt(inputs.eps_u * (inputs.d_a + a_const))
     rhs = math.sqrt(inputs.eps_erm * (inputs.d + a_const)) - math.sqrt(
         inputs.eps_ig * (inputs.dstar + a_const)

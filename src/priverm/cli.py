@@ -86,6 +86,17 @@ def _emit(obj: dict, fmt: str) -> None:
             print(f"{k:<{width}}  {_text(obj[k])}")
 
 
+def _write(payload: dict, name: str, args, fmt: str) -> None:
+    """Write ``<--output-dir>/<name>.json`` and print its path, or emit to stdout."""
+    if args.output_dir:
+        os.makedirs(args.output_dir, exist_ok=True)
+        out = os.path.join(args.output_dir, f"{name}.json")
+        dump_json(payload, out)
+        print(out)
+    else:
+        _emit(payload, fmt)
+
+
 def _load_class(path: str, label: str):
     return class_from_json(load_json(path), label=label)
 
@@ -136,14 +147,7 @@ def cmd_construct(args) -> int:
             "heavy_side": list(family.heavy_side),
             "phi_star": family.phi_star.to_bitstring(),
         }
-
-    if args.output_dir:
-        os.makedirs(args.output_dir, exist_ok=True)
-        out = os.path.join(args.output_dir, f"{args.what}.json")
-        dump_json(payload, out)
-        print(out)
-    else:
-        _emit(payload, "json")
+    _write(payload, args.what, args, "json")
     return EXIT_OK
 
 
@@ -225,12 +229,11 @@ def cmd_sim(args) -> int:
                 args.seed if args.seed is not None else raw.get("seed", 0), "seed"
             ),
             C=strict_real(raw.get("c", 1.0), "c"),
-            output_dir=args.output_dir or raw.get("output_dir"),
         )
+        out = args.output_dir or raw.get("output_dir")
         records, summary = run_comparison(config)
-        if config.output_dir:
-            out = persist_run(records, summary, config)
-            print(out)
+        if out:
+            print(persist_run(records, summary, config, out))
         else:
             _emit(summary, args.format)
         return EXIT_OK
@@ -256,13 +259,7 @@ def cmd_sim(args) -> int:
             args.seed if args.seed is not None else raw.get("seed", 0), "seed"
         ),
     )
-    if args.output_dir:
-        os.makedirs(args.output_dir, exist_ok=True)
-        out = os.path.join(args.output_dir, "deviation.json")
-        dump_json(report, out)
-        print(out)
-    else:
-        _emit(report, args.format)
+    _write(report, "deviation", args, args.format)
     return EXIT_OK
 
 
@@ -277,7 +274,7 @@ def _checkline(name: str, ok: bool, detail: str, report=None) -> bool:
     return ok
 
 
-def _suite_theorem1(d: int) -> bool:
+def _suite_theorem1(d: int, dstar: int) -> bool:
     H, Phi = construct_theorem1(d)
     rh, rp = vc_dimension(H), vc_dimension(Phi)
     F = build_f_class(H, Phi)
@@ -301,7 +298,7 @@ def _suite_theorem1(d: int) -> bool:
     return ok
 
 
-def _suite_claims(d: int) -> bool:
+def _suite_claims(d: int, dstar: int) -> bool:
     H, Phi = construct_theorem1(d)
     F = build_f_class(H, Phi)
     rf = vc_dimension(F)
@@ -363,19 +360,18 @@ def _suite_theorem2(d: int, dstar: int) -> bool:
     )
 
 
+# each suite takes (d, dstar); theorem1 and claims use d alone
+SUITES = {
+    "theorem1": _suite_theorem1,
+    "lemma1": _suite_lemma1,
+    "lemma2": _suite_lemma2,
+    "theorem2": _suite_theorem2,
+    "claims": _suite_claims,
+}
+
+
 def cmd_verify(args) -> int:
-    d = args.d
-    dstar = args.dstar if args.dstar is not None else d
-    if args.suite == "theorem1":
-        ok = _suite_theorem1(d)
-    elif args.suite == "claims":
-        ok = _suite_claims(d)
-    elif args.suite == "lemma1":
-        ok = _suite_lemma1(d, dstar)
-    elif args.suite == "lemma2":
-        ok = _suite_lemma2(d, dstar)
-    else:
-        ok = _suite_theorem2(d, dstar)
+    ok = SUITES[args.suite](args.d, args.dstar if args.dstar is not None else args.d)
     print("PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -418,14 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="evaluate bounds and conditions")
     p.add_argument("--inputs", default=None, help="BoundInputs JSON file")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--dstar", type=int, default=None)
-    p.add_argument("--d-a", dest="d_a", type=int, default=None)
-    p.add_argument("--eps-erm", dest="eps_erm", type=float, default=None)
-    p.add_argument("--eps-ig", dest="eps_ig", type=float, default=None)
-    p.add_argument("--eps-u", dest="eps_u", type=float, default=None)
+    # one flag per BoundInputs field, e.g. --d-a for d_a; cmd_bounds reads them
+    types = get_type_hints(BoundInputs)
+    for f in dataclasses.fields(BoundInputs):
+        p.add_argument("--" + f.name.replace("_", "-"), type=types[f.name], default=None)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sim", help="seeded Monte Carlo experiments")
@@ -434,11 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sim)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "--suite",
-        choices=("theorem1", "lemma1", "lemma2", "theorem2", "claims"),
-        required=True,
-    )
+    p.add_argument("--suite", choices=SUITES, required=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--dstar", type=int, default=None)
     p.set_defaults(func=cmd_verify)
@@ -456,7 +444,10 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except KeyError as exc:
+        print(f"input error: missing key {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except (ValueError, TypeError, OverflowError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as exc:

@@ -279,6 +279,17 @@ class Triple:
             raise ValueError("indices must be nonnegative")
 
 
+def check_domain(
+    triples: Iterable[Triple], index: str, cls: HypothesisClass, what: str
+) -> None:
+    """Reject triples whose ``index`` field (x or xstar) leaves the class domain."""
+    top = max((getattr(t, index) for t in triples), default=-1)
+    if top >= cls.domain.size:
+        raise DomainMismatchError(
+            f"{what} {index} index {top} outside domain of size {cls.domain.size}"
+        )
+
+
 @dataclass(frozen=True)
 class TripleSample:
     """An ordered sequence of training triples."""

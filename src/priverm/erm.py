@@ -21,13 +21,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import (
-    DomainMismatchError,
-    Hypothesis,
-    HypothesisClass,
-    Triple,
-    TripleSample,
-)
+from .core import Hypothesis, HypothesisClass, Triple, TripleSample, check_domain
 
 # Many count rows are processed in blocks whose largest temporaries, of shape
 # (rows, |H|, |Phi|) here and (rows, |Phi|) in the deviation experiment, hold
@@ -79,15 +73,6 @@ class PrivilegedErmResult:
             "ignored_weight": self.ignored_weight,
             "unexplained_error": self.unexplained_error,
         }
-
-
-def _check_domain(S: TripleSample, index: str, cls: HypothesisClass) -> None:
-    """Reject a sample whose ``index`` field leaves the class domain."""
-    top = max((getattr(t, index) for t in S.triples), default=-1)
-    if top >= cls.domain.size:
-        raise DomainMismatchError(
-            f"sample {index} index {top} outside domain of size {cls.domain.size}"
-        )
 
 
 def _bits(cls: HypothesisClass) -> np.ndarray:
@@ -177,7 +162,7 @@ def erm_standard(H: HypothesisClass, S: TripleSample) -> ErmResult:
     """Member with the fewest sample errors; ties go to the first member."""
     if len(H) == 0:
         raise ValueError("class must be nonempty")
-    _check_domain(S, "x", H)
+    check_domain(S.triples, "x", H, "sample")
     points, counts = _sample_counts(S)
     sol = solve_counts(error_matrix(H, points), counts)
     errs = sol.n_err[0]
@@ -206,8 +191,8 @@ def erm_privileged(
     if len(H) == 0 or len(Phi) == 0:
         raise ValueError("both classes must be nonempty")
     Cf = positive_cost(C)
-    _check_domain(S, "x", H)
-    _check_domain(S, "xstar", Phi)
+    check_domain(S.triples, "x", H, "sample")
+    check_domain(S.triples, "xstar", Phi, "sample")
 
     points, counts = _sample_counts(S)
     sol = solve_counts(error_matrix(H, points), counts, flag_matrix(Phi, points), Cf)

@@ -39,10 +39,10 @@ from .bounds import (
 )
 from .constructions import Theorem5Family
 from .core import (
-    DomainMismatchError,
     FiniteDistribution,
     HypothesisClass,
     TripleSample,
+    check_domain,
     class_to_json,
     distribution_to_json,
     dump_json,
@@ -249,7 +249,6 @@ class ExperimentConfig:
     delta: float
     seed: int
     C: float = 1.0
-    output_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -307,19 +306,6 @@ class TrialRecord:
         ]
 
 
-def _check_compatible(config: ExperimentConfig) -> None:
-    for t, _ in config.distribution.support:
-        if t.x >= config.H.domain.size:
-            raise DomainMismatchError(
-                f"support x={t.x} outside H domain of size {config.H.domain.size}"
-            )
-        if t.xstar >= config.Phi.domain.size:
-            raise DomainMismatchError(
-                f"support x*={t.xstar} outside Phi domain of size "
-                f"{config.Phi.domain.size}"
-            )
-
-
 def run_comparison(
     config: ExperimentConfig,
 ) -> tuple[list[TrialRecord], dict]:
@@ -339,13 +325,14 @@ def run_comparison(
     Its means are taken with ``math.fsum``, so they are the same on every
     Python version.
     """
-    _check_compatible(config)
+    dist, m = config.distribution, config.m
+    points = [t for t, _ in dist.support]
+    check_domain(points, "x", config.H, "support")
+    check_domain(points, "xstar", config.Phi, "support")
     d = vc_dimension(config.H).vc
     dstar = vc_dimension(config.Phi).vc
     d_a = vc_dimension(build_aux_class(config.H, config.Phi)).vc
 
-    dist, m = config.distribution, config.m
-    points = [t for t, _ in dist.support]
     true_errors = [exact_true_error(h, dist) for h in config.H]
     counts = _trial_counts(dist, m, config.seed, config.trials)
     C = positive_cost(config.C)
@@ -508,16 +495,13 @@ def run_theorem5_experiment(
 
 
 def persist_run(
-    records: Sequence[TrialRecord], summary: dict, config: ExperimentConfig
+    records: Sequence[TrialRecord], summary: dict, config: ExperimentConfig, out: str
 ) -> str:
-    """Write config.json, trials.csv, summary.json, manifest.json.
+    """Write config.json, trials.csv, summary.json, manifest.json into ``out``.
 
     Returns the run directory.  Identical configs produce byte-identical
     trials.csv; nothing written here depends on wall-clock time.
     """
-    if config.output_dir is None:
-        raise ValueError("config.output_dir is required to persist a run")
-    out = config.output_dir
     try:
         os.makedirs(out, exist_ok=True)
         dump_json(config.to_json(), os.path.join(out, "config.json"))

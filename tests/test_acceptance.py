@@ -387,10 +387,10 @@ def test_criterion_9_manifest_determinism(tmp_path):
     first = tmp_path / "first"
     config = ExperimentConfig(
         distribution=dist, H=H, Phi=Phi, m=40, trials=50, delta=0.05,
-        seed=909, output_dir=str(first),
+        seed=909,
     )
     records, summary = run_comparison(config)
-    persist_run(records, summary, config)
+    persist_run(records, summary, config, str(first))
 
     manifest = load_json(str(first / "manifest.json"))
     echo = load_json(str(first / manifest["files"]["config"]))
@@ -400,10 +400,10 @@ def test_criterion_9_manifest_determinism(tmp_path):
         H=class_from_json(echo["h_class"], label="X"),
         Phi=class_from_json(echo["phi_class"], label="X*"),
         m=echo["m"], trials=echo["trials"], delta=echo["delta"],
-        seed=manifest["seed"], C=echo["c"], output_dir=str(second),
+        seed=manifest["seed"], C=echo["c"],
     )
     records2, summary2 = run_comparison(replay)
-    persist_run(records2, summary2, replay)
+    persist_run(records2, summary2, replay, str(second))
 
     a = (first / "trials.csv").read_bytes()
     b = (second / "trials.csv").read_bytes()

@@ -435,6 +435,50 @@ def test_sim_comparison_persists_run(tmp_path, capsys):
         assert (out_dir / name).exists()
 
 
+def test_sim_comparison_reads_output_dir_from_the_config(tmp_path, capsys):
+    out_dir = tmp_path / "from_file"
+    path = comparison_config_json(tmp_path, output_dir=str(out_dir))
+    rc, out, _ = run_cli(capsys, ["sim", "--config", path])
+    assert (rc, out) == (0, f"{out_dir}\n")
+    assert "output_dir" not in json.loads((out_dir / "config.json").read_text())
+
+
+def test_sim_comparison_unwritable_run_directory_is_an_io_error(tmp_path, capsys):
+    path = comparison_config_json(tmp_path)
+    blocker = tmp_path / "plain_file"
+    blocker.write_text("", encoding="utf-8")
+    rc, out, err = run_cli(
+        capsys, ["--output-dir", str(blocker / "run"), "sim", "--config", path]
+    )
+    assert (rc, out) == (4, "")
+    assert err.startswith("i/o error: cannot write run directory")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [("x", 7), ("xstar", 5)])
+def test_sim_comparison_support_outside_a_domain_is_input_error(
+    tmp_path, capsys, field, value
+):
+    # H and Phi both have 3 points
+    support = SUPPORT_JSON[:2] + [{**SUPPORT_JSON[2], field: value}]
+    path = comparison_config_json(tmp_path, distribution={"support": support})
+    rc, out, err = run_cli(capsys, ["sim", "--config", path])
+    assert (rc, out) == (2, "")
+    assert err == f"input error: support {field} index {value} outside domain of size 3\n"
+
+
+def test_missing_config_and_sample_keys_are_named(tmp_path, capsys):
+    dev = {"phi_class": class_to_json(full_class(4)), "delta": 0.01, "m": 30, "trials": 5}
+    path = write_json(tmp_path, "dev.json", dev)
+    rc, out, err = run_cli(capsys, ["sim", "--kind", "deviation", "--config", path])
+    assert (rc, out, err) == (2, "", "input error: missing key 'eps'\n")
+
+    h = write_json(tmp_path, "h.json", H1_JSON)
+    s = write_json(tmp_path, "s.json", {"triples": [{"x": 0, "y": 0}]})
+    rc, out, err = run_cli(capsys, ["erm", "--h-class", h, "--sample", s])
+    assert (rc, out, err) == (2, "", "input error: missing key 'xstar'\n")
+
+
 def test_sim_comparison_env_threads(tmp_path, capsys):
     # there is no --threads: argparse rejects it before any command runs
     bounds = ["bounds", "--m", "99", "--delta", "0.05", "--d", "2", "--dstar", "1",

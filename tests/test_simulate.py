@@ -307,13 +307,16 @@ def test_config_validation():
     # the no-op threads option is gone from the library
     with pytest.raises(TypeError):
         comparison_config(threads=1)
+    # the run directory is persist_run's argument, not part of the config
+    with pytest.raises(TypeError):
+        comparison_config(output_dir="run")
     # C may be an exact Fraction; no float is needed to check its range
     assert comparison_config(C=Fraction(1, 3)).C == Fraction(1, 3)
 
 
 def test_comparison_rejects_incompatible_support():
     bad = FiniteDistribution(((Triple(17, 0, 0), 1.0),))
-    with pytest.raises(DomainMismatchError):
+    with pytest.raises(DomainMismatchError, match="support x index 17 outside domain of size 3"):
         run_comparison(comparison_config(distribution=bad))
 
 
@@ -355,8 +358,8 @@ def test_comparison_thread_count_does_not_change_records(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["--output-dir", str(out), "sim", "--config", str(path)]) == 0
     capsys.readouterr()
-    cfg = comparison_config(output_dir=str(tmp_path / "lib"))
-    persist_run(*run_comparison(cfg), cfg)
+    cfg = comparison_config()
+    persist_run(*run_comparison(cfg), cfg, str(tmp_path / "lib"))
     assert (out / "trials.csv").read_bytes() == (tmp_path / "lib" / "trials.csv").read_bytes()
 
 
@@ -382,9 +385,9 @@ def test_privileged_error_decomposition_per_trial():
 
 def test_persist_run_layout(tmp_path):
     out = tmp_path / "run1"
-    cfg = comparison_config(output_dir=str(out))
+    cfg = comparison_config()
     records, summary = run_comparison(cfg)
-    returned = persist_run(records, summary, cfg)
+    returned = persist_run(records, summary, cfg, str(out))
     assert returned == str(out)
     for name in ("config.json", "trials.csv", "summary.json", "manifest.json"):
         assert (out / name).exists()
@@ -410,29 +413,22 @@ def test_persist_run_layout(tmp_path):
     assert stored == json.loads(json.dumps(summary))
 
 
-def test_persist_run_requires_output_dir():
-    cfg = comparison_config()
-    records, summary = run_comparison(cfg)
-    with pytest.raises(ValueError):
-        persist_run(records, summary, cfg)
-
-
 def test_persisted_csv_is_byte_stable(tmp_path):
     paths = []
     for i in range(2):
         out = tmp_path / f"run{i}"
-        cfg = comparison_config(output_dir=str(out))
+        cfg = comparison_config()
         records, summary = run_comparison(cfg)
-        persist_run(records, summary, cfg)
+        persist_run(records, summary, cfg, str(out))
         paths.append(out / "trials.csv")
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_persisted_config_round_trips(tmp_path):
     out = tmp_path / "run"
-    cfg = comparison_config(output_dir=str(out))
+    cfg = comparison_config()
     records, summary = run_comparison(cfg)
-    persist_run(records, summary, cfg)
+    persist_run(records, summary, cfg, str(out))
     echo = load_json(str(out / "config.json"))
     assert echo["m"] == cfg.m
     assert echo["seed"] == cfg.seed
@@ -725,8 +721,8 @@ def test_criterion_9_trials_csv_is_pinned(tmp_path):
     ))
     cfg = ExperimentConfig(
         distribution=dist, H=H, Phi=Phi, m=40, trials=50, delta=0.05,
-        seed=909, output_dir=str(tmp_path),
+        seed=909,
     )
-    persist_run(*run_comparison(cfg), cfg)
+    persist_run(*run_comparison(cfg), cfg, str(tmp_path))
     digest = hashlib.sha256((tmp_path / "trials.csv").read_bytes()).hexdigest()
     assert digest == "c4f4baa86278cc6b9b4c083c545cef0c344545cb4cdd3f7a620af153a9809048"

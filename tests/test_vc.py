@@ -315,6 +315,24 @@ def test_vc_named_classes_match_their_stripped_copies(d, dstar):
             assert vc_dimension(cls).nodes == vc_dimension(_stripped(cls)).nodes
 
 
+def test_vc_orbit_dropped_at_one_size_is_filtered_at_the_next():
+    # 00xyz0 and two rows on points 0 and 1, which the symmetry swaps: at
+    # size 2 root 0 fails and drops its orbit {0, 1}, so the size-3 roots
+    # start without either point
+    dom = FiniteDomain(6)
+    rows = [(0, 0, x, y, z, 0) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    rows += [(1, 1, 0, 0, 0, 0), (1, 1, 0, 0, 0, 1)]
+    cls = HypothesisClass.from_hypotheses(
+        dom, (Hypothesis(dom, r) for r in rows), ((1, 0, 2, 3, 4, 5),)
+    )
+    assert vc_dimension(cls) == VcReport(vc=3, exact=True, witness=(2, 3, 4), nodes=21)
+    assert vc_dimension(_stripped(cls)) == VcReport(
+        vc=3, exact=True, witness=(2, 3, 4), nodes=27
+    )
+    assert _report_key(cls) == _report_key(_stripped(cls))
+    assert_matches_oracle(cls)
+
+
 def test_symmetries_stay_out_of_equality_and_json():
     H, _ = construct_theorem1(3)
     assert len(H.symmetries) == 2
@@ -428,6 +446,13 @@ def test_vc_budget_stops_at_largest_size_found():
     assert (report.vc, report.exact, report.witness) == (4, False, (0, 1, 2, 3))
     assert report.nodes > 20
     assert count_shattered(full_class(6), report.vc) == (1, 6, 15, 20, 15)
+
+
+def test_vc_budget_runs_out_inside_the_forward_check():
+    # the 203rd node falls in the forward check that follows a failed descent
+    H, Phi = construct_theorem1(2)
+    report = vc_dimension(build_aux_class(H, Phi), budget=202)
+    assert report == VcReport(vc=4, exact=False, witness=(0, 2, 19, 33), nodes=203)
 
 
 def test_vc_budget_degrades_to_lower_bound():
