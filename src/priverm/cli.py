@@ -231,6 +231,8 @@ def cmd_sim(args) -> int:
             C=strict_real(raw.get("c", 1.0), "c"),
         )
         out = args.output_dir or raw.get("output_dir")
+        if out is not None and not isinstance(out, str):
+            raise ValueError(f"output_dir must be a string, got {out!r}")
         records, summary = run_comparison(config)
         if out:
             print(persist_run(records, summary, config, out))
@@ -347,6 +349,11 @@ def _suite_lemma2(d: int, dstar: int) -> bool:
 
 
 def _suite_theorem2(d: int, dstar: int) -> bool:
+    """VC(F) <= the upper end of ``d_a_interval``.
+
+    VC(F) = d_a for every H and Phi (see ``priverm.vc``), so this is the
+    same number as the upper half of lemma2's ``d_a_sandwich`` check.
+    """
     H, _ = construct_theorem1(d)
     _, Phi = construct_theorem1(dstar)
     F = build_f_class(H, Phi)

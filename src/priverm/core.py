@@ -280,9 +280,12 @@ class Triple:
 
 
 def check_domain(
-    triples: Iterable[Triple], index: str, cls: HypothesisClass, what: str
+    triples: Iterable[Triple], index: str, cls: HypothesisClass | Hypothesis, what: str
 ) -> None:
-    """Reject triples whose ``index`` field (x or xstar) leaves the class domain."""
+    """Reject triples whose ``index`` field (x or xstar) leaves ``cls.domain``.
+
+    ``cls`` is anything with a ``domain``: a class or a single hypothesis.
+    """
     top = max((getattr(t, index) for t in triples), default=-1)
     if top >= cls.domain.size:
         raise DomainMismatchError(
@@ -389,12 +392,9 @@ def aux_loss(h: Hypothesis, phi: Hypothesis, t: Triple) -> int:
 
 def exact_true_error(h: Hypothesis, dist: FiniteDistribution) -> float:
     """Probability mass of support triples misclassified by h."""
+    check_domain((t for t, _ in dist.support), "x", h, "support")
     total = 0.0
     for t, p in dist.support:
-        if not 0 <= t.x < h.domain.size:
-            raise DomainMismatchError(
-                f"support point x={t.x} outside domain of size {h.domain.size}"
-            )
         if h.bits[t.x] != t.y:
             total += p
     return total

@@ -24,6 +24,15 @@ running forever.  ``count_shattered`` counts the shattered sets of each size
 up to a given one by a second depth-first search, which also passes only the
 extending points down; it is a separate call, costlier than the search, and
 a report holds only the search's answer.
+
+The two product loss classes are one class up to relabelling.  Let sigma
+swap the label of every product point, (x, x*, y) to (x, x*, 1-y).  Read
+through sigma, each member of ``build_f_class(H, Phi)`` is the complement
+of the ``build_aux_class(H, Phi)`` member of the same (h, phi): h errs at
+1-y iff it is right at y, and phi's flag ignores y.  Complements and point
+permutations keep shattering, so sigma maps the shattered sets of F onto
+those of aux: VC(F) = d_a, ``count_shattered`` gives equal counts, and
+|F| = |aux| for every H and Phi.
 """
 
 from __future__ import annotations
@@ -391,7 +400,11 @@ def _product_class(
 def build_f_class(H: HypothesisClass, Phi: HypothesisClass) -> HypothesisClass:
     """Class of triple labelings max(h errs, phi flags) over all (h, phi).
 
-    The symmetries of H and Phi are lifted to product points.
+    The symmetries of H and Phi are lifted to product points.  Read with
+    every label swapped, each member is the complement of the aux member of
+    the same (h, phi) (see the module docstring), so this class has the
+    size, the VC dimension and the shattered-set counts of
+    ``build_aux_class(H, Phi)``.
     """
     return _product_class(H, Phi, or_)
 
@@ -399,6 +412,8 @@ def build_f_class(H: HypothesisClass, Phi: HypothesisClass) -> HypothesisClass:
 def build_aux_class(H: HypothesisClass, Phi: HypothesisClass) -> HypothesisClass:
     """Class of triple labelings (h errs AND phi does not flag).
 
-    The symmetries of H and Phi are lifted to product points.
+    The symmetries of H and Phi are lifted to product points.  Complemented
+    and read with every label swapped, it is ``build_f_class(H, Phi)``
+    member for member (see the module docstring), so d_a = VC(F).
     """
     return _product_class(H, Phi, lambda e, g: e & ~g)

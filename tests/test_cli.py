@@ -443,6 +443,22 @@ def test_sim_comparison_reads_output_dir_from_the_config(tmp_path, capsys):
     assert "output_dir" not in json.loads((out_dir / "config.json").read_text())
 
 
+@pytest.mark.parametrize("value", [5, ["run"], False])
+def test_sim_comparison_rejects_a_non_string_output_dir_before_any_trial(
+    tmp_path, capsys, monkeypatch, value
+):
+    from priverm import simulate
+
+    def never(config):
+        raise AssertionError("run_comparison ran")
+
+    monkeypatch.setattr(simulate, "run_comparison", never)
+    path = comparison_config_json(tmp_path, output_dir=value)
+    rc, out, err = run_cli(capsys, ["sim", "--config", path])
+    assert (rc, out) == (2, "")
+    assert err == f"input error: output_dir must be a string, got {value!r}\n"
+
+
 def test_sim_comparison_unwritable_run_directory_is_an_io_error(tmp_path, capsys):
     path = comparison_config_json(tmp_path)
     blocker = tmp_path / "plain_file"
@@ -980,6 +996,93 @@ def test_verify_exact_lines_carry_no_budget_note(capsys):
     assert rc == 0
     assert "[PASS] vc_f: VC(F)=6, want 6\n" in out
     assert "budget" not in out
+
+
+VERIFY_GOLDEN = [
+    (
+        ["--suite", "theorem1", "--d", "1"],
+        0,
+        "[PASS] vc_h: VC(H)=1, want 1\n"
+        "[PASS] vc_phi: VC(Phi)=1, want 1\n"
+        "[PASS] vc_f: VC(F)=3, want 3\n"
+        "[PASS] diagonal_witness: 3 diagonal points\n"
+        "additive prediction d+d* = 2; measured VC(F) = 3; REFUTED\n"
+        "PASS\n",
+        "",
+    ),
+    (
+        ["--suite", "theorem1", "--d", "2"],
+        0,
+        "[PASS] vc_h: VC(H)=2, want 2\n"
+        "[PASS] vc_phi: VC(Phi)=2, want 2\n"
+        "[PASS] vc_f: VC(F)=6, want 6\n"
+        "[PASS] diagonal_witness: 6 diagonal points\n"
+        "additive prediction d+d* = 4; measured VC(F) = 6; REFUTED\n"
+        "PASS\n",
+        "",
+    ),
+    (
+        ["--suite", "claims", "--d", "1"],
+        0,
+        "additive prediction d+d* = 2; measured VC(F) = 3\n"
+        "REFUTED\n"
+        "[PASS] claims: measured 3 matches 3d = 3\n"
+        "PASS\n",
+        "",
+    ),
+    (
+        ["--suite", "lemma1", "--d", "1", "--dstar", "1"],
+        0,
+        "[PASS] vc_h: VC(H)=1, want 1\n"
+        "[PASS] vc_j: VC(J)=1, want 1\n"
+        "[PASS] vc_union: VC(H∪J)=3, want 3\n"
+        "PASS\n",
+        "",
+    ),
+    (
+        ["--suite", "lemma1", "--d", "2", "--dstar", "3"],
+        0,
+        "[PASS] vc_h: VC(H)=2, want 2\n"
+        "[PASS] vc_j: VC(J)=3, want 3\n"
+        "[PASS] vc_union: VC(H∪J)=6, want 6\n"
+        "PASS\n",
+        "",
+    ),
+    (
+        ["--suite", "lemma2", "--d", "2", "--dstar", "2"],
+        0,
+        "[PASS] witness_size: 2 triples, want 2\n"
+        "[PASS] d_a_sandwich: d_a=6 in [2.0, 68.85]\n"
+        "PASS\n",
+        "",
+    ),
+    (
+        ["--suite", "lemma2", "--d", "1"],
+        2,
+        "",
+        "input error: both dimensions must exceed 1, got d=1, d*=1\n",
+    ),
+    (
+        ["--suite", "theorem2", "--d", "1"],
+        0,
+        "[PASS] vc_f_upper: VC(F)=3 <= 41.31\nPASS\n",
+        "",
+    ),
+    (
+        ["--suite", "theorem2", "--d", "2", "--dstar", "3"],
+        0,
+        "[PASS] vc_f_upper: VC(F)=7 <= 82.62\nPASS\n",
+        "",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, rc, out, err", VERIFY_GOLDEN, ids=["-".join(v[0][1::2]) for v in VERIFY_GOLDEN]
+)
+def test_verify_output_is_pinned(capsys, argv, rc, out, err):
+    # every byte a suite prints is part of the CLI contract
+    assert run_cli(capsys, ["verify", *argv]) == (rc, out, err)
 
 
 # --- output formats ------------------------------------------------------------------

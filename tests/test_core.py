@@ -285,7 +285,11 @@ def test_composite_loss_is_max_at_unit_cost():
 
 
 def test_f_equals_ignoring_plus_aux_pointwise():
-    """On binary losses the two event indicators partition the f event."""
+    """On binary losses the two event indicators partition the f event.
+
+    Also f at (x, x*, y) is 1 - aux at (x, x*, 1-y): F is aux complemented
+    and read with the label swapped.
+    """
     domx, doms = FiniteDomain(2, "X"), FiniteDomain(2, "X*")
     hs = [Hypothesis(domx, b) for b in ((0, 0), (0, 1), (1, 0), (1, 1))]
     ps = [Hypothesis(doms, b) for b in ((0, 0), (0, 1), (1, 0), (1, 1))]
@@ -298,6 +302,9 @@ def test_f_equals_ignoring_plus_aux_pointwise():
                         assert f_loss(h, phi, t) == ignoring_loss(
                             phi(xs), y
                         ) + aux_loss(h, phi, t)
+                        assert f_loss(h, phi, t) == 1 - aux_loss(
+                            h, phi, Triple(x, xs, 1 - y)
+                        )
 
 
 def test_f_loss_cases():
@@ -333,7 +340,9 @@ def test_exact_true_error_extremes():
 def test_exact_true_error_domain_mismatch():
     h = Hypothesis(FiniteDomain(1), (0,))
     d = FiniteDistribution(((Triple(3, 0, 0), 1.0),))
-    with pytest.raises(DomainMismatchError):
+    with pytest.raises(
+        DomainMismatchError, match=r"^support x index 3 outside domain of size 1$"
+    ):
         exact_true_error(h, d)
 
 

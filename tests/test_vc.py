@@ -635,6 +635,50 @@ def test_product_classes_match_golden_digest():
     assert digest == "18a1f5b2fece5988dbd5d2d7765183c08e5ad31db1e8ec12304f9a4f0989571a"
 
 
+def test_f_class_is_aux_complemented_and_read_with_y_swapped():
+    # f(h, phi) at (x, x*, y) is 1 - aux(h, phi) at (x, x*, 1-y), so F is
+    # {sigma(~a) : a in aux} member for member, with the same lifted symmetries
+    for H, Phi in _product_class_pairs():
+        F, A = build_f_class(H, Phi), build_aux_class(H, Phi)
+        assert F.domain == A.domain
+        assert len(F) == len(A)
+        full = (1 << A.domain.size) - 1
+        even = full // 3  # the y = 0 points, bits 0, 2, 4, ...
+
+        def sigma(c: int) -> int:
+            return ((c & even) << 1) | ((c >> 1) & even)
+
+        assert {h.mask for h in F} == {sigma(full ^ a.mask) for a in A}
+        assert F.symmetries == A.symmetries
+        assert len(F.symmetries) == len(H.symmetries) + len(Phi.symmetries)
+
+
+@pytest.mark.parametrize(
+    "d, dstar, levels",
+    [
+        (1, 1, (1, 18, 69, 22)),
+        (1, 2, (1, 36, 354, 896, 144)),
+        (2, 1, (1, 36, 462, 1520, 204)),
+        (2, 2, (1, 72, 2004, 21808, 73674, 24840, 1480)),
+    ],
+    ids=["1-1", "1-2", "2-1", "2-2"],
+)
+def test_vc_search_and_counts_agree_on_f_and_aux(d, dstar, levels):
+    # F and aux are one class up to complement and sigma, so each search and
+    # count checks the other on classes too large for the brute-force oracle
+    H, _ = construct_theorem1(d)
+    _, Phi = construct_theorem1(dstar)
+    F, A = build_f_class(H, Phi), build_aux_class(H, Phi)
+    rf, ra = vc_dimension(F), vc_dimension(A)
+    assert rf.exact and ra.exact
+    assert rf.vc == ra.vc == len(levels) - 1
+    # sigma maps product point p to p ^ 1 (y is the last bit of the index);
+    # the lex-first witnesses need not be sigma-images of each other
+    assert is_shattered(A, [p ^ 1 for p in rf.witness])
+    assert is_shattered(F, [p ^ 1 for p in ra.witness])
+    assert count_shattered(F, rf.vc) == count_shattered(A, ra.vc) == levels
+
+
 def test_build_classes_reject_empty():
     with pytest.raises(ValueError):
         build_f_class(h1(), HypothesisClass(FiniteDomain(3, "X*"), ()))
