@@ -101,6 +101,15 @@ def _load_class(path: str, label: str):
     return class_from_json(load_json(path), label=label)
 
 
+def _check_keys(raw, known, what: str, unknown: str) -> None:
+    """Raise unless ``raw`` is a JSON object whose every key is in ``known``."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    extra = sorted(raw.keys() - known)
+    if extra:
+        raise ValueError(f"unknown {unknown}: {', '.join(extra)}")
+
+
 # --- subcommands ------------------------------------------------------------
 
 
@@ -136,6 +145,8 @@ def cmd_construct(args) -> int:
         }
     else:  # theorem5
         Phi = full_class(args.dstar, label="X*")
+        if not set(args.heavy_side or "") <= {"0", "1"}:
+            raise ValueError(f"--heavy-side takes only 0 and 1, got {args.heavy_side!r}")
         heavy = tuple(int(c) for c in args.heavy_side) if args.heavy_side else None
         family, dist = construct_theorem5_family(
             Phi, eps=args.eps, delta=args.delta, heavy_side=heavy
@@ -169,12 +180,8 @@ def cmd_erm(args) -> int:
 def cmd_bounds(args) -> int:
     # the file's object, if any, with every given flag written over it
     raw = load_json(args.inputs) if args.inputs else {}
-    if not isinstance(raw, dict):
-        raise ValueError("bounds inputs must be a JSON object")
     fields = dataclasses.fields(BoundInputs)
-    unknown = sorted(raw.keys() - {f.name for f in fields})
-    if unknown:
-        raise ValueError(f"unknown bounds inputs: {', '.join(unknown)}")
+    _check_keys(raw, {f.name for f in fields}, "bounds inputs", "bounds inputs")
     types = get_type_hints(BoundInputs)
     for f in fields:
         if getattr(args, f.name) is not None:
@@ -208,6 +215,13 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+# the comparison keys are the ones ExperimentConfig.to_json writes
+SIM_CONFIG_KEYS = {
+    "comparison": set("distribution h_class phi_class m trials delta seed c".split()),
+    "deviation": set("phi_class eps delta m trials seed heavy_side search".split()),
+}
+
+
 def cmd_sim(args) -> int:
     from .simulate import (
         ExperimentConfig,
@@ -217,50 +231,39 @@ def cmd_sim(args) -> int:
     )
 
     raw = load_json(args.config)
+    what = f"{args.kind} config"
+    _check_keys(raw, SIM_CONFIG_KEYS[args.kind], what, f"{what} keys")
+    # the keys both kinds share, read once; --seed wins over the file's seed
+    seed = strict_int(args.seed if args.seed is not None else raw.get("seed", 0), "seed")
+    m, trials = strict_int(raw["m"], "m"), strict_int(raw["trials"], "trials")
+    delta = strict_real(raw["delta"], "delta")
+    Phi = class_from_json(raw["phi_class"], label="X*")
     if args.kind == "comparison":
         config = ExperimentConfig(
             distribution=distribution_from_json(raw["distribution"]),
             H=class_from_json(raw["h_class"], label="X"),
-            Phi=class_from_json(raw["phi_class"], label="X*"),
-            m=strict_int(raw["m"], "m"),
-            trials=strict_int(raw["trials"], "trials"),
-            delta=strict_real(raw["delta"], "delta"),
-            seed=strict_int(
-                args.seed if args.seed is not None else raw.get("seed", 0), "seed"
-            ),
+            Phi=Phi, m=m, trials=trials, delta=delta, seed=seed,
             C=strict_real(raw.get("c", 1.0), "c"),
         )
-        out = args.output_dir or raw.get("output_dir")
-        if out is not None and not isinstance(out, str):
-            raise ValueError(f"output_dir must be a string, got {out!r}")
         records, summary = run_comparison(config)
-        if out:
-            print(persist_run(records, summary, config, out))
+        if args.output_dir:
+            print(persist_run(records, summary, config, args.output_dir))
         else:
             _emit(summary, args.format)
         return EXIT_OK
 
     # deviation experiment
-    Phi = class_from_json(raw["phi_class"], label="X*")
     search = raw.get("search", "prime")
     if search not in ("prime", "full"):
         raise ValueError(f'search must be "prime" or "full", got {search!r}')
-    heavy = raw.get("heavy_side")
     family, _ = construct_theorem5_family(
         Phi,
         eps=strict_real(raw["eps"], "eps"),
-        delta=strict_real(raw["delta"], "delta"),
-        heavy_side=tuple(heavy) if heavy is not None else None,
+        delta=delta,
+        heavy_side=raw.get("heavy_side"),
     )
-    report = run_theorem5_experiment(
-        family,
-        phi_prime_subclass(Phi, family.pairs) if search == "prime" else Phi,
-        m=strict_int(raw["m"], "m"),
-        trials=strict_int(raw["trials"], "trials"),
-        seed=strict_int(
-            args.seed if args.seed is not None else raw.get("seed", 0), "seed"
-        ),
-    )
+    search_class = phi_prime_subclass(Phi, family.pairs) if search == "prime" else Phi
+    report = run_theorem5_experiment(family, search_class, m=m, trials=trials, seed=seed)
     _write(report, "deviation", args, args.format)
     return EXIT_OK
 

@@ -149,22 +149,16 @@ class Theorem5Family:
     """
 
     pairs: tuple[tuple[int, int], ...]
-    alpha: float
     eps: float
     delta: float
     heavy_side: tuple[int, ...]
     phi_star: Hypothesis
     distribution: FiniteDistribution
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
-        if self.alpha != 8.0 * self.eps / (1.0 - 8.0 * self.delta):
-            raise ValueError("alpha inconsistent with eps and delta")
-        if len(self.heavy_side) != len(self.pairs):
-            raise ValueError("heavy_side must give one bit per pair")
-        if any(b not in (0, 1) for b in self.heavy_side):
-            raise ValueError("heavy_side bits must be 0 or 1")
+    @property
+    def alpha(self) -> float:
+        """The mass gap 8*eps/(1-8*delta) within each pair."""
+        return 8.0 * self.eps / (1.0 - 8.0 * self.delta)
 
     @property
     def n_points(self) -> int:
@@ -239,7 +233,6 @@ def construct_theorem5_family(
 
     family = Theorem5Family(
         pairs=pairs,
-        alpha=alpha,
         eps=eps,
         delta=delta,
         heavy_side=heavy_side,

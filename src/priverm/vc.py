@@ -309,7 +309,10 @@ def vc_dimension(
     the first k with no shattered set.  ``nodes`` counts split attempts, and
     passing the node budget returns the largest size found so far as a lower
     bound with ``exact=False``; ``is_shattered`` verifies a claimed set.
+    A budget below 1 is a ``ValueError``; ``None`` means no limit.
     """
+    if budget is not None and budget < 1:
+        raise ValueError(f"node budget must be at least 1, got {budget}")
     full, active, cols = _active(cls)
     vc_cap = min(len(cls).bit_length() - 1, len(active))
     orbits = None

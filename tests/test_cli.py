@@ -27,8 +27,8 @@ from hypothesis import strategies as st
 import priverm
 from priverm.bounds import BoundInputs, bound_erm, r_fast
 from priverm.cli import main
-from priverm.constructions import H1_PATTERNS, PHI1_PATTERNS, full_class
-from priverm.core import class_to_json
+from priverm.constructions import H1_PATTERNS, PHI1_PATTERNS, construct_theorem1, full_class
+from priverm.core import class_to_json, distribution_from_json
 
 H1_JSON = {
     "domain_size": 3,
@@ -99,6 +99,14 @@ def test_vc_budget_exhausted_reports_nodes_and_level(tmp_path, capsys):
     assert err == "node budget exhausted before the exact answer (nodes=21, level=4)\n"
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_vc_budget_below_one_is_input_error(tmp_path, capsys, budget):
+    path = write_json(tmp_path, "h1.json", H1_JSON)
+    rc, out, err = run_cli(capsys, ["vc", path, "--budget", budget])
+    assert (rc, out) == (2, "")
+    assert err == f"input error: node budget must be at least 1, got {budget}\n"
+
+
 def test_vc_lower_bound_mode(tmp_path, capsys):
     # there is no --mode: a lower bound comes only from a search cut by --budget
     path = write_json(tmp_path, "full8.json", class_to_json(full_class(8)))
@@ -157,6 +165,15 @@ def test_construct_theorem5_writes_file(tmp_path, capsys):
     assert out.strip().endswith("theorem5.json")
     payload = json.loads((tmp_path / "theorem5.json").read_text())
     assert payload["heavy_side"] == [1, 0]
+
+
+@pytest.mark.parametrize("heavy", ["0x", "12", " 01"])
+def test_construct_theorem5_names_a_heavy_side_that_is_not_bits(capsys, heavy):
+    rc, out, err = run_cli(
+        capsys, ["construct", "--what", "theorem5", "--dstar", "4", "--heavy-side", heavy]
+    )
+    assert (rc, out) == (2, "")
+    assert err == f"input error: --heavy-side takes only 0 and 1, got {heavy!r}\n"
 
 
 def test_construct_theorem5_rejects_trivial_class(capsys):
@@ -435,14 +452,6 @@ def test_sim_comparison_persists_run(tmp_path, capsys):
         assert (out_dir / name).exists()
 
 
-def test_sim_comparison_reads_output_dir_from_the_config(tmp_path, capsys):
-    out_dir = tmp_path / "from_file"
-    path = comparison_config_json(tmp_path, output_dir=str(out_dir))
-    rc, out, _ = run_cli(capsys, ["sim", "--config", path])
-    assert (rc, out) == (0, f"{out_dir}\n")
-    assert "output_dir" not in json.loads((out_dir / "config.json").read_text())
-
-
 @pytest.mark.parametrize("value", [5, ["run"], False])
 def test_sim_comparison_rejects_a_non_string_output_dir_before_any_trial(
     tmp_path, capsys, monkeypatch, value
@@ -452,11 +461,60 @@ def test_sim_comparison_rejects_a_non_string_output_dir_before_any_trial(
     def never(config):
         raise AssertionError("run_comparison ran")
 
+    # --output-dir is the one spelling; the config key is unknown whatever its value
     monkeypatch.setattr(simulate, "run_comparison", never)
     path = comparison_config_json(tmp_path, output_dir=value)
     rc, out, err = run_cli(capsys, ["sim", "--config", path])
-    assert (rc, out) == (2, "")
-    assert err == f"input error: output_dir must be a string, got {value!r}\n"
+    assert (rc, out, err) == (2, "", "input error: unknown comparison config keys: output_dir\n")
+
+
+@pytest.mark.parametrize(
+    "kind, config, err",
+    [
+        ("comparison", {"C": 5}, "unknown comparison config keys: C"),
+        ("comparison", {"output_dir": "run"}, "unknown comparison config keys: output_dir"),
+        ("comparison", {"serach": 1, "C": 5}, "unknown comparison config keys: C, serach"),
+        ("comparison", [{"m": 20}], "comparison config must be a JSON object"),
+        ("deviation", {"serach": "full"}, "unknown deviation config keys: serach"),
+        ("deviation", {"c": 1.0}, "unknown deviation config keys: c"),
+        ("deviation", [{"m": 30}], "deviation config must be a JSON object"),
+    ],
+    ids=str,
+)
+def test_sim_config_keys_are_checked_before_any_class_or_trial(
+    tmp_path, capsys, monkeypatch, kind, config, err
+):
+    from priverm import cli, simulate
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran past the key check")
+
+    for module, name in [(cli, "class_from_json"), (simulate, "run_comparison"),
+                         (simulate, "run_theorem5_experiment")]:
+        monkeypatch.setattr(module, name, never)
+    if isinstance(config, list):
+        path = write_json(tmp_path, "list.json", config)
+    else:
+        path = sim_config_json(tmp_path, kind, **config)
+    rc, out, got = run_cli(capsys, ["sim", "--kind", kind, "--config", path])
+    assert (rc, out, got) == (2, "", f"input error: {err}\n")
+
+
+def test_comparison_config_keys_are_the_keys_config_json_records(tmp_path, capsys):
+    from priverm.cli import SIM_CONFIG_KEYS
+    from priverm.simulate import ExperimentConfig
+
+    dist = distribution_from_json({"support": SUPPORT_JSON})
+    H, Phi = construct_theorem1(1)
+    cfg = ExperimentConfig(distribution=dist, H=H, Phi=Phi, m=20, trials=8, delta=0.05, seed=3)
+    assert set(cfg.to_json()) == SIM_CONFIG_KEYS["comparison"]
+    # so a run's config.json is a comparison config, and replays the run
+    runs = [tmp_path / "run", tmp_path / "replay"]
+    configs = [comparison_config_json(tmp_path, c=2.5), str(runs[0] / "config.json")]
+    for config, run in zip(configs, runs):
+        assert run_cli(capsys, ["--output-dir", str(run), "sim", "--config", config])[0] == 0
+    for name in ("config.json", "trials.csv", "summary.json"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
 
 def test_sim_comparison_unwritable_run_directory_is_an_io_error(tmp_path, capsys):
@@ -495,34 +553,22 @@ def test_missing_config_and_sample_keys_are_named(tmp_path, capsys):
     assert (rc, out, err) == (2, "", "input error: missing key 'xstar'\n")
 
 
-def test_sim_comparison_env_threads(tmp_path, capsys):
-    # there is no --threads: argparse rejects it before any command runs
-    bounds = ["bounds", "--m", "99", "--delta", "0.05", "--d", "2", "--dstar", "1",
-              "--d-a", "3"]
-    for argv in (["sim", "--config", comparison_config_json(tmp_path)], bounds):
-        with pytest.raises(SystemExit) as exc:
-            main(["--threads", "2", *argv])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "priverm: error: argument command: invalid choice: '2'" in captured.err
-        assert "Traceback" not in captured.err
-
-
 @pytest.mark.parametrize(
     "argv",
     [["vc", "h.json"], ["construct", "--what", "theorem1"], ["verify", "--suite", "claims"],
-     ["erm", "--h-class", "h.json", "--sample", "s.json"], ["sim", "--config", "c.json"]],
+     ["erm", "--h-class", "h.json", "--sample", "s.json"], ["sim", "--config", "c.json"],
+     ["bounds", "--m", "99", "--delta", "0.05", "--d", "2", "--dstar", "1", "--d-a", "3"]],
     ids=lambda argv: argv[0],
 )
 @pytest.mark.parametrize("threads", ["0", "-3", "2"])
 def test_every_command_rejects_a_bad_thread_count(capsys, argv, threads):
-    # priverm has no --threads flag, so argparse rejects every thread count
+    # priverm has no --threads flag: argparse rejects every thread count
+    # before any command runs, so no file named here is read
     with pytest.raises(SystemExit) as exc:
         main(["--threads", threads, *argv])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "priverm: error:" in err and "Traceback" not in err
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "priverm: error:" in captured.err and "Traceback" not in captured.err
 
 
 def test_sim_deviation(tmp_path, capsys):
@@ -883,7 +929,7 @@ def test_malformed_erm_and_sim_inputs_exit_cleanly(tmp_path, capsys, data):
                 "--sample", paths["s"]]
     else:
         if command == "comparison":
-            cfg = json.loads(open(comparison_config_json(tmp_path), encoding="utf-8").read())
+            cfg = json.loads(Path(comparison_config_json(tmp_path)).read_text(encoding="utf-8"))
             path = data.draw(st.sampled_from(COMPARISON_PATHS))
         else:
             cfg = {"phi_class": class_to_json(full_class(4)), "eps": 0.1, "delta": 0.01,
@@ -929,50 +975,6 @@ def test_malformed_bounds_inputs_exit_cleanly(tmp_path, capsys, data):
 # --- verify ------------------------------------------------------------------------
 
 
-def test_verify_theorem1(capsys):
-    rc, out, _ = run_cli(capsys, ["verify", "--suite", "theorem1", "--d", "1"])
-    assert rc == 0
-    assert "[PASS] vc_f" in out
-    assert "REFUTED" in out
-    assert out.rstrip().endswith("PASS")
-
-
-def test_verify_claims(capsys):
-    rc, out, _ = run_cli(capsys, ["verify", "--suite", "claims", "--d", "1"])
-    assert rc == 0
-    assert "additive prediction d+d* = 2; measured VC(F) = 3" in out
-    assert "REFUTED" in out
-
-
-def test_verify_lemma1(capsys):
-    rc, out, _ = run_cli(
-        capsys, ["verify", "--suite", "lemma1", "--d", "1", "--dstar", "1"]
-    )
-    assert rc == 0
-    assert "[PASS] vc_union" in out
-
-
-def test_verify_lemma2(capsys):
-    rc, out, _ = run_cli(
-        capsys, ["verify", "--suite", "lemma2", "--d", "2", "--dstar", "2"]
-    )
-    assert rc == 0
-    assert "[PASS] witness_size" in out
-    assert "[PASS] d_a_sandwich" in out
-
-
-def test_verify_lemma2_needs_nontrivial_dims(capsys):
-    rc, _, err = run_cli(capsys, ["verify", "--suite", "lemma2", "--d", "1"])
-    assert rc == 2
-    assert "input error" in err
-
-
-def test_verify_theorem2(capsys):
-    rc, out, _ = run_cli(capsys, ["verify", "--suite", "theorem2", "--d", "1"])
-    assert rc == 0
-    assert "[PASS] vc_f_upper" in out
-
-
 @pytest.mark.parametrize(
     "argv, line",
     [
@@ -989,13 +991,6 @@ def test_verify_says_when_the_node_budget_ran_out(monkeypatch, capsys, argv, lin
     rc, out, _ = run_cli(capsys, ["verify", *argv])
     assert rc == 1
     assert f"] {line} (lower bound: node budget exhausted)\n" in out
-
-
-def test_verify_exact_lines_carry_no_budget_note(capsys):
-    rc, out, _ = run_cli(capsys, ["verify", "--suite", "theorem1", "--d", "2"])
-    assert rc == 0
-    assert "[PASS] vc_f: VC(F)=6, want 6\n" in out
-    assert "budget" not in out
 
 
 VERIFY_GOLDEN = [

@@ -1,5 +1,6 @@
 """The named class constructions and the paired-mass distribution family."""
 
+import dataclasses
 import random
 
 import pytest
@@ -142,6 +143,10 @@ def test_family_alpha_and_star_rate():
     family, dist = construct_theorem5_family(Phi, eps=0.05, delta=1 / 256)
     assert family.alpha == 8 * 0.05 / (1 - 8 / 256)
     assert family.alpha == pytest.approx(0.4 / 0.96875)
+    # alpha is derived from eps and delta, not stored beside them
+    assert "alpha" not in {f.name for f in dataclasses.fields(family)}
+    with pytest.raises(AttributeError):
+        family.alpha = 0.5
     assert sum(p for _, p in dist.support) == pytest.approx(1.0, abs=1e-12)
     star_rate = family.true_flag_rate(family.phi_star)
     assert star_rate == pytest.approx((1 - family.alpha) / 2, abs=1e-12)

@@ -455,6 +455,15 @@ def test_vc_budget_runs_out_inside_the_forward_check():
     assert report == VcReport(vc=4, exact=False, witness=(0, 2, 19, 33), nodes=203)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_vc_budget_below_one_is_rejected(budget):
+    with pytest.raises(ValueError, match=f"node budget must be at least 1, got {budget}"):
+        vc_dimension(full_class(3), budget=budget)
+    # None means no limit; 1 is the smallest budget
+    assert vc_dimension(full_class(3), budget=None).exact
+    assert not vc_dimension(full_class(3), budget=1).exact
+
+
 def test_vc_budget_degrades_to_lower_bound():
     report = vc_dimension(full_class(6), budget=20)
     assert not report.exact
