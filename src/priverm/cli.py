@@ -35,6 +35,7 @@ from .constructions import (
     phi_prime_subclass,
 )
 from .core import (
+    check_keys,
     class_from_json,
     class_to_json,
     distribution_from_json,
@@ -99,15 +100,6 @@ def _write(payload: dict, name: str, args, fmt: str) -> None:
 
 def _load_class(path: str, label: str):
     return class_from_json(load_json(path), label=label)
-
-
-def _check_keys(raw, known, what: str, unknown: str) -> None:
-    """Raise unless ``raw`` is a JSON object whose every key is in ``known``."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    extra = sorted(raw.keys() - known)
-    if extra:
-        raise ValueError(f"unknown {unknown}: {', '.join(extra)}")
 
 
 # --- subcommands ------------------------------------------------------------
@@ -181,7 +173,7 @@ def cmd_bounds(args) -> int:
     # the file's object, if any, with every given flag written over it
     raw = load_json(args.inputs) if args.inputs else {}
     fields = dataclasses.fields(BoundInputs)
-    _check_keys(raw, {f.name for f in fields}, "bounds inputs", "bounds inputs")
+    check_keys(raw, {f.name for f in fields}, "bounds inputs", "bounds inputs")
     types = get_type_hints(BoundInputs)
     for f in fields:
         if getattr(args, f.name) is not None:
@@ -231,8 +223,7 @@ def cmd_sim(args) -> int:
     )
 
     raw = load_json(args.config)
-    what = f"{args.kind} config"
-    _check_keys(raw, SIM_CONFIG_KEYS[args.kind], what, f"{what} keys")
+    check_keys(raw, SIM_CONFIG_KEYS[args.kind], f"{args.kind} config")
     # the keys both kinds share, read once; --seed wins over the file's seed
     seed = strict_int(args.seed if args.seed is not None else raw.get("seed", 0), "seed")
     m, trials = strict_int(raw["m"], "m"), strict_int(raw["trials"], "trials")

@@ -1,10 +1,12 @@
 """Domains, hypotheses, samples, finite distributions, and loss functions.
 
 All domains are finite and indexed densely by 0..size-1.  A hypothesis is a
-total binary labeling of one domain, stored as a bit tuple; a hypothesis
-class is a deduplicated, canonically ordered set of such labelings.  Losses
-are pure functions on {0,1} values, so every quantity downstream (empirical
-risk, true error, VC dimension) is computed exactly.
+total binary labeling of one domain, stored as one ``bytes`` object whose
+items are the ints 0 and 1 (so ``h.bits == (0, 1)`` is False: compare
+``tuple(h.bits)``); a hypothesis class is a deduplicated, canonically
+ordered set of such labelings.  Losses are pure functions on {0,1} values,
+so every quantity downstream (empirical risk, true error, VC dimension) is
+computed exactly.
 """
 
 from __future__ import annotations
@@ -69,16 +71,18 @@ def product_legend(n_x: int, n_xstar: int) -> list[str]:
 class Hypothesis:
     """A total binary labeling of a finite domain.
 
-    ``bits[i]`` is the label of point ``i``.  Any value equal to 0 or 1 is
-    accepted as a bit (``True``, ``1.0``) and stored as the int 0 or 1, so
-    a hypothesis equals, hashes and serialises like its int twin.
-    Hypotheses are immutable and hashable; the integer ``mask`` view (bit i
-    = label of point i) is computed on first read and kept for
-    ``k_fold_union``, which ORs members.
+    ``bits[i]`` is the label of point ``i``.  The labels are stored as one
+    ``bytes`` object whose items are the ints 0 and 1: indexing and
+    iteration give ints, but ``h.bits == (0, 1)`` is False, so compare
+    ``tuple(h.bits)`` with a tuple.  Any sequence of values equal to 0 or 1
+    is accepted (``True``, ``1.0``), so a hypothesis equals, hashes and
+    serialises like its int twin.  Hypotheses are immutable and hashable;
+    the integer ``mask`` view (bit i = label of point i) is computed on
+    first read and kept for ``k_fold_union``, which ORs members.
     """
 
     domain: FiniteDomain
-    bits: tuple[int, ...]
+    bits: bytes
 
     def __post_init__(self) -> None:
         if len(self.bits) != self.domain.size:
@@ -86,7 +90,7 @@ class Hypothesis:
                 f"bit pattern length {len(self.bits)} != domain size {self.domain.size}"
             )
         try:
-            # ints and bools in one pass; a float, a string or None raises
+            # bytes, ints and bools in one pass; a float, a string or None raises
             raw = bytes(self.bits)
         except (TypeError, ValueError):
             raw = None
@@ -95,16 +99,12 @@ class Hypothesis:
                 raw = bytes(map(_BIT.__getitem__, self.bits))
             except KeyError:
                 raise ValueError("bits must all be 0 or 1") from None
-        object.__setattr__(self, "bits", tuple(raw))
+        object.__setattr__(self, "bits", raw)
 
     @cached_property
     def mask(self) -> int:
         """Integer view with bit i set iff point i is labeled 1."""
-        m = 0
-        for i, b in enumerate(self.bits):
-            if b:
-                m |= 1 << i
-        return m
+        return int(self.bits[::-1].translate(_TO_DIGITS), 2)
 
     def __call__(self, i: int) -> int:
         if not 0 <= i < self.domain.size:
@@ -115,23 +115,24 @@ class Hypothesis:
 
     def to_bitstring(self) -> str:
         """Point-0-first bit string, e.g. '0110'."""
-        return "".join(str(b) for b in self.bits)
+        return self.bits.translate(_TO_DIGITS).decode()
 
     @classmethod
     def from_bitstring(cls, domain: FiniteDomain, s: str) -> "Hypothesis":
         if set(s) - {"0", "1"}:
             raise ValueError(f"bit string may contain only 0/1: {s!r}")
-        return cls(domain, tuple(int(c) for c in s))
+        # a sequence of "0" and "1" strings reads like the string they join to
+        return cls(domain, "".join(s).encode().translate(_FROM_DIGITS))
 
     @classmethod
     def from_mask(cls, domain: FiniteDomain, mask: int) -> "Hypothesis":
         """Bit i of ``mask`` labels point i; bits past the domain are ignored."""
         n = domain.size
         digits = format(mask & ((1 << n) - 1), f"0{n}b")[::-1]
-        # n ints, each 0 or 1, by construction: nothing for __post_init__ to check
+        # n bytes, each 0 or 1, by construction: nothing for __post_init__ to check
         h = object.__new__(cls)
         object.__setattr__(h, "domain", domain)
-        object.__setattr__(h, "bits", tuple(digits.encode().translate(_FROM_DIGITS)))
+        object.__setattr__(h, "bits", digits.encode().translate(_FROM_DIGITS))
         return h
 
 
@@ -139,7 +140,7 @@ class Hypothesis:
 class HypothesisClass:
     """A deduplicated finite set of hypotheses over one shared domain.
 
-    Members are kept in canonical order (lexicographic by bit tuple, i.e.
+    Members are kept in canonical order (lexicographic by ``bits``, i.e.
     the order in which the patterns read as point-0-first bit strings), so
     "smallest member index" is well defined for tie-breaking.
 
@@ -167,7 +168,7 @@ class HypothesisClass:
     def __post_init__(self) -> None:
         # one pass accepts a valid class: each member on the class domain,
         # with bits strictly after the previous member's (sorted, no repeats)
-        dom, prev = self.domain, ()
+        dom, prev = self.domain, b""
         for h in self.members:
             if h.domain != dom or h.bits <= prev:
                 break
@@ -215,11 +216,12 @@ class HypothesisClass:
     def columns(self) -> tuple[int, ...]:
         """Bit column of each point: bit i is member i's label there.
 
-        Rows are read last member first, so member i lands on bit i of the
-        base-2 parse.
+        The rows are joined last member first, so point p's labels are every
+        n-th byte from p, and member i lands on bit i of the base-2 parse.
         """
-        rows = [h.bits for h in reversed(self.members)]
-        return tuple([int(bytes(col).translate(_TO_DIGITS), 2) for col in zip(*rows)])
+        n = self.domain.size
+        rows = b"".join([h.bits for h in reversed(self.members)])
+        return tuple([int(rows[p::n].translate(_TO_DIGITS), 2) for p in range(n)])
 
     @cached_property
     def orbits(self) -> tuple[tuple[int, ...], ...]:
@@ -242,7 +244,7 @@ class HypothesisClass:
                 inverse[q] = p
             image = itemgetter(*inverse)
             # one point has only the identity, and there itemgetter returns a bit
-            if n > 1 and any(image(r) not in rows for r in rows):
+            if n > 1 and any(bytes(image(r)) not in rows for r in rows):
                 raise ValueError(f"symmetry {tuple(g)} does not map the class onto itself")
         parent = list(range(n))
 
@@ -405,6 +407,11 @@ def exact_true_error(h: Hypothesis, dist: FiniteDistribution) -> float:
 # Class files:        {"domain_size": n, "hypotheses": ["0110...", ...]}
 # Distribution files: {"support": [{"x": i, "xstar": j, "y": b, "p": v}, ...]}
 # Sample files:       {"triples": [{"x": i, "xstar": j, "y": b}, ...]}
+#
+# Every object read, nested ones included, must carry only the keys shown.
+
+_TRIPLE_KEYS = frozenset({"x", "xstar", "y"})
+_POINT_KEYS = _TRIPLE_KEYS | {"p"}
 
 
 def class_to_json(cls: HypothesisClass) -> dict:
@@ -441,13 +448,28 @@ def strict_real(value, what: str) -> float:
         raise ValueError(f"{what} is too large for a float") from None
 
 
-def _triple_from_json(e: dict) -> Triple:
+def check_keys(raw, known, what: str, unknown: str | None = None) -> None:
+    """Raise unless ``raw`` is a JSON object whose every key is in ``known``.
+
+    The error names ``what`` and the stray keys, under ``unknown`` if given,
+    else under "``what`` keys".
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    extra = sorted(raw.keys() - known)
+    if extra:
+        raise ValueError(f"unknown {unknown or what + ' keys'}: {', '.join(extra)}")
+
+
+def _triple_from_json(e: dict, known=_TRIPLE_KEYS, what: str = "triple") -> Triple:
+    check_keys(e, known, what)
     return Triple(
         strict_int(e["x"], "x"), strict_int(e["xstar"], "xstar"), strict_int(e["y"], "y")
     )
 
 
 def class_from_json(obj: dict, label: str = "X") -> HypothesisClass:
+    check_keys(obj, {"domain_size", "hypotheses"}, "class")
     domain = FiniteDomain(size=strict_int(obj["domain_size"], "domain_size"), label=label)
     return HypothesisClass.from_hypotheses(
         domain, (Hypothesis.from_bitstring(domain, s) for s in obj["hypotheses"])
@@ -463,8 +485,12 @@ def distribution_to_json(dist: FiniteDistribution) -> dict:
 
 
 def distribution_from_json(obj: dict) -> FiniteDistribution:
+    check_keys(obj, {"support"}, "distribution")
     return FiniteDistribution(
-        tuple((_triple_from_json(e), strict_real(e["p"], "p")) for e in obj["support"])
+        tuple(
+            (_triple_from_json(e, _POINT_KEYS, "support point"), strict_real(e["p"], "p"))
+            for e in obj["support"]
+        )
     )
 
 
@@ -473,6 +499,7 @@ def sample_to_json(s: TripleSample) -> dict:
 
 
 def sample_from_json(obj: dict) -> TripleSample:
+    check_keys(obj, {"triples"}, "sample")
     return TripleSample(tuple(_triple_from_json(e) for e in obj["triples"]))
 
 

@@ -76,9 +76,9 @@ class PrivilegedErmResult:
 
 
 def _bits(cls: HypothesisClass) -> np.ndarray:
-    return np.array([h.bits for h in cls.members], dtype=np.int64).reshape(
-        len(cls), cls.domain.size
-    )
+    """The |cls|×n label matrix, one row per member, read from the joined bits."""
+    rows = b"".join([h.bits for h in cls.members])
+    return np.frombuffer(rows, dtype=np.uint8).reshape(len(cls), cls.domain.size)
 
 
 def error_matrix(H: HypothesisClass, points: Sequence[Triple]) -> np.ndarray:
@@ -91,7 +91,7 @@ def error_matrix(H: HypothesisClass, points: Sequence[Triple]) -> np.ndarray:
 def flag_matrix(Phi: HypothesisClass, points: Sequence[Triple]) -> np.ndarray:
     """G[j, k] = 1 iff member j of Phi flags triple k."""
     xstar = np.array([t.xstar for t in points], dtype=np.intp)
-    return _bits(Phi)[:, xstar]
+    return _bits(Phi)[:, xstar].astype(np.int64)
 
 
 def positive_cost(C: Union[int, float, Fraction]) -> Fraction:

@@ -375,16 +375,20 @@ def _product_class(
     """
     if len(H) == 0 or len(Phi) == 0:
         raise ValueError("both classes must be nonempty")
-    n_xs = Phi.domain.size
-    dom = product_domain(H.domain.size, n_xs)
-    points = product_points(H.domain.size, n_xs)
-    errs = [
-        sum(1 << p for p, (x, _, y) in enumerate(points) if h.bits[x] != y)
-        for h in H.members
-    ]
+    n_x, n_xs = H.domain.size, Phi.domain.size
+    dom = product_domain(n_x, n_xs)
+    points = product_points(n_x, n_xs)
+    # ((x, x*), y) is bit 2 (n_xs x + x*) + y.  So e is the sum over x of
+    # err_at[x][h(x)], the points of x whose y is not h(x), and g the sum of
+    # flag_at[x*] over the x* with phi(x*) = 1, the points of x*: one factor
+    # member's n labels make its mask
+    y0 = sum(1 << 2 * xs for xs in range(n_xs))
+    err_at = [(y0 << 1 + 2 * n_xs * x, y0 << 2 * n_xs * x) for x in range(n_x)]
+    x0 = sum(1 << 2 * n_xs * x for x in range(n_x))
+    flag_at = [3 * x0 << 2 * xs for xs in range(n_xs)]
+    errs = [sum([err_at[x][b] for x, b in enumerate(h.bits)]) for h in H.members]
     flags = [
-        sum(1 << p for p, (_, xs, _) in enumerate(points) if phi.bits[xs])
-        for phi in Phi.members
+        sum([flag_at[xs] for xs, b in enumerate(phi.bits) if b]) for phi in Phi.members
     ]
     members = {combine(e, g) for e in errs for g in flags}
     lifted = [

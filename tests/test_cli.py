@@ -500,6 +500,52 @@ def test_sim_config_keys_are_checked_before_any_class_or_trial(
     assert (rc, out, got) == (2, "", f"input error: {err}\n")
 
 
+@pytest.mark.parametrize(
+    "kind, config, err",
+    [
+        ("comparison", {"distribution": {"support": [{**SUPPORT_JSON[0], "q": 1}, *SUPPORT_JSON[1:]]}},
+         "unknown support point keys: q"),
+        ("comparison", {"distribution": {"support": SUPPORT_JSON, "extra": 1}},
+         "unknown distribution keys: extra"),
+        ("comparison", {"h_class": {**H1_JSON, "label": "Z"}}, "unknown class keys: label"),
+        ("comparison", {"phi_class": {**PHI1_JSON, "oops": 0}}, "unknown class keys: oops"),
+        ("deviation", {"phi_class": {**class_to_json(full_class(4)), "oops": 0}},
+         "unknown class keys: oops"),
+    ],
+    ids=["support-point", "distribution", "h_class", "phi_class", "deviation-phi_class"],
+)
+def test_sim_rejects_unknown_nested_keys(tmp_path, capsys, kind, config, err):
+    path = sim_config_json(tmp_path, kind, **config)
+    rc, out, got = run_cli(capsys, ["sim", "--kind", kind, "--config", path])
+    assert (rc, out, got) == (2, "", f"input error: {err}\n")
+
+
+def test_vc_rejects_unknown_class_keys(tmp_path, capsys):
+    path = write_json(tmp_path, "h.json", {**H1_JSON, "oops": 0, "label": "X"})
+    rc, out, err = run_cli(capsys, ["vc", path])
+    assert (rc, out, err) == (2, "", "input error: unknown class keys: label, oops\n")
+
+
+@pytest.mark.parametrize(
+    "h_class, triple, err",
+    [
+        ({"label": "Z"}, {}, "unknown class keys: label"),
+        ({}, {"w": 1}, "unknown triple keys: w"),
+    ],
+    ids=["class", "triple"],
+)
+def test_erm_rejects_unknown_nested_keys(tmp_path, capsys, h_class, triple, err):
+    rc, out, got = run_cli(capsys, erm_files(tmp_path, h_class, triple))
+    assert (rc, out, got) == (2, "", f"input error: {err}\n")
+
+
+def test_erm_rejects_unknown_sample_keys(tmp_path, capsys):
+    argv = erm_files(tmp_path)
+    write_json(tmp_path, "s.json", {**SAMPLE_JSON, "weights": [1]})
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, out, err) == (2, "", "input error: unknown sample keys: weights\n")
+
+
 def test_comparison_config_keys_are_the_keys_config_json_records(tmp_path, capsys):
     from priverm.cli import SIM_CONFIG_KEYS
     from priverm.simulate import ExperimentConfig

@@ -30,8 +30,8 @@ from conftest import rand_class
 
 def test_theorem1_d1_exact_members():
     H, Phi = construct_theorem1(1)
-    assert tuple(h.bits for h in H) == H1_PATTERNS
-    assert tuple(p.bits for p in Phi) == PHI1_PATTERNS
+    assert tuple(tuple(h.bits) for h in H) == H1_PATTERNS
+    assert tuple(tuple(p.bits) for p in Phi) == PHI1_PATTERNS
     assert H.domain.size == Phi.domain.size == 3
     assert H.domain.label == "X" and Phi.domain.label == "X*"
 

@@ -34,7 +34,19 @@ from priverm.core import (
     sample_from_json,
     sample_to_json,
 )
-from priverm.vc import count_shattered, is_shattered, vc_dimension
+from priverm.vc import (
+    build_aux_class,
+    build_f_class,
+    count_shattered,
+    is_shattered,
+    vc_dimension,
+)
+
+from conftest import (
+    check_matrices_match_the_per_label_definitions,
+    check_views_match_the_per_label_definitions,
+    rand_class,
+)
 
 bits_strategy = st.lists(st.integers(0, 1), min_size=1, max_size=16)
 
@@ -91,7 +103,7 @@ def test_class_dedup_and_canonical_order():
     dom = FiniteDomain(2)
     cls = HypothesisClass.from_patterns(dom, [(1, 0), (0, 1), (1, 0)])
     assert len(cls) == 2
-    assert [h.bits for h in cls] == [(0, 1), (1, 0)]
+    assert [tuple(h.bits) for h in cls] == [(0, 1), (1, 0)]
     # the raw constructor enforces what from_patterns produces
     with pytest.raises(ValueError):
         HypothesisClass(dom, (Hypothesis(dom, (1, 0)), Hypothesis(dom, (0, 1))))
@@ -132,7 +144,7 @@ def test_from_mask_matches_the_per_bit_formula(data):
     n = data.draw(st.integers(1, 200))
     mask = data.draw(st.integers(-(1 << (n + 2)), (1 << (n + 2)) - 1))
     h = Hypothesis.from_mask(FiniteDomain(n), mask)
-    assert h.bits == tuple((mask >> i) & 1 for i in range(n))
+    assert tuple(h.bits) == tuple((mask >> i) & 1 for i in range(n))
     assert all(type(b) is int for b in h.bits)
 
 
@@ -177,6 +189,50 @@ def test_bit_check_matches_the_per_element_check(bits):
     except ValueError:
         ok = False
     assert ok == _old_bits_ok(bits)
+
+
+def test_every_path_stores_one_bytes_labeling():
+    dom = FiniteDomain(3)
+    pattern = (1, 0, 1)
+    made = [
+        Hypothesis(dom, pattern),
+        Hypothesis(dom, (True, False, True)),
+        Hypothesis(dom, (1.0, 0.0, 1.0)),
+        Hypothesis(dom, bytes(pattern)),
+        Hypothesis.from_mask(dom, 0b101),
+        Hypothesis.from_bitstring(dom, "101"),
+        class_from_json({"domain_size": 3, "hypotheses": ["101"]})[0],
+    ]
+    for h in made:
+        assert type(h.bits) is bytes and h.bits == b"\x01\x00\x01"
+        assert tuple(h.bits) == pattern and h.bits != pattern
+        assert h == made[0] and hash(h) == hash(made[0])
+    cls = HypothesisClass.from_hypotheses(dom, made)
+    assert len(cls) == 1 and cls[0] == made[0]
+    # the product builders' members too, on every member
+    H = HypothesisClass.from_patterns(FiniteDomain(2, "X"), [(0, 1), (1, 1)])
+    Phi = HypothesisClass.from_patterns(FiniteDomain(2, "X*"), [(0, 0), (1, 0)])
+    for product in (build_f_class(H, Phi), build_aux_class(H, Phi)):
+        assert all(type(h.bits) is bytes for h in product)
+        # the same labelings made from their bit strings are the same members
+        twin = class_from_json(class_to_json(product), label=product.domain.label)
+        assert twin == product and hash(twin.members) == hash(product.members)
+        both = HypothesisClass.from_hypotheses(product.domain, (*twin, *product))
+        assert both == product
+
+
+def test_views_and_matrices_match_the_per_label_definitions_on_random_classes():
+    rng = random.Random(20261019)
+    for n in [1, 2, 3, 7, 8, 9, 63, 64, 65, 150, 299, 300]:
+        for members in (1, 2, 33):
+            H = rand_class(rng, n, members, "X")
+            Phi = rand_class(rng, rng.randint(1, 300), members, "X*")
+            check_views_match_the_per_label_definitions(H)
+            points = [
+                Triple(rng.randrange(n), rng.randrange(Phi.domain.size), rng.randint(0, 1))
+                for _ in range(rng.randint(1, 40))
+            ]
+            check_matrices_match_the_per_label_definitions(H, Phi, points)
 
 
 def test_class_faults_keep_their_type_and_message():

@@ -34,9 +34,14 @@ from priverm.core import (
     class_from_json,
     class_to_json,
     product_index,
+    product_points,
 )
 
-from conftest import rand_class
+from conftest import (
+    check_matrices_match_the_per_label_definitions,
+    check_views_match_the_per_label_definitions,
+    rand_class,
+)
 
 
 def brute_force_vc(cls: HypothesisClass) -> int:
@@ -537,7 +542,7 @@ def test_k_fold_union_example():
     dom = FiniteDomain(3)
     r = HypothesisClass.from_patterns(dom, [(1, 0, 0), (0, 1, 0)])
     u = k_fold_union(r, 2)
-    assert {h.bits for h in u} == {(1, 0, 0), (0, 1, 0), (1, 1, 0)}
+    assert {tuple(h.bits) for h in u} == {(1, 0, 0), (0, 1, 0), (1, 1, 0)}
 
 
 def test_k_fold_union_fixed_points():
@@ -586,8 +591,8 @@ def test_f_class_members_match_pointwise_loss():
     Phi = rand_class(rng, 2, 3, "X*")
     F = build_f_class(H, Phi)
     A = build_aux_class(H, Phi)
-    fbits = {h.bits for h in F}
-    abits = {h.bits for h in A}
+    fbits = {tuple(h.bits) for h in F}
+    abits = {tuple(h.bits) for h in A}
     for h in H:
         for phi in Phi:
             fb, ab = [], []
@@ -639,9 +644,18 @@ def test_product_classes_match_golden_digest():
     rows = []
     for H, Phi in _product_class_pairs():
         for cls in (build_f_class(H, Phi), build_aux_class(H, Phi)):
-            rows.append((cls.domain, [h.bits for h in cls.members], cls.symmetries))
+            rows.append((cls.domain, [tuple(h.bits) for h in cls.members], cls.symmetries))
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "18a1f5b2fece5988dbd5d2d7765183c08e5ad31db1e8ec12304f9a4f0989571a"
+
+
+def test_product_views_and_matrices_match_the_per_label_definitions():
+    # every product point as a triple, in product order
+    for H, Phi in _product_class_pairs():
+        points = [Triple(*p) for p in product_points(H.domain.size, Phi.domain.size)]
+        check_matrices_match_the_per_label_definitions(H, Phi, points)
+        for cls in (H, Phi, build_f_class(H, Phi), build_aux_class(H, Phi)):
+            check_views_match_the_per_label_definitions(cls)
 
 
 def test_f_class_is_aux_complemented_and_read_with_y_swapped():
@@ -715,7 +729,7 @@ def test_f_member_is_or_of_lifted_members():
     H = rand_class(rng, 2, 3, "X")
     Phi = rand_class(rng, 2, 3, "X*")
     F = build_f_class(H, Phi)
-    fbits = {h.bits for h in F}
+    fbits = {tuple(h.bits) for h in F}
     for h in H:
         for phi in Phi:
             combo = []
