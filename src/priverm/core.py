@@ -67,7 +67,7 @@ def product_legend(n_x: int, n_xstar: int) -> list[str]:
     return [f"(x={x},x*={xs},y={y})" for x, xs, y in product_points(n_x, n_xstar)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hypothesis:
     """A total binary labeling of a finite domain.
 
@@ -76,9 +76,10 @@ class Hypothesis:
     iteration give ints, but ``h.bits == (0, 1)`` is False, so compare
     ``tuple(h.bits)`` with a tuple.  Any sequence of values equal to 0 or 1
     is accepted (``True``, ``1.0``), so a hypothesis equals, hashes and
-    serialises like its int twin.  Hypotheses are immutable and hashable;
-    the integer ``mask`` view (bit i = label of point i) is computed on
-    first read and kept for ``k_fold_union``, which ORs members.
+    serialises like its int twin.  Hypotheses are immutable, hashable and
+    slotted (no ``__dict__``); the integer ``mask`` view (bit i = label of
+    point i) is computed on each read, for ``k_fold_union``, which ORs
+    members.
     """
 
     domain: FiniteDomain
@@ -101,7 +102,7 @@ class Hypothesis:
                 raise ValueError("bits must all be 0 or 1") from None
         object.__setattr__(self, "bits", raw)
 
-    @cached_property
+    @property
     def mask(self) -> int:
         """Integer view with bit i set iff point i is labeled 1."""
         return int(self.bits[::-1].translate(_TO_DIGITS), 2)

@@ -12,7 +12,9 @@ batched path.  A drawn sample enters both experiments only as its count
 vector over the support, counted by thresholds: a trial's draws below each
 cumulative total of the support.  The comparison experiment
 hands all trials' counts to the ERM count kernel at once and evaluates the
-bounds once per distinct solved outcome; the deviation experiment takes
+bounds once per distinct solved outcome; its records and summary are built
+from that table of distinct outcomes, each record a named tuple of its trial
+index and its outcome's fields.  The deviation experiment takes
 every trial's empirical flag rates from one matrix product and counts its
 events over arrays.  True errors are computed exactly from the probability
 table, never estimated; the only randomness in any record is the sample
@@ -26,7 +28,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -153,7 +155,8 @@ def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
 def _uniform_rows(seeds: Sequence[int], m: int) -> np.ndarray:
     """len(seeds)×m uniforms: row r equals ``default_rng(seeds[r]).random(m)``.
 
-    One generator is reused; each row sets its PCG64 state and draws.
+    One generator and one state dict are reused; each row writes its PCG64
+    state into the dict, sets it and draws.
     Callers ask for at most 2**16 rows, so an array too big for numpy means
     that m is too large.
     """
@@ -163,13 +166,13 @@ def _uniform_rows(seeds: Sequence[int], m: int) -> np.ndarray:
         raise ValueError(f"m is too large for an array: {exc}") from None
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
+    # the setter copies the values out, so one dict serves the whole block
+    words = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
     for row, (state, inc) in zip(out, _pcg64_states(seeds)):
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        words["state"] = state
+        words["inc"] = inc
+        bitgen.state = full
         gen.random(out=row)
     return out
 
@@ -274,9 +277,13 @@ class ExperimentConfig:
         }
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One trial's empirical quantities, exact errors, bounds, and flags."""
+class TrialRecord(NamedTuple):
+    """One trial's empirical quantities, exact errors, bounds, and flags.
+
+    A named tuple: fields read by name or by position, ``_replace`` makes a
+    changed copy, and a record equals the plain tuple of its values.  The
+    first ten fields are the columns of ``TRIALS_CSV_HEADER``, in order.
+    """
 
     trial: int
     eps_erm: float
@@ -319,11 +326,12 @@ def run_comparison(
     outcome (standard ERM's error count, both minimizers' indices, and the
     privileged flag and unflagged-error counts), so the bounds, the
     sufficient condition and the coverage events are evaluated once per
-    distinct outcome of this call, and each trial gets its own record.
+    distinct outcome of this call, and each trial's record is its index
+    followed by its outcome's fields.
     ``config`` has checked every range, so every trial yields a record;
     the summary keeps an empty ``failed_trials`` list for its readers.
-    Its means are taken with ``math.fsum``, so they are the same on every
-    Python version.
+    Its rates are taken from one transpose of the records; the means use
+    ``math.fsum``, so they are the same on every Python version.
     """
     dist, m = config.distribution, config.m
     points = [t for t, _ in dist.support]
@@ -340,13 +348,14 @@ def run_comparison(
         error_matrix(config.H, points), counts, flag_matrix(config.Phi, points), C
     )
     n_erm = sol.n_err[np.arange(config.trials), sol.h_erm]
-    solved = zip(
+    # one solved outcome per trial, in trial order
+    keys = list(zip(
         n_erm.tolist(),
         sol.h_erm.tolist(),
         sol.h_pr.tolist(),
         sol.n_ig.tolist(),
         sol.n_u.tolist(),
-    )
+    ))
 
     def evaluate(n_e: int, i_erm: int, i_pr: int, n_ig: int, n_u: int) -> tuple:
         """The record fields after ``trial`` of one solved outcome."""
@@ -376,15 +385,12 @@ def run_comparison(
             te_erm <= b_e, te_pr <= b_p, suff, b_p <= b_e,
         )
 
-    outcomes: dict[tuple, tuple] = {}
-    records: list[TrialRecord] = []
-    for t, key in enumerate(solved):
-        fields = outcomes.get(key)
-        if fields is None:
-            fields = outcomes[key] = evaluate(*key)
-        records.append(TrialRecord(t, *fields))
+    outcomes = {key: evaluate(*key) for key in dict.fromkeys(keys)}
+    records = [TrialRecord(t, *outcomes[key]) for t, key in enumerate(keys)]
 
     n = len(records)
+    (_, eps_erm, eps_ig, eps_u, te_erm, te_pr, _, _,
+     cov_erm, cov_pr, _, pr_leq) = zip(*records)
     summary = {
         "trials": config.trials,
         "effective_trials": n,
@@ -396,14 +402,14 @@ def run_comparison(
         "d": d,
         "dstar": dstar,
         "d_a": d_a,
-        "coverage_erm": sum(r.covered_erm for r in records) / n,
-        "coverage_pr": sum(r.covered_pr for r in records) / n,
-        "mean_eps_erm": math.fsum(r.eps_erm for r in records) / n,
-        "mean_eps_ig": math.fsum(r.eps_ig for r in records) / n,
-        "mean_eps_u": math.fsum(r.eps_u for r in records) / n,
-        "mean_true_err_erm": math.fsum(r.true_err_erm for r in records) / n,
-        "mean_true_err_pr": math.fsum(r.true_err_pr for r in records) / n,
-        "pr_leq_erm_rate": sum(r.pr_leq_erm for r in records) / n,
+        "coverage_erm": sum(cov_erm) / n,
+        "coverage_pr": sum(cov_pr) / n,
+        "mean_eps_erm": math.fsum(eps_erm) / n,
+        "mean_eps_ig": math.fsum(eps_ig) / n,
+        "mean_eps_u": math.fsum(eps_u) / n,
+        "mean_true_err_erm": math.fsum(te_erm) / n,
+        "mean_true_err_pr": math.fsum(te_pr) / n,
+        "pr_leq_erm_rate": sum(pr_leq) / n,
     }
     return records, summary
 

@@ -34,11 +34,13 @@ from priverm.core import (
     sample_from_json,
     sample_to_json,
 )
+from priverm.constructions import construct_theorem1, full_class
 from priverm.vc import (
     build_aux_class,
     build_f_class,
     count_shattered,
     is_shattered,
+    k_fold_union,
     vc_dimension,
 )
 
@@ -207,13 +209,19 @@ def test_every_path_stores_one_bytes_labeling():
         assert type(h.bits) is bytes and h.bits == b"\x01\x00\x01"
         assert tuple(h.bits) == pattern and h.bits != pattern
         assert h == made[0] and hash(h) == hash(made[0])
+        # a member is slotted: reading mask keeps nothing on it
+        assert h.mask == 0b101 and not hasattr(h, "__dict__")
     cls = HypothesisClass.from_hypotheses(dom, made)
     assert len(cls) == 1 and cls[0] == made[0]
-    # the product builders' members too, on every member
+    # the builders' members too, on every member
     H = HypothesisClass.from_patterns(FiniteDomain(2, "X"), [(0, 1), (1, 1)])
     Phi = HypothesisClass.from_patterns(FiniteDomain(2, "X*"), [(0, 0), (1, 0)])
+    built = (*construct_theorem1(1), full_class(3), k_fold_union(H, 2))
+    for c in built:
+        assert not any(hasattr(h, "__dict__") for h in c)
     for product in (build_f_class(H, Phi), build_aux_class(H, Phi)):
         assert all(type(h.bits) is bytes for h in product)
+        assert not any(hasattr(h, "__dict__") for h in product)
         # the same labelings made from their bit strings are the same members
         twin = class_from_json(class_to_json(product), label=product.domain.label)
         assert twin == product and hash(twin.members) == hash(product.members)

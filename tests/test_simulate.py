@@ -45,6 +45,7 @@ from priverm.core import (
 from priverm.simulate import (
     TRIALS_CSV_HEADER,
     ExperimentConfig,
+    TrialRecord,
     _trial_counts,
     mix_seed,
     persist_run,
@@ -332,12 +333,30 @@ def test_comparison_records_and_summary():
         assert r.covered_erm == (r.true_err_erm <= r.b_erm)
         assert r.covered_pr == (r.true_err_pr <= r.b_pr)
         assert r.pr_leq_erm == (r.b_pr <= r.b_erm)
-    assert summary["coverage_erm"] == pytest.approx(
-        sum(r.covered_erm for r in records) / len(records)
-    )
+    for rate, f in (
+        ("coverage_erm", "covered_erm"),
+        ("coverage_pr", "covered_pr"),
+        ("pr_leq_erm_rate", "pr_leq_erm"),
+    ):
+        assert summary[rate] == sum(getattr(r, f) for r in records) / len(records)
     for f in ("eps_erm", "eps_ig", "eps_u", "true_err_erm", "true_err_pr"):
         want = math.fsum(getattr(r, f) for r in records) / len(records)
         assert summary[f"mean_{f}"] == want
+
+
+def test_trial_records_are_immutable_named_tuples():
+    cfg = comparison_config()
+    records, _ = run_comparison(cfg)
+    # field order is positional API: the first ten are the CSV columns
+    assert TrialRecord._fields[:10] == tuple(TRIALS_CSV_HEADER.split(","))
+    r = records[0]
+    with pytest.raises(AttributeError):
+        r.eps_erm = 0.5
+    assert r == tuple(r) and r[1] == r.eps_erm
+    twin = TrialRecord(*r)
+    assert twin is not r and twin == r and hash(twin) == hash(r)
+    assert r._replace(trial=7).trial == 7 and r.trial == 0
+    assert run_comparison(cfg)[0] == records
 
 
 def test_comparison_trivial_phi_gives_equal_true_errors():
@@ -688,7 +707,7 @@ def test_comparison_records_match_brute_force_oracle(seed, C, m, trials):
 
 
 def outcomes(records) -> set:
-    return {dataclasses.replace(r, trial=0) for r in records}
+    return {r._replace(trial=0) for r in records}
 
 
 def test_comparison_on_a_point_mass_shares_one_outcome():
@@ -726,3 +745,5 @@ def test_criterion_9_trials_csv_is_pinned(tmp_path):
     persist_run(*run_comparison(cfg), cfg, str(tmp_path))
     digest = hashlib.sha256((tmp_path / "trials.csv").read_bytes()).hexdigest()
     assert digest == "c4f4baa86278cc6b9b4c083c545cef0c344545cb4cdd3f7a620af153a9809048"
+    digest = hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest()
+    assert digest == "a1e882f45ea789be4fa9801434382b166ef739f66b8da986b63772fe7bdff9a5"
