@@ -321,6 +321,7 @@ def _suite_lemma1(d: int, dstar: int) -> bool:
 
 
 def _suite_lemma2(d: int, dstar: int) -> bool:
+    """Witness size and d_a sandwich; the witness check builds no aux class."""
     H, _ = construct_theorem1(d)
     _, Phi = construct_theorem1(dstar)
     witness = construct_lemma2_witness(H, Phi)

@@ -21,10 +21,10 @@ from .core import (
     Hypothesis,
     HypothesisClass,
     Triple,
-    product_index,
+    aux_loss,
     strict_int,
 )
-from .vc import build_aux_class, is_shattered, vc_dimension
+from .vc import vc_dimension
 
 # the d=1 classes: VC 1 each, joint loss class VC 3
 H1_PATTERNS = ((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 1, 0))
@@ -115,8 +115,10 @@ def construct_lemma2_witness(
     Uses the lexicographically first shattered sets {x_1..x_d} of H and
     {x*_1..x*_d*} of Phi: the first d-1 x-points are paired with the last
     x*-point, and the last x-point with the first d*-1 x*-points, all with
-    label 0.  Requires d, d* > 1.  The witness is checked with
-    ``is_shattered`` before it is returned.
+    label 0.  Requires d, d* > 1.  The witness is checked before it is
+    returned: an aux member labels it from h at those x-points and phi at
+    those x*-points only, so one (h, phi) per distinct projection onto them
+    must give all 2^(d+d*-2) ``aux_loss`` patterns.  No aux class is built.
     """
     hrep = vc_dimension(H)
     prep = vc_dimension(Phi)
@@ -130,9 +132,10 @@ def construct_lemma2_witness(
     c1 = [Triple(xs[i], xss[-1], 0) for i in range(len(xs) - 1)]
     c2 = [Triple(xs[-1], xss[j], 0) for j in range(len(xss) - 1)]
     witness = tuple(c1 + c2)
-    aux = build_aux_class(H, Phi)
-    idx = [product_index(t.x, t.xstar, t.y, Phi.domain.size) for t in witness]
-    if not is_shattered(aux, idx):
+    hs = {tuple(h.bits[x] for x in xs): h for h in H}.values()
+    phis = {tuple(phi.bits[x] for x in xss): phi for phi in Phi}.values()
+    patterns = {tuple(aux_loss(h, phi, t) for t in witness) for h in hs for phi in phis}
+    if len(patterns) != 1 << len(witness):
         raise AssertionError("constructed witness is not shattered")
     return witness
 

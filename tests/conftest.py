@@ -1,15 +1,33 @@
-"""Shared generators and reference checks for randomized tests.
+"""Shared generators, reference checks and brute-force ERM oracles.
 
 Random classes and samples are built here, not in the package: the package
 only ships the named constructions.  Everything takes an explicit
 random.Random so test runs are reproducible.  The reference checks compare
 a class's derived views with loops over single labels.
+
+``oracle_standard`` and ``oracle_privileged`` are the one statement of each
+risk minimizer as a scan over members, counted from the raw losses
+``zero_one_loss`` and ``ignoring_loss``; every solver test compares with
+them.
 """
 
 import random
+from fractions import Fraction
 
-from priverm import FiniteDomain, Hypothesis, HypothesisClass, Triple, TripleSample
+from priverm import (
+    FiniteDomain,
+    Hypothesis,
+    HypothesisClass,
+    Triple,
+    TripleSample,
+    ignoring_loss,
+    zero_one_loss,
+)
 from priverm.erm import error_matrix, flag_matrix
+
+# pair count of a "large" solver instance: far past what the small random
+# tests reach
+LARGE_PAIRS = 4096
 
 
 def rand_class(rng: random.Random, domain_size: int, n_members: int,
@@ -51,3 +69,32 @@ def check_matrices_match_the_per_label_definitions(H, Phi, points) -> None:
     assert E.dtype == G.dtype == "int64"
     assert E.tolist() == [[int(h.bits[t.x] != t.y) for t in points] for h in H]
     assert G.tolist() == [[phi.bits[t.xstar] for t in points] for phi in Phi]
+
+
+def oracle_standard(H, triples) -> tuple:
+    """(i, n): the first member of H with the fewest errors, and that count."""
+    errors = [sum(zero_one_loss(h.bits[t.x], t.y) for t in triples) for h in H]
+    n = min(errors)
+    return errors.index(n), n
+
+
+def oracle_privileged(H, Phi, triples, C) -> tuple:
+    """(total, n_ig, i, j, n_u) of the pair the privileged minimizer picks.
+
+    Every pair (H[i], Phi[j]) has n_ig flagged triples and n_u errors of h
+    on triples phi does not flag; the pick has the smallest exact key
+    (n_ig / C + n_u, n_ig, i, j), and total is its first entry.  C is read
+    as ``erm.positive_cost`` reads it: floats through their repr.
+    """
+    Cf = Fraction(str(C)) if isinstance(C, float) else Fraction(C)
+    errs = [[zero_one_loss(h.bits[t.x], t.y) for t in triples] for h in H]
+    flags = [[ignoring_loss(phi.bits[t.xstar], t.y) for t in triples] for phi in Phi]
+    best = None
+    for i, err in enumerate(errs):
+        for j, flag in enumerate(flags):
+            n_ig = sum(flag)
+            n_u = sum(max(e - g, 0) for e, g in zip(err, flag))
+            key = (Fraction(n_ig) / Cf + n_u, n_ig, i, j, n_u)
+            if best is None or key < best:
+                best = key
+    return best

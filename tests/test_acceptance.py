@@ -36,10 +36,8 @@ from priverm.constructions import full_class
 from priverm.core import (
     class_from_json,
     distribution_from_json,
-    ignoring_loss,
     load_json,
     product_index,
-    zero_one_loss,
 )
 from priverm.simulate import (
     ExperimentConfig,
@@ -49,10 +47,7 @@ from priverm.simulate import (
 )
 from priverm.vc import build_aux_class, build_f_class, is_shattered, k_fold_union, union_class
 
-from conftest import rand_class, rand_sample
-
-# pair count of a "large" solver instance (criterion 5)
-LARGE_PAIRS = 4096
+from conftest import LARGE_PAIRS, oracle_privileged, rand_class, rand_sample
 
 
 def _passline(n: int, detail: str) -> None:
@@ -194,26 +189,6 @@ def test_criterion_4_aux_dimension_sandwich():
 
 
 # --- criterion 5: solver versus oracle -------------------------------------------
-
-
-def oracle_privileged(H, Phi, s, C):
-    from fractions import Fraction
-
-    best = None
-    Cf = Fraction(str(C)) if not isinstance(C, Fraction) else C
-    for i, h in enumerate(H):
-        for j, phi in enumerate(Phi):
-            total = Fraction(0)
-            n_ig = 0
-            for t in s:
-                l = zero_one_loss(h(t.x), t.y)
-                lstar = ignoring_loss(phi(t.xstar), t.y)
-                total += Fraction(lstar, 1) / Cf + max(l - lstar, 0)
-                n_ig += lstar
-            key = (total, n_ig, i, j)
-            if best is None or key < best:
-                best = key
-    return best
 
 
 def test_criterion_5_solver_equals_oracle():

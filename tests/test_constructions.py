@@ -9,6 +9,7 @@ from priverm import (
     FiniteDomain,
     HypothesisClass,
     Triple,
+    VcReport,
     build_aux_class,
     construct_lemma1_tight,
     construct_lemma2_witness,
@@ -19,6 +20,7 @@ from priverm import (
     union_class,
     vc_dimension,
 )
+from priverm import constructions, vc
 from priverm.constructions import H1_PATTERNS, PHI1_PATTERNS, full_class
 from priverm.core import product_index
 
@@ -127,6 +129,58 @@ def test_lemma2_witness_random_classes():
         w = construct_lemma2_witness(H, Phi)  # raises if not shattered
         assert len(w) == vc_dimension(H).vc + vc_dimension(Phi).vc - 2
         built += 1
+
+
+def test_lemma2_witness_builds_no_product_class(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("product class built")
+
+    monkeypatch.setattr(vc, "_product_class", refuse)
+    assert construct_lemma2_witness(*construct_theorem1(2)) == (
+        Triple(0, 3, 0), Triple(3, 0, 0),
+    )
+
+
+def _claim(witnesses):
+    """A stand-in for vc_dimension: the claimed witness of each domain label."""
+    return lambda cls: VcReport(
+        vc=len(witnesses[cls.domain.label]), exact=True,
+        witness=witnesses[cls.domain.label], nodes=0,
+    )
+
+
+def test_lemma2_rejects_a_witness_the_aux_class_does_not_shatter(monkeypatch):
+    # H misses (1, 1) on its claimed witness, so no pair makes the aux
+    # pattern (1, 1) on the two triples
+    H = HypothesisClass.from_patterns(FiniteDomain(2, "X"), [(0, 0), (0, 1), (1, 0)])
+    Phi = full_class(2, "X*")
+    assert not is_shattered(H, (0, 1))
+    monkeypatch.setattr(constructions, "vc_dimension", _claim({"X": (0, 1), "X*": (0, 1)}))
+    with pytest.raises(AssertionError, match="not shattered"):
+        construct_lemma2_witness(H, Phi)
+
+
+def test_lemma2_check_accepts_what_the_built_aux_class_shatters(monkeypatch):
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(200):
+        H = rand_class(rng, 4, rng.randint(2, 12), "X")
+        Phi = rand_class(rng, 4, rng.randint(2, 12), "X*")
+        xs = tuple(sorted(rng.sample(range(4), rng.randint(2, 4))))
+        xss = tuple(sorted(rng.sample(range(4), rng.randint(2, 4))))
+        monkeypatch.setattr(constructions, "vc_dimension", _claim({"X": xs, "X*": xss}))
+        want = tuple(
+            [Triple(x, xss[-1], 0) for x in xs[:-1]] + [Triple(xs[-1], x, 0) for x in xss[:-1]]
+        )
+        idx = [product_index(t.x, t.xstar, t.y, 4) for t in want]
+        shattered = is_shattered(build_aux_class(H, Phi), idx)
+        outcomes.add(shattered)
+        if shattered:
+            assert construct_lemma2_witness(H, Phi) == want
+        else:
+            with pytest.raises(AssertionError, match="not shattered"):
+                construct_lemma2_witness(H, Phi)
+    assert outcomes == {True, False}
 
 
 def test_lemma2_requires_dimensions_above_one():

@@ -18,39 +18,7 @@ from priverm import (
 )
 from priverm.core import DomainMismatchError
 
-from conftest import rand_class, rand_sample
-
-# pair count of a "large" instance: far past what the small random tests reach
-LARGE_PAIRS = 4096
-
-
-def oracle_standard(H, S):
-    """Scan every member, summing zero_one_loss directly."""
-    best_i, best_n = 0, None
-    for i, h in enumerate(H):
-        n = sum(zero_one_loss(h.bits[t.x], t.y) for t in S)
-        if best_n is None or n < best_n:
-            best_i, best_n = i, n
-    return best_i, best_n
-
-
-def oracle_privileged(H, Phi, S, C):
-    """Scan every pair, summing composite_loss with exact rational C."""
-    Cf = Fraction(str(C)) if isinstance(C, float) else Fraction(C)
-    best = None
-    for i, h in enumerate(H):
-        for j, phi in enumerate(Phi):
-            total = Fraction(0)
-            n_ig = 0
-            for t in S:
-                l = zero_one_loss(h.bits[t.x], t.y)
-                lstar = ignoring_loss(phi.bits[t.xstar], t.y)
-                n_ig += lstar
-                total += Fraction(lstar) / Cf + max(l - lstar, 0)
-            cand = (total, n_ig, i, j)
-            if best is None or cand < best:
-                best = cand
-    return best
+from conftest import LARGE_PAIRS, oracle_privileged, oracle_standard, rand_class, rand_sample
 
 
 # --- standard minimizer --------------------------------------------------------
@@ -192,7 +160,7 @@ def test_privileged_matches_oracle_random():
         S = rand_sample(rng, n_x, n_xs, rng.randint(0, 12))
         C = rng.choice([1, 2, 0.5, Fraction(3, 2)])
         res = erm_privileged(H, Phi, S, C)
-        total, n_ig, i, j = oracle_privileged(H, Phi, S, C)
+        total, n_ig, i, j, _ = oracle_privileged(H, Phi, S, C)
         assert res.h == H[i] and res.phi == Phi[j]
         assert res.n_ignored == n_ig
         if S.m:
@@ -207,7 +175,7 @@ def test_privileged_large_class_matches_oracle():
     for _ in range(5):
         S = rand_sample(rng, 12, 12, 14)
         res = erm_privileged(H, Phi, S, C=2)
-        total, n_ig, i, j = oracle_privileged(H, Phi, S, 2)
+        total, n_ig, i, j, _ = oracle_privileged(H, Phi, S, 2)
         assert (res.h, res.phi) == (H[i], Phi[j])
         assert res.objective == float(total / S.m)
 

@@ -38,9 +38,7 @@ from priverm.cli import main
 from priverm.core import (
     DomainMismatchError,
     class_to_json,
-    ignoring_loss,
     load_json,
-    zero_one_loss,
 )
 from priverm.simulate import (
     TRIALS_CSV_HEADER,
@@ -53,7 +51,7 @@ from priverm.simulate import (
     run_theorem5_experiment,
 )
 
-from conftest import rand_class
+from conftest import oracle_privileged, oracle_standard, rand_class
 
 
 def three_point_distribution() -> FiniteDistribution:
@@ -619,31 +617,13 @@ def test_bad_comparison_config_is_rejected_up_front(overrides, error):
 
 
 def oracle_trial(cfg: ExperimentConfig, t: int) -> tuple:
-    """Trial t re-solved on its drawn sample from the raw losses.
-
-    Standard ERM takes the first member with the fewest errors; privileged
-    ERM the first pair, in (h index, phi index) order, with the smallest
-    (exact Fraction objective, flagged count).
-    """
+    """Trial t re-solved on its drawn sample by the shared brute-force oracles."""
     s = sample(cfg.distribution, cfg.m, mix_seed(cfg.seed, t))
-    C = Fraction(str(cfg.C)) if isinstance(cfg.C, float) else Fraction(cfg.C)
-    errors = [sum(zero_one_loss(h.bits[x.x], x.y) for x in s) for h in cfg.H]
-    i_std = errors.index(min(errors))
-    best = None
-    for i, h in enumerate(cfg.H):
-        for j, phi in enumerate(cfg.Phi):
-            n_ig = n_u = 0
-            for x in s:
-                lstar = ignoring_loss(phi.bits[x.xstar], x.y)
-                n_ig += lstar
-                n_u += max(zero_one_loss(h.bits[x.x], x.y) - lstar, 0)
-            cand = (Fraction(n_ig) / C + n_u, n_ig, i, j, n_u)
-            if best is None or cand < best:
-                best = cand
-    _, n_ig, i_pr, _, n_u = best
+    i_std, n_err = oracle_standard(cfg.H, s)
+    _, n_ig, i_pr, _, n_u = oracle_privileged(cfg.H, cfg.Phi, s, cfg.C)
     m = cfg.m
     return (
-        errors[i_std] / m,
+        n_err / m,
         n_ig / m,
         n_u / m,
         exact_true_error(cfg.H[i_std], cfg.distribution),

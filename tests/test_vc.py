@@ -5,6 +5,7 @@ import hashlib
 import math
 import random
 from itertools import combinations
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -42,21 +43,6 @@ from conftest import (
     check_views_match_the_per_label_definitions,
     rand_class,
 )
-
-
-def brute_force_vc(cls: HypothesisClass) -> int:
-    """Independent oracle: try every subset, largest shattered size wins."""
-    best = 0
-    for k in range(1, cls.domain.size + 1):
-        found = False
-        for pts in combinations(range(cls.domain.size), k):
-            if is_shattered(cls, pts):
-                found = True
-                break
-        if not found:
-            break
-        best = k
-    return best
 
 
 def h1() -> HypothesisClass:
@@ -132,48 +118,37 @@ def test_vc_report_shape():
     assert levels == (1, 3, 3, 1)
 
 
-def test_vc_f_class_d1_against_brute_force():
+def test_vc_f_class_d1_shatters_its_diagonal():
     """The joint loss class of the d=1 pair over all 18 product points."""
     F = build_f_class(h1(), phi1())
     report = vc_dimension(F)
     assert report.vc == 3 and report.exact
-    assert brute_force_vc(F) == 3
     assert is_shattered(F, report.witness)
     # the diagonal triple ((x_i, x*_i), 0) is one of the shattered sets
     diag = [product_index(i, i, 0, 3) for i in range(3)]
     assert is_shattered(F, diag)
 
 
-@settings(deadline=None, max_examples=30)
-@given(st.integers(0, 10_000), st.integers(2, 6), st.integers(1, 24))
-def test_vc_matches_brute_force_on_random_classes(seed, size, members):
-    rng = random.Random(seed)
-    cls = rand_class(rng, size, members)
-    report = vc_dimension(cls)
-    assert report.exact
-    assert report.vc == brute_force_vc(cls)
-    if report.vc:
-        assert is_shattered(cls, report.witness)
-        assert len(report.witness) == report.vc
-
-
 # --- differential check against a brute-force oracle -------------------------
 
 
-def shattered_subsets(cls: HypothesisClass, k: int) -> list:
-    """Every k-subset the class shatters, in lex order, by counting patterns."""
-    return [
+def shattered_subsets(cls: HypothesisClass, k: int) -> Iterator[tuple]:
+    """Every k-subset the class shatters, in lex order, by counting patterns.
+
+    The one VC oracle of the tests: it reads labels only, never the engine.
+    """
+    return (
         pts
         for pts in combinations(range(cls.domain.size), k)
         if len({tuple(h.bits[p] for p in pts) for h in cls.members}) == 1 << k
-    ]
+    )
 
 
 def assert_matches_oracle(cls: HypothesisClass) -> None:
     """vc, exact, lex-first witness and every levels count equal brute force."""
     counts, first = [], ()
     for k in range(cls.domain.size + 1):
-        found = shattered_subsets(cls, k)
+        found = list(shattered_subsets(cls, k))
         if not found:
             break
         counts.append(len(found))
@@ -378,10 +353,9 @@ def test_cached_class_answers_as_a_fresh_one():
         first = vc_dimension(cached)
         levels = count_shattered(cached, first.vc)
         assert "columns" in vars(cached) and "orbits" in vars(cached)
-        for _ in range(2):
-            for c in (cached, build(H, Phi)):
-                assert vc_dimension(c) == first
-                assert count_shattered(c, first.vc) == levels
+        for c in (cached, build(H, Phi)):
+            assert vc_dimension(c) == first
+            assert count_shattered(c, first.vc) == levels
         for pts in (first.witness, diag, diag[:3], (0, 1), ()):
             assert is_shattered(cached, pts) == is_shattered(build(H, Phi), pts)
 
@@ -404,11 +378,7 @@ def test_vc_budget_on_symmetric_class_stops_at_lex_first_lower_bound(budget):
     assert aux.symmetries
     report = vc_dimension(aux, budget=budget)
     assert not report.exact and report.nodes > budget
-    first = next(
-        pts for pts in combinations(range(aux.domain.size), report.vc)
-        if is_shattered(aux, pts)
-    )
-    assert report.witness == first
+    assert report.witness == next(shattered_subsets(aux, report.vc))
 
 
 def test_vc_report_equality_and_witness_levels():
