@@ -52,6 +52,15 @@ class BoundInputs:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0,1], got {v}")
 
+    @property
+    def premise_holds(self) -> bool:
+        """eps_erm = eps_ig + eps_u within PREMISE_TOLERANCE.
+
+        ``sufficient_condition`` is defined, and callers evaluate it, only
+        when this holds.
+        """
+        return abs(self.eps_erm - (self.eps_ig + self.eps_u)) <= PREMISE_TOLERANCE
+
 
 def r_fast(d: int, m: int, delta: float) -> float:
     """(8*d*log(m+1) + 4*log(4/delta)) / m."""
@@ -122,16 +131,14 @@ class SufficiencyReport:
 def sufficient_condition(inputs: BoundInputs) -> SufficiencyReport:
     """sqrt(eps_u) against the slack left by moving from d to (d*, d_a) rates.
 
-    Requires the decomposition premise eps_erm = eps_ig + eps_u (within
-    PREMISE_TOLERANCE).  When it returns holds=True, bound_pr <= bound_erm
+    Requires the decomposition premise (``inputs.premise_holds``), else
+    ``ValueError``.  When it returns holds=True, bound_pr <= bound_erm
     follows; with eps_erm = 0 the right side is negative and the condition
     can never hold.
     """
-    gap = inputs.eps_erm - (inputs.eps_ig + inputs.eps_u)
-    if abs(gap) > PREMISE_TOLERANCE:
-        raise ValueError(
-            f"premise eps_erm = eps_ig + eps_u violated by {gap:.3g}"
-        )
+    if not inputs.premise_holds:
+        gap = inputs.eps_erm - (inputs.eps_ig + inputs.eps_u)
+        raise ValueError(f"premise eps_erm = eps_ig + eps_u violated by {gap:.3g}")
     m, delta = inputs.m, inputs.delta
     rf_d = r_fast(inputs.d, m, delta)
     rf_star = r_fast(inputs.dstar, m, delta)

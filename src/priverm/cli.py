@@ -16,7 +16,6 @@ import sys
 from typing import get_type_hints
 
 from .bounds import (
-    PREMISE_TOLERANCE,
     BoundInputs,
     alpha_threshold,
     bound_erm,
@@ -188,7 +187,6 @@ def cmd_bounds(args) -> int:
         raise ValueError(f"missing required flags: {', '.join(missing)}")
     inputs = BoundInputs(**raw)
     nec = necessary_condition(inputs) if inputs.d > 0 else None
-    gap = inputs.eps_erm - (inputs.eps_ig + inputs.eps_u)
     report = {
         "r_fast_d": r_fast(inputs.d, inputs.m, inputs.delta),
         "r_fast_dstar": r_fast(inputs.dstar, inputs.m, inputs.delta),
@@ -198,9 +196,8 @@ def cmd_bounds(args) -> int:
         "d_a_interval": list(d_a_interval(inputs.d, inputs.dstar)),
         "alpha_root": alpha_threshold(),
     }
-    if abs(gap) <= PREMISE_TOLERANCE:
-        suff = sufficient_condition(inputs)
-        report["sufficient"] = suff.to_json()
+    if inputs.premise_holds:
+        report["sufficient"] = sufficient_condition(inputs).to_json()
     if nec is not None:
         report["necessary"] = nec.to_json()
     _emit(report, args.format)

@@ -75,11 +75,11 @@ class Hypothesis:
     ``bytes`` object whose items are the ints 0 and 1: indexing and
     iteration give ints, but ``h.bits == (0, 1)`` is False, so compare
     ``tuple(h.bits)`` with a tuple.  Any sequence of values equal to 0 or 1
-    is accepted (``True``, ``1.0``), so a hypothesis equals, hashes and
-    serialises like its int twin.  Hypotheses are immutable, hashable and
-    slotted (no ``__dict__``); the integer ``mask`` view (bit i = label of
-    point i) is computed on each read, for ``k_fold_union``, which ORs
-    members.
+    is accepted (``True``, ``1.0``, NumPy integers), so a hypothesis
+    equals, hashes and serialises like its int twin.  Hypotheses are
+    immutable, hashable and slotted (no ``__dict__``); the integer ``mask``
+    view (bit i = label of point i) is computed on each read, for
+    ``k_fold_union``, which ORs members.
     """
 
     domain: FiniteDomain
@@ -91,15 +91,10 @@ class Hypothesis:
                 f"bit pattern length {len(self.bits)} != domain size {self.domain.size}"
             )
         try:
-            # bytes, ints and bools in one pass; a float, a string or None raises
-            raw = bytes(self.bits)
-        except (TypeError, ValueError):
-            raw = None
-        if raw is None or raw.translate(None, b"\x00\x01"):
-            try:
-                raw = bytes(map(_BIT.__getitem__, self.bits))
-            except KeyError:
-                raise ValueError("bits must all be 0 or 1") from None
+            raw = bytes(map(_BIT.__getitem__, self.bits))
+        except (KeyError, TypeError):
+            # a value not equal to 0 or 1, or one that cannot be hashed
+            raise ValueError("bits must all be 0 or 1") from None
         object.__setattr__(self, "bits", raw)
 
     @property

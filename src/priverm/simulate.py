@@ -32,13 +32,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bounds import (
-    PREMISE_TOLERANCE,
-    BoundInputs,
-    bound_erm,
-    bound_pr,
-    sufficient_condition,
-)
+from .bounds import BoundInputs, bound_erm, bound_pr, sufficient_condition
 from .constructions import Theorem5Family
 from .core import (
     FiniteDistribution,
@@ -52,11 +46,6 @@ from .core import (
 )
 from .erm import BLOCK_CELLS, error_matrix, flag_matrix, positive_cost, solve_counts
 from .vc import build_aux_class, vc_dimension
-
-TRIALS_CSV_HEADER = (
-    "trial,eps_erm,eps_ig,eps_u,true_err_erm,true_err_pr,"
-    "b_erm,b_pr,covered_erm,covered_pr"
-)
 
 _MASK64 = (1 << 64) - 1
 
@@ -282,7 +271,7 @@ class TrialRecord(NamedTuple):
 
     A named tuple: fields read by name or by position, ``_replace`` makes a
     changed copy, and a record equals the plain tuple of its values.  The
-    first ten fields are the columns of ``TRIALS_CSV_HEADER``, in order.
+    first ten fields name the columns of ``trials.csv``, in order.
     """
 
     trial: int
@@ -311,6 +300,9 @@ class TrialRecord(NamedTuple):
             int(self.covered_erm),
             int(self.covered_pr),
         ]
+
+
+TRIALS_CSV_HEADER = ",".join(TrialRecord._fields[:10])
 
 
 def run_comparison(
@@ -374,12 +366,7 @@ def run_comparison(
         b_p = bound_pr(inputs)
         te_erm = true_errors[i_erm]
         te_pr = true_errors[i_pr]
-        gap = eps_erm - (eps_ig + eps_u)
-        suff = (
-            sufficient_condition(inputs).holds
-            if abs(gap) <= PREMISE_TOLERANCE
-            else None
-        )
+        suff = sufficient_condition(inputs).holds if inputs.premise_holds else None
         return (
             eps_erm, eps_ig, eps_u, te_erm, te_pr, b_e, b_p,
             te_erm <= b_e, te_pr <= b_p, suff, b_p <= b_e,

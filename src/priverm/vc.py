@@ -63,11 +63,7 @@ class VcReport:
     ``vc`` is then a verified lower bound.  ``witness`` is the
     lexicographically first shattered set of size ``vc``.  ``nodes`` counts
     the split attempts of the search, plus one per domain point for the
-    columns, built or not.  A node's remaining points are tested once after
-    its first descent fails, so ``nodes``, and where the budget runs out the
-    lower bound reached, differ from a search without forward checking
-    wherever a first descent fails; they are equal on searches whose first
-    descents all succeed.  Orbit drops move ``nodes``, and where a budgeted
+    columns, built or not.  Orbit drops move ``nodes``, and where a budgeted
     search stops, only on classes that carry symmetries; ``vc`` and
     ``witness`` of an exact search never depend on them.  Two reports are
     equal, and hash alike, iff these four fields are; the shattered-set
@@ -377,15 +373,17 @@ def _product_class(
         raise ValueError("both classes must be nonempty")
     n_x, n_xs = H.domain.size, Phi.domain.size
     dom = product_domain(n_x, n_xs)
+    # ``product_points`` is the one statement of the layout: point i is
+    # product index i.  e is the sum over x of err_at[x][h(x)], the points
+    # of x whose y is not h(x), and g the sum of flag_at[x*] over the x*
+    # with phi(x*) = 1, the points of x*: one factor member's n labels make
+    # its mask
     points = product_points(n_x, n_xs)
-    # ((x, x*), y) is bit 2 (n_xs x + x*) + y.  So e is the sum over x of
-    # err_at[x][h(x)], the points of x whose y is not h(x), and g the sum of
-    # flag_at[x*] over the x* with phi(x*) = 1, the points of x*: one factor
-    # member's n labels make its mask
-    y0 = sum(1 << 2 * xs for xs in range(n_xs))
-    err_at = [(y0 << 1 + 2 * n_xs * x, y0 << 2 * n_xs * x) for x in range(n_x)]
-    x0 = sum(1 << 2 * n_xs * x for x in range(n_x))
-    flag_at = [3 * x0 << 2 * xs for xs in range(n_xs)]
+    err_at = [[0, 0] for _ in range(n_x)]
+    flag_at = [0] * n_xs
+    for i, (x, xs, y) in enumerate(points):
+        err_at[x][1 - y] |= 1 << i
+        flag_at[xs] |= 1 << i
     errs = [sum([err_at[x][b] for x, b in enumerate(h.bits)]) for h in H.members]
     flags = [
         sum([flag_at[xs] for xs, b in enumerate(phi.bits) if b]) for phi in Phi.members

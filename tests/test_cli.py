@@ -25,7 +25,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import priverm
-from priverm.bounds import BoundInputs, bound_erm, r_fast
+from priverm.bounds import (
+    PREMISE_TOLERANCE,
+    BoundInputs,
+    bound_erm,
+    r_fast,
+    sufficient_condition,
+)
 from priverm.cli import main
 from priverm.constructions import H1_PATTERNS, PHI1_PATTERNS, construct_theorem1, full_class
 from priverm.core import class_to_json, distribution_from_json
@@ -105,19 +111,6 @@ def test_vc_budget_below_one_is_input_error(tmp_path, capsys, budget):
     rc, out, err = run_cli(capsys, ["vc", path, "--budget", budget])
     assert (rc, out) == (2, "")
     assert err == f"input error: node budget must be at least 1, got {budget}\n"
-
-
-def test_vc_lower_bound_mode(tmp_path, capsys):
-    # there is no --mode: a lower bound comes only from a search cut by --budget
-    path = write_json(tmp_path, "full8.json", class_to_json(full_class(8)))
-    for argv in (["vc", path], ["sim", "--config", comparison_config_json(tmp_path)]):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--mode", "lower-bound-only"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "unrecognized arguments: --mode lower-bound-only" in captured.err
-        assert "Traceback" not in captured.err
 
 
 # --- construct ------------------------------------------------------------------
@@ -258,6 +251,23 @@ def test_bounds_from_flags(capsys):
     # all empirical errors default to zero, so the premise holds exactly
     assert "sufficient" in report
     assert "necessary" in report
+
+
+@pytest.mark.parametrize("scale", [-1.01, -0.99, 0.99, 1.01])
+def test_bounds_prints_sufficient_exactly_when_the_library_accepts_it(
+    tmp_path, capsys, scale
+):
+    # eps_erm off eps_ig + eps_u by just under or just over PREMISE_TOLERANCE
+    raw = {"m": 99, "delta": 0.05, "d": 2, "dstar": 1, "d_a": 3,
+           "eps_erm": 0.1 + scale * PREMISE_TOLERANCE, "eps_ig": 0.06, "eps_u": 0.04}
+    try:
+        want = sufficient_condition(BoundInputs(**raw)).to_json()
+    except ValueError:
+        want = None
+    assert (want is None) == (abs(scale) > 1)
+    rc, out, _ = run_cli(capsys, ["bounds", "--inputs", write_json(tmp_path, "in.json", raw)])
+    assert rc == 0
+    assert json.loads(out).get("sufficient") == want
 
 
 def test_bounds_from_inputs_file(tmp_path, capsys):
@@ -600,21 +610,27 @@ def test_missing_config_and_sample_keys_are_named(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["vc", "h.json"], ["construct", "--what", "theorem1"], ["verify", "--suite", "claims"],
-     ["erm", "--h-class", "h.json", "--sample", "s.json"], ["sim", "--config", "c.json"],
-     ["bounds", "--m", "99", "--delta", "0.05", "--d", "2", "--dstar", "1", "--d-a", "3"]],
-    ids=lambda argv: argv[0],
+    "argv, error",
+    [
+        # global flags are parsed before the subcommand, so one case covers all six
+        (["--threads", "2", "vc", "h.json"], "argument command: invalid choice"),
+        (["vc", "h.json", "--mode", "lower-bound-only"],
+         "unrecognized arguments: --mode lower-bound-only"),
+        (["sim", "--config", "c.json", "--mode", "lower-bound-only"],
+         "unrecognized arguments: --mode lower-bound-only"),
+    ],
+    ids=["global-threads", "vc-mode", "sim-mode"],
 )
-@pytest.mark.parametrize("threads", ["0", "-3", "2"])
-def test_every_command_rejects_a_bad_thread_count(capsys, argv, threads):
-    # priverm has no --threads flag: argparse rejects every thread count
-    # before any command runs, so no file named here is read
+def test_retired_flags_are_usage_errors(capsys, argv, error):
+    # priverm has no --threads and no --mode (a lower bound comes only from a
+    # search cut by --budget): argparse rejects them before any command
+    # runs, so no file named here is read
     with pytest.raises(SystemExit) as exc:
-        main(["--threads", threads, *argv])
+        main(argv)
     captured = capsys.readouterr()
     assert (exc.value.code, captured.out) == (2, "")
-    assert "priverm: error:" in captured.err and "Traceback" not in captured.err
+    assert captured.err.startswith("usage: priverm")
+    assert error in captured.err and "Traceback" not in captured.err
 
 
 def test_sim_deviation(tmp_path, capsys):

@@ -113,9 +113,6 @@ def test_lemma2_witness_shattered_by_aux_class():
     idx = [product_index(t.x, t.xstar, t.y, Phi.domain.size) for t in w]
     assert is_shattered(aux, idx)
     assert all(t.y == 0 for t in w)
-    # the witness is always checked; there is no option to skip it
-    with pytest.raises(TypeError):
-        construct_lemma2_witness(H, Phi, verify=False)
 
 
 def test_lemma2_witness_random_classes():

@@ -1,8 +1,10 @@
 """Core types, loss functions, exact error, and JSON interchange."""
 
+import array
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,7 +152,7 @@ def test_from_mask_matches_the_per_bit_formula(data):
     assert all(type(b) is int for b in h.bits)
 
 
-@pytest.mark.parametrize("bad", [2, -1, "1", 0.5, None, "0"])
+@pytest.mark.parametrize("bad", [2, -1, "1", 0.5, None, "0", [1]])
 def test_hypothesis_rejects_values_that_are_not_bits(bad):
     with pytest.raises(ValueError, match="bits must all be 0 or 1"):
         Hypothesis(FiniteDomain(3), (0, bad, 1))
@@ -163,6 +165,16 @@ def test_hypothesis_accepts_values_equal_to_a_bit(good):
     assert h == twin and hash(h) == hash(twin)
     assert all(type(b) is int for b in h.bits)
     assert h.to_bitstring() == twin.to_bitstring() == f"1{int(good)}"
+
+
+@pytest.mark.parametrize(
+    "labels", [np.array([0, 1]), array.array("q", [0, 1])], ids=["numpy", "array"]
+)
+def test_hypothesis_from_an_int64_buffer_equals_its_int_twin(labels):
+    # the labels are read one by one, never as the container's 16-byte buffer
+    h, twin = Hypothesis(FiniteDomain(2), labels), Hypothesis(FiniteDomain(2), (0, 1))
+    assert h == twin and hash(h) == hash(twin)
+    assert h.bits == b"\x00\x01" and h.to_bitstring() == "01"
 
 
 def test_class_of_bits_equal_to_ints_searches_and_serialises_like_its_twin():

@@ -18,12 +18,14 @@ from priverm import (
     FiniteDomain,
     HypothesisClass,
     Triple,
+    construct_lemma2_witness,
     construct_theorem1,
     construct_theorem5_family,
     erm_privileged,
     exact_true_error,
     phi_prime_subclass,
     sample,
+    vc_dimension,
 )
 from priverm import simulate
 from priverm.bounds import (
@@ -303,14 +305,36 @@ def test_config_validation():
         comparison_config(trials=0)
     with pytest.raises(ValueError):
         comparison_config(m=-1)
-    # the no-op threads option is gone from the library
-    with pytest.raises(TypeError):
-        comparison_config(threads=1)
-    # the run directory is persist_run's argument, not part of the config
-    with pytest.raises(TypeError):
-        comparison_config(output_dir="run")
     # C may be an exact Fraction; no float is needed to check its range
     assert comparison_config(C=Fraction(1, 3)).C == Fraction(1, 3)
+
+
+def _deviation_args() -> tuple:
+    Phi = full_class(4, "X*")
+    family, _ = construct_theorem5_family(Phi, eps=0.1, delta=0.01)
+    return family, phi_prime_subclass(Phi, family.pairs)
+
+
+@pytest.mark.parametrize(
+    "keyword, call",
+    [
+        # the search has no modes: exact is False only when the budget cut it short
+        ("mode", lambda: vc_dimension(full_class(2), mode="lower-bound-only")),
+        # the no-op threads option is gone from the library
+        ("threads", lambda: comparison_config(threads=1)),
+        # the run directory is persist_run's argument, not part of the config
+        ("output_dir", lambda: comparison_config(output_dir="run")),
+        ("threads", lambda: run_theorem5_experiment(
+            *_deviation_args(), m=40, trials=20, seed=8, threads=1)),
+        # the witness is always checked; there is no option to skip it
+        ("verify", lambda: construct_lemma2_witness(*construct_theorem1(2), verify=False)),
+    ],
+    ids=["vc_dimension", "ExperimentConfig-threads", "ExperimentConfig-output_dir",
+         "run_theorem5_experiment", "construct_lemma2_witness"],
+)
+def test_retired_keywords_raise_type_error(keyword, call):
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+        call()
 
 
 def test_comparison_rejects_incompatible_support():
@@ -345,8 +369,6 @@ def test_comparison_records_and_summary():
 def test_trial_records_are_immutable_named_tuples():
     cfg = comparison_config()
     records, _ = run_comparison(cfg)
-    # field order is positional API: the first ten are the CSV columns
-    assert TrialRecord._fields[:10] == tuple(TRIALS_CSV_HEADER.split(","))
     r = records[0]
     with pytest.raises(AttributeError):
         r.eps_erm = 0.5
@@ -367,8 +389,7 @@ def test_comparison_trivial_phi_gives_equal_true_errors():
         assert r.true_err_erm == r.true_err_pr
 
 
-def test_comparison_thread_count_does_not_change_records(tmp_path, capsys):
-    # runs have one thread and no thread option; the CLI writes the library's bytes
+def test_sim_comparison_writes_the_trials_csv_of_the_library(tmp_path, capsys):
     cfg = comparison_config()
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_json()), encoding="utf-8")
@@ -489,19 +510,14 @@ def test_deviation_vanishes_at_large_sample():
     assert rep["freq_existential"] == 0.0
 
 
-def test_deviation_threads_do_not_change_result(tmp_path, capsys):
-    # runs have one thread and no thread option; the CLI reports the library's result
-    Phi = full_class(4, "X*")
-    family, _ = construct_theorem5_family(Phi, eps=0.1, delta=0.01)
-    prime = phi_prime_subclass(Phi, family.pairs)
-    want = run_theorem5_experiment(family, prime, m=40, trials=200, seed=8)
+def test_sim_deviation_prints_the_report_of_the_library(tmp_path, capsys):
+    want = run_theorem5_experiment(*_deviation_args(), m=40, trials=200, seed=8)
     path = tmp_path / "dev.json"
-    path.write_text(json.dumps({"phi_class": class_to_json(Phi), "eps": 0.1, "delta": 0.01,
-                                "m": 40, "trials": 200, "seed": 8}), encoding="utf-8")
+    path.write_text(json.dumps({"phi_class": class_to_json(full_class(4, "X*")), "eps": 0.1,
+                                "delta": 0.01, "m": 40, "trials": 200, "seed": 8}),
+                    encoding="utf-8")
     assert main(["sim", "--kind", "deviation", "--config", str(path)]) == 0
     assert json.loads(capsys.readouterr().out) == want
-    with pytest.raises(TypeError):
-        run_theorem5_experiment(family, prime, m=40, trials=200, seed=8, threads=1)
 
 
 HEAVY_SIDES = ((0, 0, 0, 0), (1, 1, 1, 1), (0, 1, 0, 1), (1, 0, 1, 0))
