@@ -609,28 +609,38 @@ def test_missing_config_and_sample_keys_are_named(tmp_path, capsys):
     assert (rc, out, err) == (2, "", "input error: missing key 'xstar'\n")
 
 
-@pytest.mark.parametrize(
-    "argv, error",
-    [
-        # global flags are parsed before the subcommand, so one case covers all six
-        (["--threads", "2", "vc", "h.json"], "argument command: invalid choice"),
-        (["vc", "h.json", "--mode", "lower-bound-only"],
-         "unrecognized arguments: --mode lower-bound-only"),
-        (["sim", "--config", "c.json", "--mode", "lower-bound-only"],
-         "unrecognized arguments: --mode lower-bound-only"),
-    ],
-    ids=["global-threads", "vc-mode", "sim-mode"],
-)
-def test_retired_flags_are_usage_errors(capsys, argv, error):
-    # priverm has no --threads and no --mode (a lower bound comes only from a
-    # search cut by --budget): argparse rejects them before any command
-    # runs, so no file named here is read
+def assert_usage_error(capsys, argv, error):
+    # argparse rejects argv before any command runs, so no file named in it is read
     with pytest.raises(SystemExit) as exc:
         main(argv)
     captured = capsys.readouterr()
     assert (exc.value.code, captured.out) == (2, "")
     assert captured.err.startswith("usage: priverm")
     assert error in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["vc", "h.json"], ["construct", "--what", "theorem1"], ["verify", "--suite", "claims"],
+     ["erm", "--h-class", "h.json", "--sample", "s.json"], ["sim", "--config", "c.json"],
+     ["bounds", "--m", "99", "--delta", "0.05", "--d", "2", "--dstar", "1", "--d-a", "3"]],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("threads", ["0", "-3", "2"])
+def test_every_command_rejects_a_bad_thread_count(capsys, argv, threads):
+    # priverm has no --threads flag: it is read where the subcommand belongs
+    assert_usage_error(capsys, ["--threads", threads, *argv], "argument command: invalid choice")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["vc", "h.json", "--mode", "lower-bound-only"],
+     ["sim", "--config", "c.json", "--mode", "lower-bound-only"]],
+    ids=["vc-mode", "sim-mode"],
+)
+def test_retired_flags_are_usage_errors(capsys, argv):
+    # priverm has no --mode: a lower bound comes only from a search cut by --budget
+    assert_usage_error(capsys, argv, "unrecognized arguments: --mode lower-bound-only")
 
 
 def test_sim_deviation(tmp_path, capsys):
