@@ -8,6 +8,7 @@ are computed exactly rather than estimated.
 import importlib
 
 from priverm.core import (
+    ExperimentConfig,
     FiniteDomain,
     FiniteDistribution,
     Hypothesis,
@@ -59,7 +60,6 @@ _LAZY = {
     "PrivilegedErmResult": "erm",
     "erm_privileged": "erm",
     "erm_standard": "erm",
-    "ExperimentConfig": "simulate",
     "TrialRecord": "simulate",
     "persist_run": "simulate",
     "run_comparison": "simulate",

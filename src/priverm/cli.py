@@ -34,7 +34,11 @@ from .constructions import (
     phi_prime_subclass,
 )
 from .core import (
+    ExperimentConfig,
+    check_erm_inputs,
     check_keys,
+    check_seed,
+    check_sizes,
     class_from_json,
     class_to_json,
     distribution_from_json,
@@ -154,15 +158,17 @@ def cmd_construct(args) -> int:
 
 
 def cmd_erm(args) -> int:
-    # numpy-backed, so imported here: the other commands start without numpy
-    from .erm import erm_privileged, erm_standard
-
     H = _load_class(args.h_class, label="X")
     s = sample_from_json(load_json(args.sample))
-    if args.phi_class is None:
+    Phi = None if args.phi_class is None else _load_class(args.phi_class, label="X*")
+    check_erm_inputs(H, s, Phi, args.c)
+    # numpy-backed, so imported once every input has passed: the other
+    # commands, and erm on a bad input, end without numpy
+    from .erm import erm_privileged, erm_standard
+
+    if Phi is None:
         result = erm_standard(H, s).to_json()
     else:
-        Phi = _load_class(args.phi_class, label="X*")
         result = erm_privileged(H, Phi, s, args.c).to_json()
     _emit(result, args.format)
     return EXIT_OK
@@ -212,13 +218,7 @@ SIM_CONFIG_KEYS = {
 
 
 def cmd_sim(args) -> int:
-    from .simulate import (
-        ExperimentConfig,
-        persist_run,
-        run_comparison,
-        run_theorem5_experiment,
-    )
-
+    # every input is checked before simulate, and with it numpy, is imported
     raw = load_json(args.config)
     check_keys(raw, SIM_CONFIG_KEYS[args.kind], f"{args.kind} config")
     # the keys both kinds share, read once; --seed wins over the file's seed
@@ -233,6 +233,8 @@ def cmd_sim(args) -> int:
             Phi=Phi, m=m, trials=trials, delta=delta, seed=seed,
             C=strict_real(raw.get("c", 1.0), "c"),
         )
+        from .simulate import persist_run, run_comparison
+
         records, summary = run_comparison(config)
         if args.output_dir:
             print(persist_run(records, summary, config, args.output_dir))
@@ -251,6 +253,10 @@ def cmd_sim(args) -> int:
         heavy_side=raw.get("heavy_side"),
     )
     search_class = phi_prime_subclass(Phi, family.pairs) if search == "prime" else Phi
+    check_sizes(m, trials)
+    check_seed(seed)
+    from .simulate import run_theorem5_experiment
+
     report = run_theorem5_experiment(family, search_class, m=m, trials=trials, seed=seed)
     _write(report, "deviation", args, args.format)
     return EXIT_OK

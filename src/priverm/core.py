@@ -6,17 +6,23 @@ items are the ints 0 and 1 (so ``h.bits == (0, 1)`` is False: compare
 ``tuple(h.bits)``); a hypothesis class is a deduplicated, canonically
 ordered set of such labelings.  Losses are pure functions on {0,1} values,
 so every quantity downstream (empirical risk, true error, VC dimension) is
-computed exactly.
+computed exactly.  The checks of a run's parameters (the cost C, a seed,
+m and trials, and a comparison's ``ExperimentConfig``) live here too, so
+they run before numpy is loaded.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 PROB_TOLERANCE = 1e-12
 
@@ -86,10 +92,7 @@ class Hypothesis:
     bits: bytes
 
     def __post_init__(self) -> None:
-        if len(self.bits) != self.domain.size:
-            raise ValueError(
-                f"bit pattern length {len(self.bits)} != domain size {self.domain.size}"
-            )
+        _check_length(self.bits, self.domain)
         try:
             raw = bytes(map(_BIT.__getitem__, self.bits))
         except (KeyError, TypeError):
@@ -118,18 +121,29 @@ class Hypothesis:
         if set(s) - {"0", "1"}:
             raise ValueError(f"bit string may contain only 0/1: {s!r}")
         # a sequence of "0" and "1" strings reads like the string they join to
-        return cls(domain, "".join(s).encode().translate(_FROM_DIGITS))
+        bits = "".join(s).encode().translate(_FROM_DIGITS)
+        _check_length(bits, domain)
+        return cls._from_bytes(domain, bits)
 
     @classmethod
     def from_mask(cls, domain: FiniteDomain, mask: int) -> "Hypothesis":
         """Bit i of ``mask`` labels point i; bits past the domain are ignored."""
         n = domain.size
         digits = format(mask & ((1 << n) - 1), f"0{n}b")[::-1]
-        # n bytes, each 0 or 1, by construction: nothing for __post_init__ to check
+        return cls._from_bytes(domain, digits.encode().translate(_FROM_DIGITS))
+
+    @classmethod
+    def _from_bytes(cls, domain: FiniteDomain, bits: bytes) -> "Hypothesis":
+        """A hypothesis on ``bits``, one byte 0 or 1 per point: nothing is checked."""
         h = object.__new__(cls)
         object.__setattr__(h, "domain", domain)
-        object.__setattr__(h, "bits", digits.encode().translate(_FROM_DIGITS))
+        object.__setattr__(h, "bits", bits)
         return h
+
+
+def _check_length(bits, domain: FiniteDomain) -> None:
+    if len(bits) != domain.size:
+        raise ValueError(f"bit pattern length {len(bits)} != domain size {domain.size}")
 
 
 @dataclass(frozen=True)
@@ -373,8 +387,7 @@ def ignoring_loss(z: int, y: int) -> int:
 def composite_loss(l: int, lstar: int, C: float) -> float:
     """Joint loss (1/C)*lstar + max(l - lstar, 0) for binary loss values."""
     _check_binary(l, lstar)
-    if C <= 0:
-        raise ValueError(f"C must be positive, got {C}")
+    check_cost(C)
     return lstar / C + max(l - lstar, 0)
 
 
@@ -508,3 +521,106 @@ def dump_json(obj: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+# --- run parameters --------------------------------------------------------
+#
+# Checked here, without numpy, so the CLI can reject a bad run before it
+# loads the solvers; the numpy-backed functions check them again.
+
+
+def check_cost(C: int | float | Fraction) -> None:
+    """The one rule for the cost C: positive and finite, else ``ValueError``."""
+    if not 0 < C < math.inf:
+        raise ValueError(f"c must be positive and finite, got {C}")
+
+
+def positive_cost(C: int | float | Fraction) -> Fraction:
+    """C, checked by ``check_cost``, as an exact fraction; floats are read through their repr."""
+    check_cost(C)
+    # imported here: only the commands that solve with a C need it
+    from fractions import Fraction
+
+    return Fraction(str(C)) if isinstance(C, float) else Fraction(C)
+
+
+def check_erm_inputs(
+    H: HypothesisClass,
+    S: TripleSample,
+    Phi: HypothesisClass | None = None,
+    C: int | float | Fraction = 1,
+) -> Fraction | None:
+    """Check one minimization's inputs; return C as a fraction, None without Phi.
+
+    The classes are nonempty, C is positive and finite, and the sample's x
+    and xstar lie on the domains of H and Phi.
+    """
+    if Phi is None:
+        if len(H) == 0:
+            raise ValueError("class must be nonempty")
+        check_domain(S.triples, "x", H, "sample")
+        return None
+    if len(H) == 0 or len(Phi) == 0:
+        raise ValueError("both classes must be nonempty")
+    Cf = positive_cost(C)
+    check_domain(S.triples, "x", H, "sample")
+    check_domain(S.triples, "xstar", Phi, "sample")
+    return Cf
+
+
+def check_seed(seed: int) -> int:
+    """The seed as an int, if it lies in [0, 2**64); else ``ValueError``."""
+    seed = operator.index(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
+def check_sizes(m: int, trials: int) -> None:
+    """Raise unless the sample size m and the number of trials are each at least 1."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Everything a comparison run depends on; the unit of reproducibility.
+
+    Every input is checked here, once, so a run never starts on a value
+    that would fail its trials: m and trials are at least 1, delta lies in
+    (0, 1), C is positive and finite, the seed lies in [0, 2**64), and
+    every support point's x and xstar lie in the domains of H and Phi.
+    """
+
+    distribution: FiniteDistribution
+    H: HypothesisClass
+    Phi: HypothesisClass
+    m: int
+    trials: int
+    delta: float
+    seed: int
+    C: float = 1.0
+
+    def __post_init__(self) -> None:
+        check_sizes(self.m, self.trials)
+        if not 0 < self.delta < 1:
+            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        check_cost(self.C)
+        check_seed(self.seed)
+        points = [t for t, _ in self.distribution.support]
+        check_domain(points, "x", self.H, "support")
+        check_domain(points, "xstar", self.Phi, "support")
+
+    def to_json(self) -> dict:
+        return {
+            "m": self.m,
+            "trials": self.trials,
+            "delta": self.delta,
+            "seed": self.seed,
+            "c": self.C,
+            "distribution": distribution_to_json(self.distribution),
+            "h_class": class_to_json(self.H),
+            "phi_class": class_to_json(self.Phi),
+        }

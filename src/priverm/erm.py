@@ -21,7 +21,13 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Hypothesis, HypothesisClass, Triple, TripleSample, check_domain
+from .core import (
+    Hypothesis,
+    HypothesisClass,
+    Triple,
+    TripleSample,
+    check_erm_inputs,
+)
 
 # Many count rows are processed in blocks whose largest temporaries, of shape
 # (rows, |H|, |Phi|) here and (rows, |Phi|) in the deviation experiment, hold
@@ -94,14 +100,6 @@ def flag_matrix(Phi: HypothesisClass, points: Sequence[Triple]) -> np.ndarray:
     return _bits(Phi)[:, xstar].astype(np.int64)
 
 
-def positive_cost(C: Union[int, float, Fraction]) -> Fraction:
-    """C as an exact fraction; floats are read through their repr."""
-    Cf = Fraction(str(C)) if isinstance(C, float) else Fraction(C)
-    if Cf <= 0:
-        raise ValueError(f"C must be positive, got {C}")
-    return Cf
-
-
 class CountSolution(NamedTuple):
     """Both minimizers for every row of a count matrix.
 
@@ -160,9 +158,7 @@ def _sample_counts(S: TripleSample) -> tuple[list[Triple], np.ndarray]:
 
 def erm_standard(H: HypothesisClass, S: TripleSample) -> ErmResult:
     """Member with the fewest sample errors; ties go to the first member."""
-    if len(H) == 0:
-        raise ValueError("class must be nonempty")
-    check_domain(S.triples, "x", H, "sample")
+    check_erm_inputs(H, S)
     points, counts = _sample_counts(S)
     sol = solve_counts(error_matrix(H, points), counts)
     errs = sol.n_err[0]
@@ -188,12 +184,7 @@ def erm_privileged(
     costs 1.  Every pair is scored by the count kernel; the exact Fraction
     objective is formed for the winner only.
     """
-    if len(H) == 0 or len(Phi) == 0:
-        raise ValueError("both classes must be nonempty")
-    Cf = positive_cost(C)
-    check_domain(S.triples, "x", H, "sample")
-    check_domain(S.triples, "xstar", Phi, "sample")
-
+    Cf = check_erm_inputs(H, S, Phi, C)
     points, counts = _sample_counts(S)
     sol = solve_counts(error_matrix(H, points), counts, flag_matrix(Phi, points), Cf)
     hi, pj = int(sol.h_pr[0]), int(sol.phi_pr[0])

@@ -27,7 +27,6 @@ import csv
 import math
 import operator
 import os
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -35,16 +34,17 @@ import numpy as np
 from .bounds import BoundInputs, bound_erm, bound_pr, sufficient_condition
 from .constructions import Theorem5Family
 from .core import (
+    ExperimentConfig,
     FiniteDistribution,
     HypothesisClass,
     TripleSample,
-    check_domain,
-    class_to_json,
-    distribution_to_json,
+    check_seed,
+    check_sizes,
     dump_json,
     exact_true_error,
+    positive_cost,
 )
-from .erm import BLOCK_CELLS, error_matrix, flag_matrix, positive_cost, solve_counts
+from .erm import BLOCK_CELLS, error_matrix, flag_matrix, solve_counts
 from .vc import build_aux_class, vc_dimension
 
 _MASK64 = (1 << 64) - 1
@@ -74,14 +74,6 @@ def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
 _HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
 # one per 32-bit word of PCG64's four 64-bit seed words
 _HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
-
-
-def _check_seed(seed: int) -> int:
-    """The seed as an int, if it lies in [0, 2**64); else ``ValueError``."""
-    seed = operator.index(seed)
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    return seed
 
 
 def mix_seed(master: int, trial: int | np.ndarray) -> int | np.ndarray:
@@ -186,7 +178,7 @@ def sample(dist: FiniteDistribution, m: int, seed: int) -> TripleSample:
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    seed = _check_seed(seed)
+    seed = check_seed(seed)
     cum, last = _inverse_cdf(dist)
     u = np.random.default_rng(seed).random(m)
     idx = np.searchsorted(cum, u, side="right")
@@ -222,48 +214,6 @@ def _trial_counts(
             below[:, j] = np.count_nonzero(u < cum[j], axis=1)
         counts[lo:hi, : last + 1] = np.diff(below, axis=1, prepend=0, append=m)
     return counts
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything a comparison run depends on; the unit of reproducibility.
-
-    Every range is checked here, once, so a run never starts on a value
-    that would fail its trials: m and trials are at least 1, delta lies in
-    (0, 1), C is positive and finite, and the seed lies in [0, 2**64).
-    """
-
-    distribution: FiniteDistribution
-    H: HypothesisClass
-    Phi: HypothesisClass
-    m: int
-    trials: int
-    delta: float
-    seed: int
-    C: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if not 0 < self.C < math.inf:
-            raise ValueError(f"c must be positive and finite, got {self.C}")
-        _check_seed(self.seed)
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "trials": self.trials,
-            "delta": self.delta,
-            "seed": self.seed,
-            "c": self.C,
-            "distribution": distribution_to_json(self.distribution),
-            "h_class": class_to_json(self.H),
-            "phi_class": class_to_json(self.Phi),
-        }
 
 
 class TrialRecord(NamedTuple):
@@ -320,15 +270,14 @@ def run_comparison(
     sufficient condition and the coverage events are evaluated once per
     distinct outcome of this call, and each trial's record is its index
     followed by its outcome's fields.
-    ``config`` has checked every range, so every trial yields a record;
+    ``config`` has checked every range and that the support lies on the
+    domains of H and Phi, so every trial yields a record;
     the summary keeps an empty ``failed_trials`` list for its readers.
     Its rates are taken from one transpose of the records; the means use
     ``math.fsum``, so they are the same on every Python version.
     """
     dist, m = config.distribution, config.m
     points = [t for t, _ in dist.support]
-    check_domain(points, "x", config.H, "support")
-    check_domain(points, "xstar", config.Phi, "support")
     d = vc_dimension(config.H).vc
     dstar = vc_dimension(config.Phi).vc
     d_a = vc_dimension(build_aux_class(config.H, config.Phi)).vc
@@ -420,11 +369,8 @@ def run_theorem5_experiment(
     sample-size constants are far below desk scale, so frequencies here
     validate the qualitative claim only; the summary states that gap.  The seed lies in [0, 2**64).
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_seed(seed)
+    check_sizes(m, trials)
+    check_seed(seed)
     eps = family.eps
     dist = family.distribution
 

@@ -84,7 +84,7 @@ def oracle_privileged(H, Phi, triples, C) -> tuple:
     Every pair (H[i], Phi[j]) has n_ig flagged triples and n_u errors of h
     on triples phi does not flag; the pick has the smallest exact key
     (n_ig / C + n_u, n_ig, i, j), and total is its first entry.  C is read
-    as ``erm.positive_cost`` reads it: floats through their repr.
+    as ``core.positive_cost`` reads it: floats through their repr.
     """
     Cf = Fraction(str(C)) if isinstance(C, float) else Fraction(C)
     errs = [[zero_one_loss(h.bits[t.x], t.y) for t in triples] for h in H]

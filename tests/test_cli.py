@@ -4,8 +4,8 @@ Most tests drive ``main(argv)`` in process and parse captured stdout. One
 subprocess test runs the ``priverm`` entry point as a real process: the
 installed console script when one is on PATH, otherwise the
 ``[project.scripts]`` target declared in the checkout's ``pyproject.toml``.
-Another runs numpy-free commands in a fresh interpreter to check that
-numpy stays unloaded.
+Others run numpy-free commands, and erm and sim on bad inputs, in a fresh
+interpreter to check that numpy stays unloaded.
 """
 
 import csv
@@ -1242,28 +1242,81 @@ def test_console_script_runs():
 # --- numpy-free start ----------------------------------------------------------------
 
 
+def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter on the source the suite imports."""
+    src = str(Path(priverm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=120,
+        env=env,
+    )
+
+
 def test_cli_commands_without_numpy_never_import_it():
     # vc, construct, bounds and verify need no numpy; erm and sim import it
-    src = str(Path(priverm.__file__).resolve().parents[1])
     code = (
         "import sys, priverm, priverm.cli\n"
+        "assert priverm.ExperimentConfig is priverm.core.ExperimentConfig\n"
         "assert priverm.cli.main(['verify', '--suite', 'claims']) == 0\n"
         "assert priverm.cli.main(['bounds', '--m', '9', '--delta', '0.1',"
         " '--d', '1', '--dstar', '1', '--d-a', '1']) == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy imported'\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
-    )
+    proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_experiment_config_has_one_home_in_core():
+    from priverm import core, simulate
+
+    assert priverm.ExperimentConfig is core.ExperimentConfig is simulate.ExperimentConfig
+
+
+def with_support_point(**change) -> dict:
+    return {"support": SUPPORT_JSON[:2] + [{**SUPPORT_JSON[2], **change}]}
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (lambda t: erm_files(t, triple={"x": 3}), "sample x index 3 outside domain of size 3"),
+        (lambda t: erm_files(t, triple={"xstar": 3}),
+         "sample xstar index 3 outside domain of size 3"),
+        (lambda t: erm_files(t) + ["--c", "0"], "c must be positive and finite, got 0.0"),
+        (lambda t: erm_files(t) + ["--c", "nan"], "c must be positive and finite, got nan"),
+        (lambda t: erm_files(t) + ["--c", "inf"], "c must be positive and finite, got inf"),
+        (lambda t: ["sim", "--config", comparison_config_json(t, delta=1.5)],
+         "delta must be in (0, 1), got 1.5"),
+        (lambda t: ["sim", "--config", comparison_config_json(t, m=0)], "m must be >= 1, got 0"),
+        (lambda t: ["sim", "--config", comparison_config_json(t, seed=2**64)],
+         f"seed must be in [0, 2**64), got {2**64}"),
+        (lambda t: ["sim", "--config",
+                    comparison_config_json(t, distribution=with_support_point(x=7))],
+         "support x index 7 outside domain of size 3"),
+        (lambda t: ["sim", "--kind", "deviation", "--config",
+                    sim_config_json(t, "deviation", trials=0)],
+         "trials must be >= 1, got 0"),
+    ],
+    ids=["erm-x", "erm-xstar", "erm-c-0", "erm-c-nan", "erm-c-inf", "sim-delta", "sim-m-0",
+         "sim-seed-2**64", "sim-support-x", "deviation-trials-0"],
+)
+def test_erm_and_sim_input_faults_exit_before_numpy_loads(tmp_path, argv, err):
+    # the whole of stderr is compared, so it holds no traceback and no "numpy imported"
+    code = (
+        "import sys, priverm.cli\n"
+        "rc = priverm.cli.main(sys.argv[1:])\n"
+        "sys.exit('numpy imported' if 'numpy' in sys.modules else rc)\n"
+    )
+    proc = run_fresh(code, *argv(tmp_path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"input error: {err}\n")
 
 
 PACKAGE_EXPORTS = {
     "core": (
-        "FiniteDomain FiniteDistribution Hypothesis HypothesisClass Triple TripleSample "
-        "aux_loss composite_loss exact_true_error f_loss ignoring_loss zero_one_loss"
+        "ExperimentConfig FiniteDomain FiniteDistribution Hypothesis HypothesisClass "
+        "Triple TripleSample aux_loss composite_loss exact_true_error f_loss "
+        "ignoring_loss zero_one_loss"
     ),
     "vc": (
         "VcReport build_aux_class build_f_class count_shattered is_shattered k_fold_union "
@@ -1278,10 +1331,7 @@ PACKAGE_EXPORTS = {
         "BoundInputs alpha_threshold bound_erm bound_pr d_a_interval "
         "necessary_condition r_fast r_slow sufficient_condition"
     ),
-    "simulate": (
-        "ExperimentConfig TrialRecord persist_run run_comparison "
-        "run_theorem5_experiment sample"
-    ),
+    "simulate": "TrialRecord persist_run run_comparison run_theorem5_experiment sample",
 }
 
 

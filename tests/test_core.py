@@ -99,8 +99,17 @@ def test_hypothesis_round_trips(bits):
 
 def test_bitstring_rejects_junk():
     dom = FiniteDomain(3)
-    with pytest.raises(ValueError):
-        Hypothesis.from_bitstring(dom, "01x")
+    # a bad character is named before a bad length
+    for s, err in [
+        ("01x", "bit string may contain only 0/1: '01x'"),
+        ("0x", "bit string may contain only 0/1: '0x'"),
+        ("01", "bit pattern length 2 != domain size 3"),
+        ("0110", "bit pattern length 4 != domain size 3"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            Hypothesis.from_bitstring(dom, s)
+        assert str(exc.value) == err
+    assert Hypothesis.from_bitstring(dom, ["0", "1", "1"]) == Hypothesis(dom, (0, 1, 1))
 
 
 def test_class_dedup_and_canonical_order():

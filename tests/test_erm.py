@@ -1,5 +1,6 @@
 """Both risk minimizers against brute-force oracles built from the raw losses."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from priverm import (
     ignoring_loss,
     zero_one_loss,
 )
-from priverm.core import DomainMismatchError
+from priverm.core import DomainMismatchError, check_cost, positive_cost
 
 from conftest import LARGE_PAIRS, oracle_privileged, oracle_standard, rand_class, rand_sample
 
@@ -120,6 +121,26 @@ def test_privileged_validates_inputs():
         erm_privileged(H, Phi, TripleSample(()), C=0)
     with pytest.raises(ValueError):
         erm_privileged(H, Phi, TripleSample(()), C=-1.5)
+
+
+@pytest.mark.parametrize("C", [0, -1, -2.5, Fraction(-1, 3), math.nan, math.inf, -math.inf])
+def test_every_check_of_c_is_one_rule(C):
+    H = HypothesisClass.from_patterns(FiniteDomain(1, "X"), [(0,)])
+    Phi = HypothesisClass.from_patterns(FiniteDomain(1, "X*"), [(0,)])
+    for call in (
+        lambda: check_cost(C),
+        lambda: positive_cost(C),
+        lambda: composite_loss(0, 1, C),
+        lambda: erm_privileged(H, Phi, TripleSample(()), C),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"c must be positive and finite, got {C}"
+
+
+def test_positive_cost_reads_floats_through_their_repr():
+    assert positive_cost(0.1) == Fraction(1, 10)
+    assert positive_cost(2) == positive_cost(Fraction(2)) == 2
 
 
 def test_solvers_reject_sample_outside_class_domains():

@@ -338,9 +338,12 @@ def test_retired_keywords_raise_type_error(keyword, call):
 
 
 def test_comparison_rejects_incompatible_support():
-    bad = FiniteDistribution(((Triple(17, 0, 0), 1.0),))
-    with pytest.raises(DomainMismatchError, match="support x index 17 outside domain of size 3"):
-        run_comparison(comparison_config(distribution=bad))
+    # the config checks the support's domains, so no run starts on it
+    for triple, index in [(Triple(17, 0, 0), "x index 17"), (Triple(0, 9, 0), "xstar index 9")]:
+        bad = FiniteDistribution(((triple, 1.0),))
+        with pytest.raises(DomainMismatchError) as exc:
+            comparison_config(distribution=bad)
+        assert str(exc.value) == f"support {index} outside domain of size 3"
 
 
 def test_comparison_records_and_summary():
