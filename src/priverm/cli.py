@@ -1,8 +1,9 @@
 """Command-line front end: vc, construct, erm, bounds, sim, verify.
 
 Exit codes: 0 success, 2 bad input (parse/validation, or a size too
-large for memory), 3 node budget exhausted where an exact answer was
-required, 4 I/O failure.  A failed verification check exits 1.
+large for memory), 3 a ``vc`` search cut by its node budget, 4 I/O
+failure.  A failed verification check exits 1, also one whose search
+the budget cut.
 """
 
 from __future__ import annotations
@@ -266,11 +267,25 @@ def cmd_sim(args) -> int:
 
 
 def _checkline(name: str, ok: bool, detail: str, report=None) -> bool:
-    """Print one check; the detail of a search cut by the node budget says so."""
+    """Print one check; a search cut by the node budget fails it, and its detail says so."""
     if report is not None and not report.exact:
+        ok = False
         detail += " (lower bound: node budget exhausted)"
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return ok
+
+
+def _prediction(d: int, rf) -> tuple[str, str]:
+    """The additive prediction d+d* = 2d against VC(F), and its verdict.
+
+    A lower bound refutes 2d only when it passes it; a cut search at or
+    below 2d leaves the prediction undetermined.
+    """
+    if rf.vc > 2 * d or (rf.exact and rf.vc != 2 * d):
+        verdict = "REFUTED"
+    else:
+        verdict = "consistent" if rf.exact else "undetermined"
+    return f"additive prediction d+d* = {2 * d}; measured VC(F) = {rf.vc}", verdict
 
 
 def _suite_theorem1(d: int, dstar: int) -> bool:
@@ -280,30 +295,20 @@ def _suite_theorem1(d: int, dstar: int) -> bool:
     rf = vc_dimension(F)
     diag = [product_index(i, i, 0, Phi.domain.size) for i in range(3 * d)]
     ok = True
-    ok &= _checkline("vc_h", rh.vc == d and rh.exact, f"VC(H)={rh.vc}, want {d}", rh)
-    ok &= _checkline(
-        "vc_phi", rp.vc == d and rp.exact, f"VC(Phi)={rp.vc}, want {d}", rp
-    )
-    ok &= _checkline(
-        "vc_f", rf.vc == 3 * d and rf.exact, f"VC(F)={rf.vc}, want {3 * d}", rf
-    )
+    ok &= _checkline("vc_h", rh.vc == d, f"VC(H)={rh.vc}, want {d}", rh)
+    ok &= _checkline("vc_phi", rp.vc == d, f"VC(Phi)={rp.vc}, want {d}", rp)
+    ok &= _checkline("vc_f", rf.vc == 3 * d, f"VC(F)={rf.vc}, want {3 * d}", rf)
     ok &= _checkline(
         "diagonal_witness", is_shattered(F, diag), f"{3 * d} diagonal points"
     )
-    print(
-        f"additive prediction d+d* = {2 * d}; measured VC(F) = {rf.vc}; "
-        + ("REFUTED" if rf.vc != 2 * d else "consistent")
-    )
+    print("; ".join(_prediction(d, rf)))
     return ok
 
 
 def _suite_claims(d: int, dstar: int) -> bool:
     H, Phi = construct_theorem1(d)
-    F = build_f_class(H, Phi)
-    rf = vc_dimension(F)
-    refuted = rf.vc != 2 * d
-    print(f"additive prediction d+d* = {2 * d}; measured VC(F) = {rf.vc}")
-    print("REFUTED" if refuted else "consistent")
+    rf = vc_dimension(build_f_class(H, Phi))
+    print("\n".join(_prediction(d, rf)))
     return _checkline(
         "claims", rf.vc == 3 * d, f"measured {rf.vc} matches 3d = {3 * d}", rf
     )
@@ -314,12 +319,10 @@ def _suite_lemma1(d: int, dstar: int) -> bool:
     ru = vc_dimension(union_class(H, J))
     rh, rj = vc_dimension(H), vc_dimension(J)
     ok = True
-    ok &= _checkline("vc_h", rh.vc == d, f"VC(H)={rh.vc}, want {d}")
-    ok &= _checkline("vc_j", rj.vc == dstar, f"VC(J)={rj.vc}, want {dstar}")
+    ok &= _checkline("vc_h", rh.vc == d, f"VC(H)={rh.vc}, want {d}", rh)
+    ok &= _checkline("vc_j", rj.vc == dstar, f"VC(J)={rj.vc}, want {dstar}", rj)
     want = d + dstar + 1
-    ok &= _checkline(
-        "vc_union", ru.vc == want and ru.exact, f"VC(H∪J)={ru.vc}, want {want}"
-    )
+    ok &= _checkline("vc_union", ru.vc == want, f"VC(H∪J)={ru.vc}, want {want}", ru)
     return ok
 
 
@@ -339,7 +342,7 @@ def _suite_lemma2(d: int, dstar: int) -> bool:
     )
     ok &= _checkline(
         "d_a_sandwich",
-        lower <= ra.vc <= upper and ra.exact,
+        lower <= ra.vc <= upper,
         f"d_a={ra.vc} in [{lower}, {upper:.2f}]",
         ra,
     )
@@ -357,12 +360,7 @@ def _suite_theorem2(d: int, dstar: int) -> bool:
     F = build_f_class(H, Phi)
     rf = vc_dimension(F)
     _, upper = d_a_interval(d, dstar)
-    return _checkline(
-        "vc_f_upper",
-        rf.vc <= upper and rf.exact,
-        f"VC(F)={rf.vc} <= {upper:.2f}",
-        rf,
-    )
+    return _checkline("vc_f_upper", rf.vc <= upper, f"VC(F)={rf.vc} <= {upper:.2f}", rf)
 
 
 # each suite takes (d, dstar); theorem1 and claims use d alone

@@ -120,14 +120,12 @@ def construct_lemma2_witness(
     those x*-points only, so one (h, phi) per distinct projection onto them
     must give all 2^(d+d*-2) ``aux_loss`` patterns.  No aux class is built.
     """
-    hrep = vc_dimension(H)
-    prep = vc_dimension(Phi)
+    hrep = vc_dimension(H, budget=None)
+    prep = vc_dimension(Phi, budget=None)
     if hrep.vc <= 1 or prep.vc <= 1:
         raise ValueError(
             f"both dimensions must exceed 1, got d={hrep.vc}, d*={prep.vc}"
         )
-    if not (hrep.exact and prep.exact):
-        raise ValueError("exact VC needed to build the witness")
     xs, xss = hrep.witness, prep.witness
     c1 = [Triple(xs[i], xss[-1], 0) for i in range(len(xs) - 1)]
     c2 = [Triple(xs[-1], xss[j], 0) for j in range(len(xss) - 1)]
@@ -195,7 +193,7 @@ def construct_theorem5_family(
     alpha = 8.0 * eps / (1.0 - 8.0 * delta)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha = {alpha} outside (0,1); shrink eps or delta")
-    rep = vc_dimension(Phi)
+    rep = vc_dimension(Phi, budget=None)
     if rep.vc < 2:
         raise ValueError(f"need VC(Phi) >= 2, got {rep.vc}")
     D = rep.vc - (rep.vc % 2)

@@ -558,6 +558,7 @@ def check_erm_inputs(
     if Phi is None:
         if len(H) == 0:
             raise ValueError("class must be nonempty")
+        check_cost(C)
         check_domain(S.triples, "x", H, "sample")
         return None
     if len(H) == 0 or len(Phi) == 0:

@@ -260,8 +260,8 @@ def run_comparison(
 ) -> tuple[list[TrialRecord], dict]:
     """Standard vs privileged minimization across seeded trials.
 
-    The dimensions entering the bounds, and the exact true error of every
-    member of H, are computed once from the classes themselves.  Each
+    The dimensions entering the bounds, searched with no node budget, and the
+    exact true error of every member of H are computed once from the classes.  Each
     trial's sample is drawn as its count vector over the support, and one
     call of the ERM count kernel solves both minimizers for every trial.
     Every field of a record but ``trial`` is a function of the solved
@@ -278,9 +278,9 @@ def run_comparison(
     """
     dist, m = config.distribution, config.m
     points = [t for t, _ in dist.support]
-    d = vc_dimension(config.H).vc
-    dstar = vc_dimension(config.Phi).vc
-    d_a = vc_dimension(build_aux_class(config.H, config.Phi)).vc
+    d = vc_dimension(config.H, budget=None).vc
+    dstar = vc_dimension(config.Phi, budget=None).vc
+    d_a = vc_dimension(build_aux_class(config.H, config.Phi), budget=None).vc
 
     true_errors = [exact_true_error(h, dist) for h in config.H]
     counts = _trial_counts(dist, m, config.seed, config.trials)

@@ -772,12 +772,14 @@ def test_sim_comparison_rejects_nonpositive_or_nonfinite_c(tmp_path, capsys, c):
 # --- integers read from JSON ----------------------------------------------------------
 
 
-def erm_files(tmp_path, h_class=None, triple=None) -> list:
+def erm_files(tmp_path, h_class=None, triple=None, phi=True) -> list:
     h = write_json(tmp_path, "h.json", {**H1_JSON, **(h_class or {})})
-    p = write_json(tmp_path, "p.json", PHI1_JSON)
     triples = [dict(t) for t in SAMPLE_JSON["triples"]]
     triples[0].update(triple or {})
     s = write_json(tmp_path, "s.json", {"triples": triples})
+    if not phi:
+        return ["erm", "--h-class", h, "--sample", s]
+    p = write_json(tmp_path, "p.json", PHI1_JSON)
     return ["erm", "--h-class", h, "--phi-class", p, "--sample", s]
 
 
@@ -1047,22 +1049,49 @@ def test_malformed_bounds_inputs_exit_cleanly(tmp_path, capsys, data):
 # --- verify ------------------------------------------------------------------------
 
 
+def first_budget_cut_after_3d() -> int:
+    """The first node budget at which F(1)'s search has found 3 = 3d but not finished."""
+    from priverm.vc import build_f_class, vc_dimension
+
+    F = build_f_class(*construct_theorem1(1))
+    return next(b for b in range(1, 10**4) if vc_dimension(F, budget=b).vc == 3)
+
+
+CUT = " (lower bound: node budget exhausted)"
+
+
 @pytest.mark.parametrize(
-    "argv, line",
+    "budget, argv, lines",
     [
-        (["--suite", "theorem1", "--d", "1"], "vc_f: VC(F)=0, want 3"),
-        (["--suite", "claims", "--d", "1"], "claims: measured 0 matches 3d = 3"),
-        (["--suite", "lemma2", "--d", "2"], "d_a_sandwich: d_a=0 in [2.0, 68.85]"),
-        (["--suite", "theorem2", "--d", "1"], "vc_f_upper: VC(F)=0 <= 41.31"),
+        (5, ["--suite", "theorem1", "--d", "1"],
+         [f"[FAIL] vc_f: VC(F)=0, want 3{CUT}",
+          "additive prediction d+d* = 2; measured VC(F) = 0; undetermined"]),
+        (5, ["--suite", "claims", "--d", "1"],
+         ["undetermined", f"[FAIL] claims: measured 0 matches 3d = 3{CUT}"]),
+        # a lower bound past 2d refutes the additive prediction, cut or not
+        (first_budget_cut_after_3d(), ["--suite", "claims", "--d", "1"],
+         ["REFUTED", f"[FAIL] claims: measured 3 matches 3d = 3{CUT}"]),
+        (5, ["--suite", "lemma1", "--d", "2", "--dstar", "3"],
+         [f"[FAIL] vc_h: VC(H)=0, want 2{CUT}", f"[FAIL] vc_j: VC(J)=0, want 3{CUT}",
+          f"[FAIL] vc_union: VC(H∪J)=0, want 6{CUT}"]),
+        (5, ["--suite", "lemma2", "--d", "2"],
+         [f"[FAIL] d_a_sandwich: d_a=0 in [2.0, 68.85]{CUT}"]),
+        (5, ["--suite", "theorem2", "--d", "1"], [f"[FAIL] vc_f_upper: VC(F)=0 <= 41.31{CUT}"]),
     ],
+    # the budget-5 cases keep the names they had when every case ran at budget 5
+    ids=["argv0-vc_f: VC(F)=0, want 3", "argv1-claims: measured 0 matches 3d = 3",
+         "claims-found-3d", "lemma1", "argv2-d_a_sandwich: d_a=0 in [2.0, 68.85]",
+         "argv3-vc_f_upper: VC(F)=0 <= 41.31"],
 )
-def test_verify_says_when_the_node_budget_ran_out(monkeypatch, capsys, argv, line):
+def test_verify_says_when_the_node_budget_ran_out(monkeypatch, capsys, budget, argv, lines):
+    # a check whose search the budget cut fails, whatever its predicate
     from priverm import cli
 
-    monkeypatch.setattr(cli, "vc_dimension", functools.partial(cli.vc_dimension, budget=5))
+    monkeypatch.setattr(cli, "vc_dimension", functools.partial(cli.vc_dimension, budget=budget))
     rc, out, _ = run_cli(capsys, ["verify", *argv])
     assert rc == 1
-    assert f"] {line} (lower bound: node budget exhausted)\n" in out
+    for line in lines:
+        assert line in out.splitlines()
 
 
 VERIFY_GOLDEN = [
@@ -1286,6 +1315,9 @@ def with_support_point(**change) -> dict:
         (lambda t: erm_files(t) + ["--c", "0"], "c must be positive and finite, got 0.0"),
         (lambda t: erm_files(t) + ["--c", "nan"], "c must be positive and finite, got nan"),
         (lambda t: erm_files(t) + ["--c", "inf"], "c must be positive and finite, got inf"),
+        # the standard solver has no C, but erm checks --c all the same
+        (lambda t: erm_files(t, phi=False) + ["--c", "nan"],
+         "c must be positive and finite, got nan"),
         (lambda t: ["sim", "--config", comparison_config_json(t, delta=1.5)],
          "delta must be in (0, 1), got 1.5"),
         (lambda t: ["sim", "--config", comparison_config_json(t, m=0)], "m must be >= 1, got 0"),
@@ -1298,8 +1330,8 @@ def with_support_point(**change) -> dict:
                     sim_config_json(t, "deviation", trials=0)],
          "trials must be >= 1, got 0"),
     ],
-    ids=["erm-x", "erm-xstar", "erm-c-0", "erm-c-nan", "erm-c-inf", "sim-delta", "sim-m-0",
-         "sim-seed-2**64", "sim-support-x", "deviation-trials-0"],
+    ids=["erm-x", "erm-xstar", "erm-c-0", "erm-c-nan", "erm-c-inf", "erm-standard-c-nan",
+         "sim-delta", "sim-m-0", "sim-seed-2**64", "sim-support-x", "deviation-trials-0"],
 )
 def test_erm_and_sim_input_faults_exit_before_numpy_loads(tmp_path, argv, err):
     # the whole of stderr is compared, so it holds no traceback and no "numpy imported"

@@ -140,7 +140,7 @@ def test_lemma2_witness_builds_no_product_class(monkeypatch):
 
 def _claim(witnesses):
     """A stand-in for vc_dimension: the claimed witness of each domain label."""
-    return lambda cls: VcReport(
+    return lambda cls, budget: VcReport(
         vc=len(witnesses[cls.domain.label]), exact=True,
         witness=witnesses[cls.domain.label], nodes=0,
     )

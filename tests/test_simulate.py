@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -335,6 +336,32 @@ def _deviation_args() -> tuple:
 def test_retired_keywords_raise_type_error(keyword, call):
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
         call()
+
+
+def test_library_searches_take_no_node_budget(monkeypatch):
+    # run_comparison and the constructions use the VC answers they search
+    # for, so a budget that would cut those searches changes none of them
+    from priverm import constructions, vc
+
+    config = comparison_config()
+    Phi4 = full_class(4, "X*")
+    H2, Phi2 = construct_theorem1(2)
+
+    def results() -> tuple:
+        summary = run_comparison(config)[1]
+        return (
+            (summary["d"], summary["dstar"], summary["d_a"]),
+            construct_theorem5_family(Phi4, eps=0.1, delta=0.01)[0].pairs,
+            construct_lemma2_witness(H2, Phi2),
+        )
+
+    want = results()
+    cut = functools.partial(vc.vc_dimension, budget=8)
+    for cls in (vc.build_aux_class(config.H, config.Phi), Phi4, H2, Phi2):
+        assert not cut(cls).exact
+    monkeypatch.setattr(simulate, "vc_dimension", cut)
+    monkeypatch.setattr(constructions, "vc_dimension", cut)
+    assert results() == want
 
 
 def test_comparison_rejects_incompatible_support():
