@@ -1,5 +1,8 @@
 """Command-line front end: vc, construct, erm, bounds, sim, verify.
 
+``verify`` has three suites, theorem1, lemma1 and lemma2; the names
+claims and theorem2 run theorem1 and lemma2, whose checks state them.
+
 Exit codes: 0 success, 2 bad input (parse/validation, or a size too
 large for memory), 3 a ``vc`` search cut by its node budget, 4 I/O
 failure.  A failed verification check exits 1, also one whose search
@@ -143,7 +146,7 @@ def cmd_construct(args) -> int:
         Phi = full_class(args.dstar, label="X*")
         if not set(args.heavy_side or "") <= {"0", "1"}:
             raise ValueError(f"--heavy-side takes only 0 and 1, got {args.heavy_side!r}")
-        heavy = tuple(int(c) for c in args.heavy_side) if args.heavy_side else None
+        heavy = None if args.heavy_side is None else tuple(int(c) for c in args.heavy_side)
         family, dist = construct_theorem5_family(
             Phi, eps=args.eps, delta=args.delta, heavy_side=heavy
         )
@@ -275,8 +278,8 @@ def _checkline(name: str, ok: bool, detail: str, report=None) -> bool:
     return ok
 
 
-def _prediction(d: int, rf) -> tuple[str, str]:
-    """The additive prediction d+d* = 2d against VC(F), and its verdict.
+def _prediction(d: int, rf) -> str:
+    """The additive prediction d+d* = 2d against VC(F), with its verdict.
 
     A lower bound refutes 2d only when it passes it; a cut search at or
     below 2d leaves the prediction undetermined.
@@ -285,7 +288,7 @@ def _prediction(d: int, rf) -> tuple[str, str]:
         verdict = "REFUTED"
     else:
         verdict = "consistent" if rf.exact else "undetermined"
-    return f"additive prediction d+d* = {2 * d}; measured VC(F) = {rf.vc}", verdict
+    return f"additive prediction d+d* = {2 * d}; measured VC(F) = {rf.vc}; {verdict}"
 
 
 def _suite_theorem1(d: int, dstar: int) -> bool:
@@ -301,17 +304,8 @@ def _suite_theorem1(d: int, dstar: int) -> bool:
     ok &= _checkline(
         "diagonal_witness", is_shattered(F, diag), f"{3 * d} diagonal points"
     )
-    print("; ".join(_prediction(d, rf)))
+    print(_prediction(d, rf))
     return ok
-
-
-def _suite_claims(d: int, dstar: int) -> bool:
-    H, Phi = construct_theorem1(d)
-    rf = vc_dimension(build_f_class(H, Phi))
-    print("\n".join(_prediction(d, rf)))
-    return _checkline(
-        "claims", rf.vc == 3 * d, f"measured {rf.vc} matches 3d = {3 * d}", rf
-    )
 
 
 def _suite_lemma1(d: int, dstar: int) -> bool:
@@ -327,19 +321,20 @@ def _suite_lemma1(d: int, dstar: int) -> bool:
 
 
 def _suite_lemma2(d: int, dstar: int) -> bool:
-    """Witness size and d_a sandwich; the witness check builds no aux class."""
+    """d_a within ``d_a_interval``, whose upper end is Theorem 2's bound, and the
+    witness where that interval's lower end is nonzero (checked with no aux class)."""
     H, _ = construct_theorem1(d)
     _, Phi = construct_theorem1(dstar)
-    witness = construct_lemma2_witness(H, Phi)
-    aux = build_aux_class(H, Phi)
-    ra = vc_dimension(aux)
     lower, upper = d_a_interval(d, dstar)
     ok = True
-    ok &= _checkline(
-        "witness_size",
-        len(witness) == d + dstar - 2,
-        f"{len(witness)} triples, want {d + dstar - 2}",
-    )
+    if lower:
+        witness = construct_lemma2_witness(H, Phi)
+        ok &= _checkline(
+            "witness_size",
+            len(witness) == d + dstar - 2,
+            f"{len(witness)} triples, want {d + dstar - 2}",
+        )
+    ra = vc_dimension(build_aux_class(H, Phi))
     ok &= _checkline(
         "d_a_sandwich",
         lower <= ra.vc <= upper,
@@ -349,27 +344,15 @@ def _suite_lemma2(d: int, dstar: int) -> bool:
     return ok
 
 
-def _suite_theorem2(d: int, dstar: int) -> bool:
-    """VC(F) <= the upper end of ``d_a_interval``.
-
-    VC(F) = d_a for every H and Phi (see ``priverm.vc``), so this is the
-    same number as the upper half of lemma2's ``d_a_sandwich`` check.
-    """
-    H, _ = construct_theorem1(d)
-    _, Phi = construct_theorem1(dstar)
-    F = build_f_class(H, Phi)
-    rf = vc_dimension(F)
-    _, upper = d_a_interval(d, dstar)
-    return _checkline("vc_f_upper", rf.vc <= upper, f"VC(F)={rf.vc} <= {upper:.2f}", rf)
-
-
-# each suite takes (d, dstar); theorem1 and claims use d alone
+# each suite takes (d, dstar); theorem1 uses d alone.  claims (VC(F) = 3d) is
+# theorem1's vc_f check, theorem2 (VC(F) = d_a within d_a_interval) lemma2's
+# d_a_sandwich, as VC(F) = d_a for every H and Phi (see ``priverm.vc``)
 SUITES = {
     "theorem1": _suite_theorem1,
     "lemma1": _suite_lemma1,
     "lemma2": _suite_lemma2,
-    "theorem2": _suite_theorem2,
-    "claims": _suite_claims,
+    "theorem2": _suite_lemma2,
+    "claims": _suite_theorem1,
 }
 
 

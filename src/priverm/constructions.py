@@ -138,6 +138,11 @@ def construct_lemma2_witness(
     return witness
 
 
+def _mass_gap(eps: float, delta: float) -> float:
+    """alpha = 8*eps/(1-8*delta), the Theorem 5 family's mass gap within each pair."""
+    return 8.0 * eps / (1.0 - 8.0 * delta)
+
+
 @dataclass(frozen=True)
 class Theorem5Family:
     """Paired-mass distribution family over a shattered set of Phi.
@@ -158,8 +163,8 @@ class Theorem5Family:
 
     @property
     def alpha(self) -> float:
-        """The mass gap 8*eps/(1-8*delta) within each pair."""
-        return 8.0 * self.eps / (1.0 - 8.0 * self.delta)
+        """The mass gap within each pair."""
+        return _mass_gap(self.eps, self.delta)
 
     @property
     def n_points(self) -> int:
@@ -186,11 +191,11 @@ def construct_theorem5_family(
     Takes the lexicographically first shattered set of Phi (trimmed to even
     size), partitions it into consecutive pairs, and assigns the paired
     masses chosen by heavy_side (default: all a_i heavy).  Requires
-    alpha = 8*eps/(1-8*delta) in (0,1).
+    the mass gap alpha in (0,1).
     """
     if not 0.0 < delta < 0.125:
         raise ValueError(f"delta must be in (0, 1/8), got {delta}")
-    alpha = 8.0 * eps / (1.0 - 8.0 * delta)
+    alpha = _mass_gap(eps, delta)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha = {alpha} outside (0,1); shrink eps or delta")
     rep = vc_dimension(Phi, budget=None)

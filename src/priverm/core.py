@@ -477,11 +477,19 @@ def _triple_from_json(e: dict, known=_TRIPLE_KEYS, what: str = "triple") -> Trip
     )
 
 
+def _array(obj: dict, key: str) -> list:
+    """``obj[key]``, which must be a JSON array; the error names ``key``."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a JSON array")
+    return value
+
+
 def class_from_json(obj: dict, label: str = "X") -> HypothesisClass:
     check_keys(obj, {"domain_size", "hypotheses"}, "class")
     domain = FiniteDomain(size=strict_int(obj["domain_size"], "domain_size"), label=label)
     return HypothesisClass.from_hypotheses(
-        domain, (Hypothesis.from_bitstring(domain, s) for s in obj["hypotheses"])
+        domain, (Hypothesis.from_bitstring(domain, s) for s in _array(obj, "hypotheses"))
     )
 
 
@@ -498,7 +506,7 @@ def distribution_from_json(obj: dict) -> FiniteDistribution:
     return FiniteDistribution(
         tuple(
             (_triple_from_json(e, _POINT_KEYS, "support point"), strict_real(e["p"], "p"))
-            for e in obj["support"]
+            for e in _array(obj, "support")
         )
     )
 
@@ -509,7 +517,7 @@ def sample_to_json(s: TripleSample) -> dict:
 
 def sample_from_json(obj: dict) -> TripleSample:
     check_keys(obj, {"triples"}, "sample")
-    return TripleSample(tuple(_triple_from_json(e) for e in obj["triples"]))
+    return TripleSample(tuple(_triple_from_json(e) for e in _array(obj, "triples")))
 
 
 def load_json(path: str) -> dict:

@@ -160,13 +160,18 @@ def test_construct_theorem5_writes_file(tmp_path, capsys):
     assert payload["heavy_side"] == [1, 0]
 
 
-@pytest.mark.parametrize("heavy", ["0x", "12", " 01"])
-def test_construct_theorem5_names_a_heavy_side_that_is_not_bits(capsys, heavy):
+@pytest.mark.parametrize(
+    "heavy, error",
+    [(h, f"--heavy-side takes only 0 and 1, got {h!r}") for h in ("0x", "12", " 01")]
+    # an empty --heavy-side gives no bits, not the all-zero default
+    + [("", "heavy_side needs 2 bits, got 0")],
+    ids=["0x", "12", " 01", "empty"],
+)
+def test_construct_theorem5_names_a_heavy_side_that_is_not_bits(capsys, heavy, error):
     rc, out, err = run_cli(
         capsys, ["construct", "--what", "theorem5", "--dstar", "4", "--heavy-side", heavy]
     )
-    assert (rc, out) == (2, "")
-    assert err == f"input error: --heavy-side takes only 0 and 1, got {heavy!r}\n"
+    assert (rc, out, err) == (2, "", f"input error: {error}\n")
 
 
 def test_construct_theorem5_rejects_trivial_class(capsys):
@@ -554,6 +559,30 @@ def test_erm_rejects_unknown_sample_keys(tmp_path, capsys):
     write_json(tmp_path, "s.json", {**SAMPLE_JSON, "weights": [1]})
     rc, out, err = run_cli(capsys, argv)
     assert (rc, out, err) == (2, "", "input error: unknown sample keys: weights\n")
+
+
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("vc", "hypotheses", {"0": 1, "1": 2}),
+        ("vc", "hypotheses", "0101"),
+        ("erm", "triples", {}),
+        ("sim", "support", {}),
+    ],
+    ids=["vc-object", "vc-string", "erm-object", "sim-object"],
+)
+def test_list_fields_must_be_json_arrays(tmp_path, capsys, command, field, value):
+    # an object or a string is not read as the sequence of its keys or characters
+    if command == "vc":
+        argv = ["vc", write_json(tmp_path, "h.json", {"domain_size": 1, field: value})]
+    elif command == "erm":
+        argv = erm_files(tmp_path)
+        write_json(tmp_path, "s.json", {field: value})
+    else:
+        argv = ["sim", "--config",
+                comparison_config_json(tmp_path, distribution={field: value})]
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, out, err) == (2, "", f"input error: {field} must be a JSON array\n")
 
 
 def test_comparison_config_keys_are_the_keys_config_json_records(tmp_path, capsys):
@@ -1067,18 +1096,22 @@ CUT = " (lower bound: node budget exhausted)"
          [f"[FAIL] vc_f: VC(F)=0, want 3{CUT}",
           "additive prediction d+d* = 2; measured VC(F) = 0; undetermined"]),
         (5, ["--suite", "claims", "--d", "1"],
-         ["undetermined", f"[FAIL] claims: measured 0 matches 3d = 3{CUT}"]),
+         [f"[FAIL] vc_f: VC(F)=0, want 3{CUT}",
+          "additive prediction d+d* = 2; measured VC(F) = 0; undetermined"]),
         # a lower bound past 2d refutes the additive prediction, cut or not
         (first_budget_cut_after_3d(), ["--suite", "claims", "--d", "1"],
-         ["REFUTED", f"[FAIL] claims: measured 3 matches 3d = 3{CUT}"]),
+         [f"[FAIL] vc_f: VC(F)=3, want 3{CUT}",
+          "additive prediction d+d* = 2; measured VC(F) = 3; REFUTED"]),
         (5, ["--suite", "lemma1", "--d", "2", "--dstar", "3"],
          [f"[FAIL] vc_h: VC(H)=0, want 2{CUT}", f"[FAIL] vc_j: VC(J)=0, want 3{CUT}",
           f"[FAIL] vc_union: VC(H∪J)=0, want 6{CUT}"]),
         (5, ["--suite", "lemma2", "--d", "2"],
          [f"[FAIL] d_a_sandwich: d_a=0 in [2.0, 68.85]{CUT}"]),
-        (5, ["--suite", "theorem2", "--d", "1"], [f"[FAIL] vc_f_upper: VC(F)=0 <= 41.31{CUT}"]),
+        (5, ["--suite", "theorem2", "--d", "1"],
+         [f"[FAIL] d_a_sandwich: d_a=0 in [0.0, 41.31]{CUT}"]),
     ],
-    # the budget-5 cases keep the names they had when every case ran at budget 5
+    # the budget-5 cases keep the names they had when every case ran at budget 5,
+    # and claims and theorem2 those they had before they ran theorem1 and lemma2
     ids=["argv0-vc_f: VC(F)=0, want 3", "argv1-claims: measured 0 matches 3d = 3",
          "claims-found-3d", "lemma1", "argv2-d_a_sandwich: d_a=0 in [2.0, 68.85]",
          "argv3-vc_f_upper: VC(F)=0 <= 41.31"],
@@ -1120,9 +1153,11 @@ VERIFY_GOLDEN = [
     (
         ["--suite", "claims", "--d", "1"],
         0,
-        "additive prediction d+d* = 2; measured VC(F) = 3\n"
-        "REFUTED\n"
-        "[PASS] claims: measured 3 matches 3d = 3\n"
+        "[PASS] vc_h: VC(H)=1, want 1\n"
+        "[PASS] vc_phi: VC(Phi)=1, want 1\n"
+        "[PASS] vc_f: VC(F)=3, want 3\n"
+        "[PASS] diagonal_witness: 3 diagonal points\n"
+        "additive prediction d+d* = 2; measured VC(F) = 3; REFUTED\n"
         "PASS\n",
         "",
     ),
@@ -1153,21 +1188,24 @@ VERIFY_GOLDEN = [
         "",
     ),
     (
+        # d_a_interval's lower end is 0, so there is no witness to check
         ["--suite", "lemma2", "--d", "1"],
-        2,
+        0,
+        "[PASS] d_a_sandwich: d_a=3 in [0.0, 41.31]\nPASS\n",
         "",
-        "input error: both dimensions must exceed 1, got d=1, d*=1\n",
     ),
     (
         ["--suite", "theorem2", "--d", "1"],
         0,
-        "[PASS] vc_f_upper: VC(F)=3 <= 41.31\nPASS\n",
+        "[PASS] d_a_sandwich: d_a=3 in [0.0, 41.31]\nPASS\n",
         "",
     ),
     (
         ["--suite", "theorem2", "--d", "2", "--dstar", "3"],
         0,
-        "[PASS] vc_f_upper: VC(F)=7 <= 82.62\nPASS\n",
+        "[PASS] witness_size: 3 triples, want 3\n"
+        "[PASS] d_a_sandwich: d_a=7 in [3.0, 82.62]\n"
+        "PASS\n",
         "",
     ),
 ]
@@ -1179,6 +1217,18 @@ VERIFY_GOLDEN = [
 def test_verify_output_is_pinned(capsys, argv, rc, out, err):
     # every byte a suite prints is part of the CLI contract
     assert run_cli(capsys, ["verify", *argv]) == (rc, out, err)
+
+
+@pytest.mark.parametrize(
+    "alias, suite, dims",
+    [("claims", "theorem1", ["--d", "1"]), ("claims", "theorem1", ["--d", "2"]),
+     ("theorem2", "lemma2", ["--d", "1"]), ("theorem2", "lemma2", ["--d", "2", "--dstar", "3"])],
+    ids=["claims-1", "claims-2", "theorem2-1", "theorem2-2-3"],
+)
+def test_verify_claims_and_theorem2_print_their_suites_bytes(capsys, alias, suite, dims):
+    # claims checks VC(F) = 3d with theorem1, theorem2 VC(F) = d_a with lemma2
+    got = run_cli(capsys, ["verify", "--suite", alias, *dims])
+    assert got == run_cli(capsys, ["verify", "--suite", suite, *dims])
 
 
 # --- output formats ------------------------------------------------------------------

@@ -455,6 +455,12 @@ def test_class_json_round_trip():
     assert class_from_json(obj) == cls
 
 
+def test_class_json_reads_a_member_written_as_a_list_of_bit_strings():
+    obj = {"domain_size": 3, "hypotheses": [["0", "1", "1"], "100"]}
+    want = {"domain_size": 3, "hypotheses": ["011", "100"]}
+    assert class_from_json(obj) == class_from_json(want)
+
+
 def test_distribution_json_round_trip():
     d = FiniteDistribution(((Triple(0, 1, 0), 0.25), (Triple(1, 0, 1), 0.75)))
     assert distribution_from_json(distribution_to_json(d)) == d
