@@ -21,10 +21,9 @@ from .core import (
     Hypothesis,
     HypothesisClass,
     Triple,
-    aux_loss,
     strict_int,
 )
-from .vc import vc_dimension
+from .vc import aux_mask, product_patterns, vc_dimension
 
 # the d=1 classes: VC 1 each, joint loss class VC 3
 H1_PATTERNS = ((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 1, 0))
@@ -116,9 +115,8 @@ def construct_lemma2_witness(
     {x*_1..x*_d*} of Phi: the first d-1 x-points are paired with the last
     x*-point, and the last x-point with the first d*-1 x*-points, all with
     label 0.  Requires d, d* > 1.  The witness is checked before it is
-    returned: an aux member labels it from h at those x-points and phi at
-    those x*-points only, so one (h, phi) per distinct projection onto them
-    must give all 2^(d+d*-2) ``aux_loss`` patterns.  No aux class is built.
+    returned: ``product_patterns`` must find all 2^(d+d*-2) aux patterns
+    on it.  No aux class is built.
     """
     hrep = vc_dimension(H, budget=None)
     prep = vc_dimension(Phi, budget=None)
@@ -130,9 +128,7 @@ def construct_lemma2_witness(
     c1 = [Triple(xs[i], xss[-1], 0) for i in range(len(xs) - 1)]
     c2 = [Triple(xs[-1], xss[j], 0) for j in range(len(xss) - 1)]
     witness = tuple(c1 + c2)
-    hs = {tuple(h.bits[x] for x in xs): h for h in H}.values()
-    phis = {tuple(phi.bits[x] for x in xss): phi for phi in Phi}.values()
-    patterns = {tuple(aux_loss(h, phi, t) for t in witness) for h in hs for phi in phis}
+    patterns = product_patterns(H, Phi, [(t.x, t.xstar, t.y) for t in witness], aux_mask)
     if len(patterns) != 1 << len(witness):
         raise AssertionError("constructed witness is not shattered")
     return witness

@@ -488,8 +488,12 @@ def _array(obj: dict, key: str) -> list:
 def class_from_json(obj: dict, label: str = "X") -> HypothesisClass:
     check_keys(obj, {"domain_size", "hypotheses"}, "class")
     domain = FiniteDomain(size=strict_int(obj["domain_size"], "domain_size"), label=label)
+    members = _array(obj, "hypotheses")
+    for i, s in enumerate(members):
+        if not (isinstance(s, str) or isinstance(s, list) and all(b in ("0", "1") for b in s)):
+            raise ValueError(f'hypotheses[{i}] must be a bit string or a list of "0"/"1" strings')
     return HypothesisClass.from_hypotheses(
-        domain, (Hypothesis.from_bitstring(domain, s) for s in _array(obj, "hypotheses"))
+        domain, (Hypothesis.from_bitstring(domain, s) for s in members)
     )
 
 

@@ -359,36 +359,52 @@ def k_fold_union(r: HypothesisClass, k: int) -> HypothesisClass:
 # --- derived loss classes ---------------------------------------------------
 
 
+def aux_mask(e: int, g: int) -> int:
+    """The aux member's mask: the points where h errs and phi does not flag."""
+    return e & ~g
+
+
+def product_patterns(
+    H: HypothesisClass, Phi: HypothesisClass, points: Sequence[tuple[int, int, int]],
+    combine: Callable[[int, int], int],
+) -> set[int]:
+    """The masks ``combine(e, g)`` of all (h, phi) pairs on ``points``.
+
+    ``points`` are (x, x*, y) in ``core.product_points``' layout, and bit i
+    of a mask labels ``points[i]``.  e has bit i set iff h(x) != y, g iff
+    phi(x*) = 1: one pair per distinct e and g makes every mask.
+    """
+    n_x, n_xs = H.domain.size, Phi.domain.size
+    # e sums err_at[x][h(x)] over every x, g sums flag_at[x*] over the x* phi flags
+    err_at = [[0, 0] for _ in range(n_x)]
+    flag_at = [0] * n_xs
+    on_x, on_xs = range(n_x), range(n_xs)
+    for i, (x, xs, y) in enumerate(points):
+        if x not in on_x or xs not in on_xs or y not in (0, 1):
+            raise DomainMismatchError(f"point {i} (x, x*, y) = {(x, xs, y)} outside "
+                                      f"domains of size {n_x}, {n_xs} and labels 0, 1")
+        err_at[x][1 - y] |= 1 << i
+        flag_at[xs] |= 1 << i
+    errs = {sum([err_at[x][b] for x, b in enumerate(h.bits)]) for h in H}
+    flags = {sum([flag_at[s] for s, b in enumerate(phi.bits) if b]) for phi in Phi}
+    return {combine(e, g) for e in errs for g in flags}
+
+
 def _product_class(
     H: HypothesisClass, Phi: HypothesisClass, combine: Callable[[int, int], int]
 ) -> HypothesisClass:
     """Class of ``combine(e, g)`` over all (h, phi) pairs, on product points.
 
-    e has the bit of product point ((x, x*), y) set iff h(x) != y, and g iff
-    phi(x*) = 1.  Each generator of H, then of Phi, is lifted to the product
-    points: g of H maps ((x, x*), y) to ((g x, x*), y), g of Phi to
-    ((x, g x*), y).
+    Its members are ``product_patterns`` on every product point.  Each
+    generator of H, then of Phi, is lifted to the product points: g of H
+    maps ((x, x*), y) to ((g x, x*), y), g of Phi to ((x, g x*), y).
     """
     if len(H) == 0 or len(Phi) == 0:
         raise ValueError("both classes must be nonempty")
     n_x, n_xs = H.domain.size, Phi.domain.size
     dom = product_domain(n_x, n_xs)
-    # ``product_points`` is the one statement of the layout: point i is
-    # product index i.  e is the sum over x of err_at[x][h(x)], the points
-    # of x whose y is not h(x), and g the sum of flag_at[x*] over the x*
-    # with phi(x*) = 1, the points of x*: one factor member's n labels make
-    # its mask
     points = product_points(n_x, n_xs)
-    err_at = [[0, 0] for _ in range(n_x)]
-    flag_at = [0] * n_xs
-    for i, (x, xs, y) in enumerate(points):
-        err_at[x][1 - y] |= 1 << i
-        flag_at[xs] |= 1 << i
-    errs = [sum([err_at[x][b] for x, b in enumerate(h.bits)]) for h in H.members]
-    flags = [
-        sum([flag_at[xs] for xs, b in enumerate(phi.bits) if b]) for phi in Phi.members
-    ]
-    members = {combine(e, g) for e in errs for g in flags}
+    members = product_patterns(H, Phi, points, combine)
     lifted = [
         tuple(product_index(g[x], xs, y, n_xs) for x, xs, y in points)
         for g in H.symmetries
@@ -421,4 +437,4 @@ def build_aux_class(H: HypothesisClass, Phi: HypothesisClass) -> HypothesisClass
     and read with every label swapped, it is ``build_f_class(H, Phi)``
     member for member (see the module docstring), so d_a = VC(F).
     """
-    return _product_class(H, Phi, lambda e, g: e & ~g)
+    return _product_class(H, Phi, aux_mask)

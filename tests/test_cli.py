@@ -585,6 +585,20 @@ def test_list_fields_must_be_json_arrays(tmp_path, capsys, command, field, value
     assert (rc, out, err) == (2, "", f"input error: {field} must be a JSON array\n")
 
 
+@pytest.mark.parametrize(
+    "member",
+    [{"0": 5, "1": 7}, 5, None, True, [0, 1], ["01"], [["0"], "1"], ["0", None]],
+    ids=["object", "number", "null", "bool", "list-of-numbers", "list-of-a-long-string",
+         "list-of-a-list", "list-with-null"],
+)
+def test_class_members_must_be_bit_strings(tmp_path, capsys, member):
+    # a member is read neither as the string of its keys nor by iterating it
+    path = write_json(tmp_path, "h.json", {"domain_size": 2, "hypotheses": ["01", member]})
+    rc, out, err = run_cli(capsys, ["vc", path])
+    assert (rc, out) == (2, "")
+    assert err == 'input error: hypotheses[1] must be a bit string or a list of "0"/"1" strings\n'
+
+
 def test_comparison_config_keys_are_the_keys_config_json_records(tmp_path, capsys):
     from priverm.cli import SIM_CONFIG_KEYS
     from priverm.simulate import ExperimentConfig

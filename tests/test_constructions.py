@@ -21,7 +21,7 @@ from priverm import (
     vc_dimension,
 )
 from priverm import constructions, vc
-from priverm.constructions import H1_PATTERNS, PHI1_PATTERNS, full_class
+from priverm.constructions import H1_PATTERNS, MAX_FOLD, PHI1_PATTERNS, full_class
 from priverm.core import product_index
 
 from conftest import rand_class
@@ -98,12 +98,14 @@ def test_lemma1_rejects_oversize():
 
 
 def test_lemma2_witness_sizes():
-    H2, Phi2 = construct_theorem1(2)
-    w = construct_lemma2_witness(H2, Phi2)
-    assert len(w) == 2
-    H3, _ = construct_theorem1(3)
-    w = construct_lemma2_witness(H3, Phi2)
-    assert len(w) == 3
+    # every theorem-1 pair up to MAX_FOLD, past the aux classes any test can
+    # build: aux(5,5) has 1,048,576 members
+    folds = range(2, MAX_FOLD + 1)
+    classes = {d: construct_theorem1(d) for d in folds}
+    for d in folds:
+        for dstar in folds:
+            w = construct_lemma2_witness(classes[d][0], classes[dstar][1])
+            assert len(w) == d + dstar - 2
 
 
 def test_lemma2_witness_shattered_by_aux_class():

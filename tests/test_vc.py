@@ -4,7 +4,9 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
 from itertools import combinations
+from operator import or_
 from typing import Iterator
 
 import pytest
@@ -37,6 +39,7 @@ from priverm.core import (
     product_index,
     product_points,
 )
+from priverm.vc import aux_mask, product_patterns
 
 from conftest import (
     check_matrices_match_the_per_label_definitions,
@@ -608,6 +611,56 @@ def test_product_classes_match_golden_digest():
             rows.append((cls.domain, [tuple(h.bits) for h in cls.members], cls.symmetries))
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "18a1f5b2fece5988dbd5d2d7765183c08e5ad31db1e8ec12304f9a4f0989571a"
+
+
+@pytest.mark.parametrize(
+    "combine, build, loss",
+    [(or_, build_f_class, f_loss), (aux_mask, build_aux_class, aux_loss)],
+    ids=["F", "aux"],
+)
+def test_product_patterns_are_the_built_class_on_any_points(combine, build, loss):
+    # random point lists, out of product order, with repeats and with both y
+    # at one (x, x*), against the built class read at the same points and
+    # against the per-pair losses
+    rng = random.Random(26)
+    outcomes, kinds = set(), set()
+    for _ in range(300):
+        H = rand_class(rng, rng.randint(1, 3), rng.randint(1, 8), "X")
+        Phi = rand_class(rng, rng.randint(1, 3), rng.randint(1, 8), "X*")
+        cls = build(H, Phi)
+        n_xs = Phi.domain.size
+        points = rng.choices(product_points(H.domain.size, n_xs), k=rng.randint(0, 5))
+        idx = [product_index(*p, n_xs) for p in points]
+        got = product_patterns(H, Phi, points, combine)
+        assert got == {sum(h.bits[p] << j for j, p in enumerate(idx)) for h in cls}
+        triples = [Triple(*p) for p in points]
+        assert got == {
+            sum(loss(h, phi, t) << j for j, t in enumerate(triples)) for h in H for phi in Phi
+        }
+        if len(set(idx)) < len(idx):
+            kinds.add("repeat")
+            assert len(got) < 1 << len(points)
+            continue
+        kinds.add("both y" if len({p[:2] for p in points}) < len(points) else "distinct")
+        kinds.add("unordered" if idx != sorted(idx) else "ordered")
+        shattered = is_shattered(cls, idx)
+        assert shattered == (len(got) == 1 << len(points))
+        outcomes.add(shattered)
+    assert outcomes == {True, False}
+    assert kinds == {"repeat", "both y", "distinct", "unordered", "ordered"}
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(3, 0, 0), (0, 2, 1), (-1, 0, 0), (0, -1, 1), (0, 0, 2), (0, 0, -1)],
+    ids=["x-off", "xstar-off", "x-negative", "xstar-negative", "y-2", "y-negative"],
+)
+def test_product_patterns_name_a_point_off_the_domains(point):
+    H, Phi = full_class(3, "X"), full_class(2, "X*")
+    want = f"point 1 (x, x*, y) = {point} outside domains of size 3, 2 and labels 0, 1"
+    for combine in (or_, aux_mask):
+        with pytest.raises(DomainMismatchError, match=re.escape(want)):
+            product_patterns(H, Phi, [(0, 0, 0), point], combine)
 
 
 def test_product_views_and_matrices_match_the_per_label_definitions():
