@@ -3,10 +3,10 @@
 Per-trial randomness comes from one master seed: trial t uses a 64-bit
 splitmix-style hash of (seed, t), so each trial's draw is fixed however the
 trials are computed.  Trial t's uniforms are exactly those of
-``np.random.default_rng(mix_seed(seed, t))``, but no generator is built per
+``np.random.default_rng(mix_seed(seed, t))``, but no SeedSequence is built per
 trial: a block of trial seeds is mixed as one uint64 array, NumPy's
-SeedSequence hash and PCG64's seeding run over the block at once, and one
-generator is set to each trial's state in turn.  ``sample`` draws through
+SeedSequence hash runs once over the block, and NumPy seeds each trial's
+PCG64 from that trial's hashed words.  ``sample`` draws through
 ``default_rng`` itself, so a trial drawn again by ``sample`` checks the
 batched path.  A drawn sample enters both experiments only as its count
 vector over the support, counted by thresholds: a trial's draws below each
@@ -49,14 +49,12 @@ from .vc import build_aux_class, vc_dimension
 
 _MASK64 = (1 << 64) - 1
 
-# NumPy's SeedSequence (a pool of four 32-bit words) and PCG64's seeding
+# NumPy's SeedSequence hash (a pool of four 32-bit words)
 _M32 = 0xFFFFFFFF
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 # trials are drawn in row blocks of at most this many uniforms
 _BLOCK_DRAWS = 1 << 16
@@ -100,16 +98,16 @@ def _hashmix(v: np.ndarray, consts: np.ndarray, i: int, n: int) -> np.ndarray:
     return v ^ (v >> 16)
 
 
-def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``np.random.default_rng(s)`` for each seed s.
+def _seed_words(seeds: Sequence[int]) -> np.ndarray:
+    """Row r is ``np.random.SeedSequence(seeds[r]).generate_state(4, np.uint64)``.
 
     Seeds lie in [0, 2**64).  SeedSequence hashes a seed's low and high
     32-bit words into a pool of four words (a seed below 2**32 has one
     word, and the missing word hashes as 0 would), then expands the pool
-    into four 64-bit words: PCG64's initial state and its stream.  The hash
+    into four 64-bit words, the words PCG64 seeds itself from.  The hash
     constants advance alike for every seed, so each step here is one uint32
-    array operation over all seeds; only PCG64's 128-bit set-up runs per
-    seed, on Python ints.
+    array operation over all seeds.  The result is a C-contiguous native
+    uint64 array of shape (len(seeds), 4).
     """
     s = np.array(seeds, dtype=np.uint64)
     pool = np.zeros((_POOL, len(s)), dtype=np.uint32)
@@ -124,20 +122,17 @@ def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
         pool[dst] = v ^ (v >> 16)
         i += len(dst)
     words = _hashmix(pool[np.arange(2 * _POOL) % _POOL], _HASH_B, 0, 2 * _POOL)
-    # 32-bit words pair up little-endian into PCG64's four 64-bit seed words
-    seed64 = np.ascontiguousarray(words.T, dtype="<u4").view("<u8").tolist()
-    states = []
-    for s0, s1, i0, i1 in seed64:
-        inc = (i0 << 65 | i1 << 1 | 1) & _MASK128
-        states.append((((s0 << 64 | s1) + inc) * _PCG_MULT + inc & _MASK128, inc))
-    return states
+    # 32-bit words pair up little-endian into 64-bit words, as in SeedSequence
+    return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
 def _uniform_rows(seeds: Sequence[int], m: int) -> np.ndarray:
     """len(seeds)×m uniforms: row r equals ``default_rng(seeds[r]).random(m)``.
 
-    One generator and one state dict are reused; each row writes its PCG64
-    state into the dict, sets it and draws.
+    ``default_rng(s)`` draws from a PCG64 that seeds itself from
+    ``SeedSequence(s).generate_state(4, np.uint64)``; here each row's PCG64
+    seeds itself from the row's ``_seed_words`` instead, hashed for the
+    whole block at once.
     Callers ask for at most 2**16 rows, so an array too big for numpy means
     that m is too large.
     """
@@ -145,16 +140,21 @@ def _uniform_rows(seeds: Sequence[int], m: int) -> np.ndarray:
         out = np.empty((len(seeds), m))
     except ValueError as exc:
         raise ValueError(f"m is too large for an array: {exc}") from None
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    # the setter copies the values out, so one dict serves the whole block
-    words = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
-    for row, (state, inc) in zip(out, _pcg64_states(seeds)):
-        words["state"] = state
-        words["inc"] = inc
-        bitgen.state = full
-        gen.random(out=row)
+    # imported here: it loads numpy.random, which NumPy 2 otherwise loads on first use
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            # a NumPy whose PCG64 asked for other words would draw other streams
+            if n_words != 4 or dtype is not np.uint64:
+                raise RuntimeError(f"PCG64 asked for {n_words} words of {dtype}, not 4 of uint64")
+            return self.words
+
+    for row, words in zip(out, _seed_words(seeds)):
+        np.random.Generator(np.random.PCG64(SeedWords(words))).random(out=row)
     return out
 
 

@@ -1360,6 +1360,18 @@ def test_cli_commands_without_numpy_never_import_it():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_importing_simulate_leaves_numpy_random_as_numpy_left_it():
+    # NumPy 2 loads numpy.random on first use, NumPy 1.24 with numpy itself
+    code = (
+        "import sys, numpy\n"
+        "before = 'numpy.random' in sys.modules\n"
+        "import priverm.simulate\n"
+        "assert ('numpy.random' in sys.modules) == before, 'numpy.random loaded'\n"
+    )
+    proc = run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_experiment_config_has_one_home_in_core():
     from priverm import core, simulate
 

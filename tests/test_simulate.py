@@ -278,6 +278,25 @@ def test_uniform_rows_equal_default_rng(seeds, m):
 
 
 @pytest.mark.filterwarnings("error")
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6))
+@example(list(EDGE_SEEDS))
+def test_seed_words_equal_seed_sequence_state(seeds):
+    words = simulate._seed_words(seeds)
+    assert words.dtype == np.uint64 and words.flags.c_contiguous
+    want = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds]
+    assert np.array_equal(words, np.array(want))
+
+
+@pytest.mark.parametrize("asked", [(2, np.uint32), (4, np.uint32), (8, np.uint64)])
+def test_uniform_rows_refuse_a_pcg64_seeding_from_other_words(monkeypatch, asked):
+    # seeded from other words, PCG64 would draw other streams than default_rng
+    monkeypatch.setattr(np.random, "PCG64", lambda seq: seq.generate_state(*asked))
+    with pytest.raises(RuntimeError, match=f"PCG64 asked for {asked[0]} words"):
+        simulate._uniform_rows([0], 1)
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
 def test_sample_draws_default_rng_stream(seed):
     dist = three_point_distribution()
