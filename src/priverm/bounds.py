@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+from .core import InputError, check_delta
+
 PREMISE_TOLERANCE = 1e-9
 
 # upper factor of the auxiliary-dimension interval: 4*log2(4e)
@@ -35,22 +37,21 @@ class BoundInputs:
 
     def __post_init__(self) -> None:
         if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0,1), got {self.delta}")
+            raise InputError(f"m must be >= 1, got {self.m}")
+        check_delta(self.delta)
         for name in ("d", "dstar", "d_a"):
             v = getattr(self, name)
             if v < 0:
-                raise ValueError(f"{name} must be >= 0, got {v}")
+                raise InputError(f"{name} must be >= 0, got {v}")
         for name in ("m", "d", "dstar", "d_a"):
             try:
                 float(getattr(self, name))
             except OverflowError:
-                raise ValueError(f"{name} is too large for a float") from None
+                raise InputError(f"{name} is too large for a float") from None
         for name in ("eps_erm", "eps_ig", "eps_u"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0,1], got {v}")
+                raise InputError(f"{name} must be in [0,1], got {v}")
 
     @property
     def premise_holds(self) -> bool:
@@ -65,18 +66,17 @@ class BoundInputs:
 def r_fast(d: int, m: int, delta: float) -> float:
     """(8*d*log(m+1) + 4*log(4/delta)) / m."""
     if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0,1), got {delta}")
+        raise InputError(f"m must be >= 1, got {m}")
+    check_delta(delta)
     if d < 0:
-        raise ValueError(f"d must be >= 0, got {d}")
+        raise InputError(f"d must be >= 0, got {d}")
     return (8.0 * d * math.log(m + 1) + 4.0 * math.log(4.0 / delta)) / m
 
 
 def r_slow(x: float, d: int, m: int, delta: float) -> float:
     """sqrt(x * r_fast(d, m, delta))."""
     if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0,1], got {x}")
+        raise InputError(f"x must be in [0,1], got {x}")
     return math.sqrt(x * r_fast(d, m, delta))
 
 
@@ -107,7 +107,7 @@ def d_a_interval(d: int, dstar: int) -> tuple[float, float]:
     the upper bound 4*log2(4e)*(d + dstar + 1) always applies.
     """
     if d < 0 or dstar < 0:
-        raise ValueError("dimensions must be nonnegative")
+        raise InputError("dimensions must be nonnegative")
     lower = d + dstar - 2 if (d > 1 and dstar > 1) else 0
     return float(lower), AUX_UPPER_FACTOR * (d + dstar + 1)
 
@@ -132,13 +132,13 @@ def sufficient_condition(inputs: BoundInputs) -> SufficiencyReport:
     """sqrt(eps_u) against the slack left by moving from d to (d*, d_a) rates.
 
     Requires the decomposition premise (``inputs.premise_holds``), else
-    ``ValueError``.  When it returns holds=True, bound_pr <= bound_erm
+    ``InputError``.  When it returns holds=True, bound_pr <= bound_erm
     follows; with eps_erm = 0 the right side is negative and the condition
     can never hold.
     """
     if not inputs.premise_holds:
         gap = inputs.eps_erm - (inputs.eps_ig + inputs.eps_u)
-        raise ValueError(f"premise eps_erm = eps_ig + eps_u violated by {gap:.3g}")
+        raise InputError(f"premise eps_erm = eps_ig + eps_u violated by {gap:.3g}")
     m, delta = inputs.m, inputs.delta
     rf_d = r_fast(inputs.d, m, delta)
     rf_star = r_fast(inputs.dstar, m, delta)
@@ -180,7 +180,7 @@ class NecessityReport:
 def necessary_condition(inputs: BoundInputs) -> NecessityReport:
     """Evaluate the bound comparison and its exact necessary inequality."""
     if inputs.d == 0:
-        raise ValueError("d must be positive to form alpha = dstar/d")
+        raise InputError("d must be positive to form alpha = dstar/d")
     b_e = bound_erm(inputs)
     b_p = bound_pr(inputs)
     a_const = math.log(4.0 / inputs.delta) / (2.0 * math.log(inputs.m + 1))

@@ -3,10 +3,13 @@
 ``verify`` has three suites, theorem1, lemma1 and lemma2; the names
 claims and theorem2 run theorem1 and lemma2, whose checks state them.
 
-Exit codes: 0 success, 2 bad input (parse/validation, or a size too
-large for memory), 3 a ``vc`` search cut by its node budget, 4 I/O
-failure.  A failed verification check exits 1, also one whose search
-the budget cut.
+Exit codes: 0 success, 2 bad input (``core.InputError``, raised by every
+check of an argument or input file, or a size too large for memory), 3 a
+``vc`` search cut by its node budget, 4 I/O failure, 5 an internal error
+(any other exception, printed as one ``internal error: <type>: <message>``
+line).  A failed verification check exits 1, also one whose search the
+budget cut.  A key missing from an input file is named with its object,
+as in ``missing comparison config keys: m``.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .constructions import (
 )
 from .core import (
     ExperimentConfig,
+    InputError,
     check_erm_inputs,
     check_keys,
     check_seed,
@@ -48,6 +52,7 @@ from .core import (
     distribution_from_json,
     distribution_to_json,
     dump_json,
+    json_array,
     load_json,
     product_index,
     product_legend,
@@ -70,6 +75,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 
 def _text(value) -> str:
@@ -145,7 +151,7 @@ def cmd_construct(args) -> int:
     else:  # theorem5
         Phi = full_class(args.dstar, label="X*")
         if not set(args.heavy_side or "") <= {"0", "1"}:
-            raise ValueError(f"--heavy-side takes only 0 and 1, got {args.heavy_side!r}")
+            raise InputError(f"--heavy-side takes only 0 and 1, got {args.heavy_side!r}")
         heavy = None if args.heavy_side is None else tuple(int(c) for c in args.heavy_side)
         family, dist = construct_theorem5_family(
             Phi, eps=args.eps, delta=args.delta, heavy_side=heavy
@@ -182,19 +188,16 @@ def cmd_bounds(args) -> int:
     # the file's object, if any, with every given flag written over it
     raw = load_json(args.inputs) if args.inputs else {}
     fields = dataclasses.fields(BoundInputs)
-    check_keys(raw, {f.name for f in fields}, "bounds inputs", "bounds inputs")
+    flags = {f.name: getattr(args, f.name) for f in fields if getattr(args, f.name) is not None}
+    # a field without a default is missing when neither the file nor a flag gives it
+    optional = {f.name for f in fields if f.default is not dataclasses.MISSING} | flags.keys()
+    check_keys(raw, {f.name for f in fields}, "bounds inputs", optional, "bounds inputs")
+    raw.update(flags)
     types = get_type_hints(BoundInputs)
     for f in fields:
-        if getattr(args, f.name) is not None:
-            raw[f.name] = getattr(args, f.name)
         if f.name in raw:
             read = strict_int if types[f.name] is int else strict_real
             raw[f.name] = read(raw[f.name], f.name)
-    missing = [
-        f.name for f in fields if f.default is dataclasses.MISSING and f.name not in raw
-    ]
-    if missing:
-        raise ValueError(f"missing required flags: {', '.join(missing)}")
     inputs = BoundInputs(**raw)
     nec = necessary_condition(inputs) if inputs.d > 0 else None
     report = {
@@ -219,12 +222,15 @@ SIM_CONFIG_KEYS = {
     "comparison": set("distribution h_class phi_class m trials delta seed c".split()),
     "deviation": set("phi_class eps delta m trials seed heavy_side search".split()),
 }
+# the keys a config may leave out; every other one is required
+SIM_OPTIONAL_KEYS = {"comparison": {"seed", "c"}, "deviation": {"seed", "heavy_side", "search"}}
 
 
 def cmd_sim(args) -> int:
     # every input is checked before simulate, and with it numpy, is imported
     raw = load_json(args.config)
-    check_keys(raw, SIM_CONFIG_KEYS[args.kind], f"{args.kind} config")
+    kind = args.kind
+    check_keys(raw, SIM_CONFIG_KEYS[kind], f"{kind} config", SIM_OPTIONAL_KEYS[kind])
     # the keys both kinds share, read once; --seed wins over the file's seed
     seed = strict_int(args.seed if args.seed is not None else raw.get("seed", 0), "seed")
     m, trials = strict_int(raw["m"], "m"), strict_int(raw["trials"], "trials")
@@ -249,12 +255,12 @@ def cmd_sim(args) -> int:
     # deviation experiment
     search = raw.get("search", "prime")
     if search not in ("prime", "full"):
-        raise ValueError(f'search must be "prime" or "full", got {search!r}')
+        raise InputError(f'search must be "prime" or "full", got {search!r}')
     family, _ = construct_theorem5_family(
         Phi,
         eps=strict_real(raw["eps"], "eps"),
         delta=delta,
-        heavy_side=raw.get("heavy_side"),
+        heavy_side=None if raw.get("heavy_side") is None else json_array(raw, "heavy_side"),
     )
     search_class = phi_prime_subclass(Phi, family.pairs) if search == "prime" else Phi
     check_sizes(m, trials)
@@ -424,16 +430,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(
-            f"invalid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
-    except KeyError as exc:
-        print(f"input error: missing key {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, TypeError, OverflowError) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as exc:
@@ -444,6 +441,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:
+        # a fault in priverm itself, never bad input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from .core import (
     FiniteDomain,
     Hypothesis,
     HypothesisClass,
+    InputError,
     Triple,
     strict_int,
 )
@@ -60,9 +61,9 @@ def construct_theorem1(d: int) -> tuple[HypothesisClass, HypothesisClass]:
     factor.
     """
     if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+        raise InputError(f"d must be >= 1, got {d}")
     if d > MAX_FOLD:
-        raise ValueError(f"d capped at {MAX_FOLD} (4^d members), got {d}")
+        raise InputError(f"d capped at {MAX_FOLD} (4^d members), got {d}")
     dom = FiniteDomain(3 * d, "X")
     sdom = FiniteDomain(3 * d, "X*")
     return (
@@ -74,7 +75,7 @@ def construct_theorem1(d: int) -> tuple[HypothesisClass, HypothesisClass]:
 def full_class(n: int, label: str = "X") -> HypothesisClass:
     """All 2^n labelings of an n-point domain; VC dimension n."""
     if not 1 <= n <= 12:
-        raise ValueError(f"n must be in [1, 12], got {n}")
+        raise InputError(f"n must be in [1, 12], got {n}")
     dom = FiniteDomain(n, label)
     return HypothesisClass.from_hypotheses(
         dom, (Hypothesis(dom, bits) for bits in product((0, 1), repeat=n))
@@ -88,10 +89,10 @@ def construct_lemma1_tight(d: int, dstar: int) -> tuple[HypothesisClass, Hypothe
     most dstar zeros; individually they have VC dimensions d and dstar.
     """
     if d < 0 or dstar < 0:
-        raise ValueError("d and dstar must be nonnegative")
+        raise InputError("d and dstar must be nonnegative")
     n = d + dstar + 1
     if n > 20:
-        raise ValueError(f"domain of {n} points is past desk scale")
+        raise InputError(f"domain of {n} points is past desk scale")
     dom = FiniteDomain(n, "X")
     hs, js = [], []
     for bits in product((0, 1), repeat=n):
@@ -121,7 +122,7 @@ def construct_lemma2_witness(
     hrep = vc_dimension(H, budget=None)
     prep = vc_dimension(Phi, budget=None)
     if hrep.vc <= 1 or prep.vc <= 1:
-        raise ValueError(
+        raise InputError(
             f"both dimensions must exceed 1, got d={hrep.vc}, d*={prep.vc}"
         )
     xs, xss = hrep.witness, prep.witness
@@ -186,27 +187,29 @@ def construct_theorem5_family(
 
     Takes the lexicographically first shattered set of Phi (trimmed to even
     size), partitions it into consecutive pairs, and assigns the paired
-    masses chosen by heavy_side (default: all a_i heavy).  Requires
-    the mass gap alpha in (0,1).
+    masses chosen by heavy_side, a sequence of one 0/1 bit per pair
+    (default: all a_i heavy).  Requires the mass gap alpha in (0,1).
     """
     if not 0.0 < delta < 0.125:
-        raise ValueError(f"delta must be in (0, 1/8), got {delta}")
+        raise InputError(f"delta must be in (0, 1/8), got {delta}")
     alpha = _mass_gap(eps, delta)
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha = {alpha} outside (0,1); shrink eps or delta")
+        raise InputError(f"alpha = {alpha} outside (0,1); shrink eps or delta")
     rep = vc_dimension(Phi, budget=None)
     if rep.vc < 2:
-        raise ValueError(f"need VC(Phi) >= 2, got {rep.vc}")
+        raise InputError(f"need VC(Phi) >= 2, got {rep.vc}")
     D = rep.vc - (rep.vc % 2)
     points = rep.witness[:D]
     pairs = tuple((points[2 * i], points[2 * i + 1]) for i in range(D // 2))
     if heavy_side is None:
         heavy_side = (0,) * len(pairs)
+    if not isinstance(heavy_side, Sequence):
+        raise InputError(f"heavy_side must be a sequence of bits, got {heavy_side!r}")
     heavy_side = tuple(strict_int(b, "heavy_side bit") for b in heavy_side)
     if any(b not in (0, 1) for b in heavy_side):
-        raise ValueError(f"heavy_side bits must be 0 or 1, got {list(heavy_side)}")
+        raise InputError(f"heavy_side bits must be 0 or 1, got {list(heavy_side)}")
     if len(heavy_side) != len(pairs):
-        raise ValueError(
+        raise InputError(
             f"heavy_side needs {len(pairs)} bits, got {len(heavy_side)}"
         )
 
@@ -254,5 +257,5 @@ def phi_prime_subclass(
         if all(phi.bits[a] != phi.bits[b] for a, b in pairs)
     ]
     if not keep:
-        raise ValueError("no members flag one element per pair")
+        raise InputError("no members flag one element per pair")
     return HypothesisClass.from_hypotheses(Phi.domain, keep)

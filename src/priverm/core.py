@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -33,11 +34,19 @@ _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _BIT = {0: 0, 1: 1}
 
 
-class DomainMismatchError(ValueError):
+class InputError(ValueError):
+    """Bad input: an argument, a file or a value in one fails a check.
+
+    Every argument check in the package raises this type or a subclass, so
+    the CLI reads it, and only it, as bad input (exit 2).
+    """
+
+
+class DomainMismatchError(InputError):
     """An index or hypothesis was used against the wrong domain."""
 
 
-class InvalidDistributionError(ValueError):
+class InvalidDistributionError(InputError):
     """A probability table failed validation."""
 
 
@@ -50,7 +59,7 @@ class FiniteDomain:
 
     def __post_init__(self) -> None:
         if self.size < 1:
-            raise ValueError(f"domain size must be >= 1, got {self.size}")
+            raise InputError(f"domain_size must be >= 1, got {self.size}")
 
 
 def product_domain(n_x: int, n_xstar: int) -> FiniteDomain:
@@ -97,7 +106,7 @@ class Hypothesis:
             raw = bytes(map(_BIT.__getitem__, self.bits))
         except (KeyError, TypeError):
             # a value not equal to 0 or 1, or one that cannot be hashed
-            raise ValueError("bits must all be 0 or 1") from None
+            raise InputError("bits must all be 0 or 1") from None
         object.__setattr__(self, "bits", raw)
 
     @property
@@ -119,7 +128,7 @@ class Hypothesis:
     @classmethod
     def from_bitstring(cls, domain: FiniteDomain, s: str) -> "Hypothesis":
         if set(s) - {"0", "1"}:
-            raise ValueError(f"bit string may contain only 0/1: {s!r}")
+            raise InputError(f"bit string may contain only 0/1: {s!r}")
         # a sequence of "0" and "1" strings reads like the string they join to
         bits = "".join(s).encode().translate(_FROM_DIGITS)
         _check_length(bits, domain)
@@ -143,7 +152,7 @@ class Hypothesis:
 
 def _check_length(bits, domain: FiniteDomain) -> None:
     if len(bits) != domain.size:
-        raise ValueError(f"bit pattern length {len(bits)} != domain size {domain.size}")
+        raise InputError(f"bit pattern length {len(bits)} != domain size {domain.size}")
 
 
 @dataclass(frozen=True)
@@ -191,8 +200,8 @@ class HypothesisClass:
             if h.domain != dom:
                 raise DomainMismatchError("all members must share the class domain")
         if len({h.bits for h in self.members}) != len(self.members):
-            raise ValueError("members must be deduplicated")
-        raise ValueError("members must be in canonical (lexicographic) order")
+            raise InputError("members must be deduplicated")
+        raise InputError("members must be in canonical (lexicographic) order")
 
     @classmethod
     def from_hypotheses(
@@ -238,7 +247,7 @@ class HypothesisClass:
         """Orbit of each point under ``symmetries``, () for a point they all fix.
 
         Each generator is checked first: it must permute the domain and map
-        the member set onto itself, else ``ValueError``.  A read that raises
+        the member set onto itself, else ``InputError``.  A read that raises
         keeps nothing, so a class with a bad generator raises on every read.
         Orbits come from union-find over the generators; the group is never
         enumerated.
@@ -248,14 +257,14 @@ class HypothesisClass:
         rows = {h.bits for h in self.members}
         for g in self.symmetries:
             if sorted(g) != identity:
-                raise ValueError(f"symmetry {tuple(g)} is not a permutation of {n} points")
+                raise InputError(f"symmetry {tuple(g)} is not a permutation of {n} points")
             inverse = [0] * n
             for p, q in enumerate(g):
                 inverse[q] = p
             image = itemgetter(*inverse)
             # one point has only the identity, and there itemgetter returns a bit
             if n > 1 and any(bytes(image(r)) not in rows for r in rows):
-                raise ValueError(f"symmetry {tuple(g)} does not map the class onto itself")
+                raise InputError(f"symmetry {tuple(g)} does not map the class onto itself")
         parent = list(range(n))
 
         def find(p: int) -> int:
@@ -285,10 +294,11 @@ class Triple:
     y: int
 
     def __post_init__(self) -> None:
+        for name in ("x", "xstar"):
+            if getattr(self, name) < 0:
+                raise InputError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.y not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.y}")
-        if self.x < 0 or self.xstar < 0:
-            raise ValueError("indices must be nonnegative")
+            raise InputError(f"y must be 0 or 1, got {self.y}")
 
 
 def check_domain(
@@ -339,12 +349,12 @@ class FiniteDistribution:
             raise InvalidDistributionError("duplicate triples in support")
         for t, p in self.support:
             if not 0.0 <= p <= 1.0:
-                raise InvalidDistributionError(f"probability {p} outside [0,1] for {t}")
+                raise InvalidDistributionError(f"p must be in [0, 1], got {p} for {t}")
         # correctly rounded, so the verdict does not depend on the Python version
         total = math.fsum(p for _, p in self.support)
         if abs(total - 1.0) > PROB_TOLERANCE:
             raise InvalidDistributionError(
-                f"probabilities sum to {total!r}, not 1 within {PROB_TOLERANCE}"
+                f"support probabilities sum to {total!r}, not 1 within {PROB_TOLERANCE}"
             )
 
     @cached_property
@@ -369,7 +379,7 @@ class FiniteDistribution:
 def _check_binary(*values: int) -> None:
     for v in values:
         if v not in (0, 1):
-            raise ValueError(f"expected a binary value, got {v!r}")
+            raise InputError(f"expected a binary value, got {v!r}")
 
 
 def zero_one_loss(yhat: int, y: int) -> int:
@@ -440,7 +450,7 @@ def strict_int(value, what: str) -> int:
         or not isinstance(value, (int, float))
         or (isinstance(value, float) and not value.is_integer())
     ):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise InputError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -450,24 +460,29 @@ def strict_real(value, what: str) -> float:
     An integer too large for a float is rejected with a message naming the field.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
+        raise InputError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
-        raise ValueError(f"{what} is too large for a float") from None
+        raise InputError(f"{what} is too large for a float") from None
 
 
-def check_keys(raw, known, what: str, unknown: str | None = None) -> None:
-    """Raise unless ``raw`` is a JSON object whose every key is in ``known``.
+def check_keys(raw, known, what: str, optional=frozenset(), keys: str | None = None) -> None:
+    """Raise unless ``raw`` is a JSON object with only ``known`` keys, and
+    with every known key outside ``optional``.
 
-    The error names ``what`` and the stray keys, under ``unknown`` if given,
-    else under "``what`` keys".
+    Stray or missing keys are named under ``keys`` if given, else under
+    "``what`` keys", as in ``missing class keys: domain_size``.
     """
     if not isinstance(raw, dict):
-        raise ValueError(f"{what} must be a JSON object")
+        raise InputError(f"{what} must be a JSON object")
+    keys = keys or what + " keys"
     extra = sorted(raw.keys() - known)
     if extra:
-        raise ValueError(f"unknown {unknown or what + ' keys'}: {', '.join(extra)}")
+        raise InputError(f"unknown {keys}: {', '.join(extra)}")
+    missing = sorted(known - optional - raw.keys())
+    if missing:
+        raise InputError(f"missing {keys}: {', '.join(missing)}")
 
 
 def _triple_from_json(e: dict, known=_TRIPLE_KEYS, what: str = "triple") -> Triple:
@@ -477,21 +492,26 @@ def _triple_from_json(e: dict, known=_TRIPLE_KEYS, what: str = "triple") -> Trip
     )
 
 
-def _array(obj: dict, key: str) -> list:
+def json_array(obj: dict, key: str) -> list:
     """``obj[key]``, which must be a JSON array; the error names ``key``."""
     value = obj[key]
     if not isinstance(value, list):
-        raise ValueError(f"{key} must be a JSON array")
+        raise InputError(f"{key} must be a JSON array")
     return value
 
 
 def class_from_json(obj: dict, label: str = "X") -> HypothesisClass:
     check_keys(obj, {"domain_size", "hypotheses"}, "class")
     domain = FiniteDomain(size=strict_int(obj["domain_size"], "domain_size"), label=label)
-    members = _array(obj, "hypotheses")
+    members = json_array(obj, "hypotheses")
     for i, s in enumerate(members):
-        if not (isinstance(s, str) or isinstance(s, list) and all(b in ("0", "1") for b in s)):
-            raise ValueError(f'hypotheses[{i}] must be a bit string or a list of "0"/"1" strings')
+        if not (
+            isinstance(s, str) and not s.strip("01")
+            or isinstance(s, list) and all(b in ("0", "1") for b in s)
+        ):
+            raise InputError(f'hypotheses[{i}] must be a bit string or a list of "0"/"1" strings')
+        if len(s) != domain.size:
+            raise InputError(f"hypotheses[{i}] has {len(s)} bits, not domain_size {domain.size}")
     return HypothesisClass.from_hypotheses(
         domain, (Hypothesis.from_bitstring(domain, s) for s in members)
     )
@@ -510,7 +530,7 @@ def distribution_from_json(obj: dict) -> FiniteDistribution:
     return FiniteDistribution(
         tuple(
             (_triple_from_json(e, _POINT_KEYS, "support point"), strict_real(e["p"], "p"))
-            for e in _array(obj, "support")
+            for e in json_array(obj, "support")
         )
     )
 
@@ -521,12 +541,28 @@ def sample_to_json(s: TripleSample) -> dict:
 
 def sample_from_json(obj: dict) -> TripleSample:
     check_keys(obj, {"triples"}, "sample")
-    return TripleSample(tuple(_triple_from_json(e) for e in _array(obj, "triples")))
+    return TripleSample(tuple(_triple_from_json(e) for e in json_array(obj, "triples")))
 
 
-def load_json(path: str) -> dict:
+def load_json(path: str):
+    """The JSON document in the file ``path``.
+
+    A file that is not JSON, nests too deep for the parser, holds an integer
+    past Python's digit limit or is not UTF-8 raises ``InputError`` naming it.
+    """
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as exc:
+            detail = f"{exc.msg} at line {exc.lineno} column {exc.colno}"
+        except RecursionError:
+            detail = "arrays or objects nested too deep"
+        except UnicodeDecodeError as exc:
+            detail = str(exc)
+        except ValueError:
+            # the one other fault the parser raises: an integer past the digit limit
+            detail = f"an integer has more than {sys.get_int_max_str_digits()} digits"
+    raise InputError(f"invalid JSON in {path}: {detail}")
 
 
 def dump_json(obj: dict, path: str) -> None:
@@ -542,9 +578,9 @@ def dump_json(obj: dict, path: str) -> None:
 
 
 def check_cost(C: int | float | Fraction) -> None:
-    """The one rule for the cost C: positive and finite, else ``ValueError``."""
+    """The one rule for the cost C: positive and finite, else ``InputError``."""
     if not 0 < C < math.inf:
-        raise ValueError(f"c must be positive and finite, got {C}")
+        raise InputError(f"c must be positive and finite, got {C}")
 
 
 def positive_cost(C: int | float | Fraction) -> Fraction:
@@ -569,12 +605,12 @@ def check_erm_inputs(
     """
     if Phi is None:
         if len(H) == 0:
-            raise ValueError("class must be nonempty")
+            raise InputError("class must be nonempty")
         check_cost(C)
         check_domain(S.triples, "x", H, "sample")
         return None
     if len(H) == 0 or len(Phi) == 0:
-        raise ValueError("both classes must be nonempty")
+        raise InputError("both classes must be nonempty")
     Cf = positive_cost(C)
     check_domain(S.triples, "x", H, "sample")
     check_domain(S.triples, "xstar", Phi, "sample")
@@ -582,19 +618,25 @@ def check_erm_inputs(
 
 
 def check_seed(seed: int) -> int:
-    """The seed as an int, if it lies in [0, 2**64); else ``ValueError``."""
+    """The seed as an int, if it lies in [0, 2**64); else ``InputError``."""
     seed = operator.index(seed)
     if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        raise InputError(f"seed must be in [0, 2**64), got {seed}")
     return seed
+
+
+def check_delta(delta: float) -> None:
+    """The one rule for the confidence parameter delta: in (0, 1), else ``InputError``."""
+    if not 0 < delta < 1:
+        raise InputError(f"delta must be in (0, 1), got {delta}")
 
 
 def check_sizes(m: int, trials: int) -> None:
     """Raise unless the sample size m and the number of trials are each at least 1."""
     if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+        raise InputError(f"m must be >= 1, got {m}")
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise InputError(f"trials must be >= 1, got {trials}")
 
 
 @dataclass(frozen=True)
@@ -618,8 +660,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_sizes(self.m, self.trials)
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        check_delta(self.delta)
         check_cost(self.C)
         check_seed(self.seed)
         points = [t for t, _ in self.distribution.support]

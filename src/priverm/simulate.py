@@ -37,6 +37,7 @@ from .core import (
     ExperimentConfig,
     FiniteDistribution,
     HypothesisClass,
+    InputError,
     TripleSample,
     check_seed,
     check_sizes,
@@ -139,7 +140,7 @@ def _uniform_rows(seeds: Sequence[int], m: int) -> np.ndarray:
     try:
         out = np.empty((len(seeds), m))
     except ValueError as exc:
-        raise ValueError(f"m is too large for an array: {exc}") from None
+        raise InputError(f"m is too large for an array: {exc}") from None
     # imported here: it loads numpy.random, which NumPy 2 otherwise loads on first use
     from numpy.random.bit_generator import ISeedSequence
 
@@ -177,7 +178,7 @@ def sample(dist: FiniteDistribution, m: int, seed: int) -> TripleSample:
     ``np.random.default_rng(seed).random(m)`` taken by inverse CDF.
     """
     if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+        raise InputError(f"m must be >= 0, got {m}")
     seed = check_seed(seed)
     cum, last = _inverse_cdf(dist)
     u = np.random.default_rng(seed).random(m)
@@ -202,7 +203,7 @@ def _trial_counts(
     try:
         counts = np.zeros((trials, k), dtype=np.intp)
     except ValueError as exc:
-        raise ValueError(f"trials is too large for an array: {exc}") from None
+        raise InputError(f"trials is too large for an array: {exc}") from None
     step = max(1, _BLOCK_DRAWS // max(m, 1))
     for lo in range(0, trials, step):
         hi = min(lo + step, trials)
@@ -388,7 +389,7 @@ def run_theorem5_experiment(
         None,
     )
     if star_idx is None:
-        raise ValueError("phi_star is not a member of the supplied subclass")
+        raise InputError("phi_star is not a member of the supplied subclass")
     p_star = true_rates[star_idx]
 
     counts = _trial_counts(dist, m, seed, trials)

@@ -47,6 +47,7 @@ from .core import (
     DomainMismatchError,
     Hypothesis,
     HypothesisClass,
+    InputError,
     product_domain,
     product_index,
     product_points,
@@ -86,7 +87,7 @@ class _BudgetExhausted(Exception):
 def _validate_subset(cls: HypothesisClass, subset: Sequence[int]) -> tuple[int, ...]:
     pts = tuple(subset)
     if len(set(pts)) != len(pts):
-        raise ValueError(f"subset has duplicate indices: {pts}")
+        raise InputError(f"subset has duplicate indices: {pts}")
     for p in pts:
         if not 0 <= p < cls.domain.size:
             raise DomainMismatchError(
@@ -230,7 +231,7 @@ def _active(cls: HypothesisClass) -> tuple[int, list[int], list[int]]:
     Only these points can join a shattered set.
     """
     if len(cls) == 0:
-        raise ValueError("class must be nonempty")
+        raise InputError("class must be nonempty")
     full = (1 << len(cls)) - 1
     cols = cls.columns
     active = [p for p, col in enumerate(cols) if col != 0 and col != full]
@@ -248,7 +249,7 @@ def count_shattered(cls: HypothesisClass, top: int) -> tuple[int, ...]:
     ``top`` are counted without building their cells.
     """
     if top < 0:
-        raise ValueError(f"top must be >= 0, got {top}")
+        raise InputError(f"top must be >= 0, got {top}")
     full, _, cols = _active(cls)
     counts = [0] * (top + 1)
 
@@ -305,10 +306,10 @@ def vc_dimension(
     the first k with no shattered set.  ``nodes`` counts split attempts, and
     passing the node budget returns the largest size found so far as a lower
     bound with ``exact=False``; ``is_shattered`` verifies a claimed set.
-    A budget below 1 is a ``ValueError``; ``None`` means no limit.
+    A budget below 1 is an ``InputError``; ``None`` means no limit.
     """
     if budget is not None and budget < 1:
-        raise ValueError(f"node budget must be at least 1, got {budget}")
+        raise InputError(f"node budget must be at least 1, got {budget}")
     full, active, cols = _active(cls)
     vc_cap = min(len(cls).bit_length() - 1, len(active))
     orbits = None
@@ -343,7 +344,7 @@ def union_class(a: HypothesisClass, b: HypothesisClass) -> HypothesisClass:
 def k_fold_union(r: HypothesisClass, k: int) -> HypothesisClass:
     """Class of pointwise ORs of all k-multisets of members."""
     if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+        raise InputError(f"k must be >= 2, got {k}")
     masks = [h.mask for h in r.members]
     ors = set()
     for combo in combinations_with_replacement(masks, k):
@@ -400,7 +401,7 @@ def _product_class(
     maps ((x, x*), y) to ((g x, x*), y), g of Phi to ((x, g x*), y).
     """
     if len(H) == 0 or len(Phi) == 0:
-        raise ValueError("both classes must be nonempty")
+        raise InputError("both classes must be nonempty")
     n_x, n_xs = H.domain.size, Phi.domain.size
     dom = product_domain(n_x, n_xs)
     points = product_points(n_x, n_xs)

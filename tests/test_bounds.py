@@ -18,8 +18,26 @@ from priverm import (
 )
 from priverm import bounds
 from priverm.bounds import AUX_UPPER_FACTOR
+from priverm.core import ExperimentConfig, InputError
 
 DELTA4 = 4 * math.exp(-4)  # makes log(4/delta) exactly 4
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf])
+def test_every_delta_check_is_the_one_rule(delta):
+    # BoundInputs, r_fast and ExperimentConfig reject the same deltas with one
+    # message; ExperimentConfig checks delta before it reads the classes
+    checks = [
+        lambda: BoundInputs(m=10, delta=delta, d=1, dstar=1, d_a=1),
+        lambda: r_fast(1, 10, delta),
+        lambda: ExperimentConfig(
+            distribution=None, H=None, Phi=None, m=10, trials=1, delta=delta, seed=0
+        ),
+    ]
+    for check in checks:
+        with pytest.raises(InputError) as exc:
+            check()
+        assert str(exc.value) == f"delta must be in (0, 1), got {delta}"
 
 
 def make_inputs(m, delta, d, dstar, d_a, eps_ig=0.0, eps_u=0.0):

@@ -8,6 +8,7 @@ Others run numpy-free commands, and erm and sim on bad inputs, in a fresh
 interpreter to check that numpy stays unloaded.
 """
 
+import ast
 import csv
 import functools
 import importlib
@@ -15,6 +16,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -76,8 +78,39 @@ def test_vc_malformed_json(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     rc, _, err = run_cli(capsys, ["vc", str(path)])
     assert rc == 2
-    assert err.startswith("invalid JSON:")
+    assert err.startswith(f"input error: invalid JSON in {path}: ")
     assert "line 1" in err
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        # deeper than the parser's recursion limit
+        ("[" * 100_000 + "]" * 100_000, "arrays or objects nested too deep"),
+        ('{"domain_size": ' + "7" * 5000 + ', "hypotheses": []}',
+         f"an integer has more than {sys.get_int_max_str_digits()} digits"),
+    ],
+    ids=["deep", "long-integer"],
+)
+def test_vc_json_past_the_parser_limits_is_input_error(tmp_path, capsys, text, detail):
+    path = tmp_path / "class.json"
+    path.write_text(text, encoding="utf-8")
+    rc, out, err = run_cli(capsys, ["vc", str(path)])
+    assert (rc, out, err) == (2, "", f"input error: invalid JSON in {path}: {detail}\n")
+
+
+@pytest.mark.parametrize("exc", [KeyError("m"), TypeError("bad operand"), OverflowError("big"),
+                                 RecursionError("deep"), AssertionError("engine bug")],
+                         ids=lambda e: type(e).__name__)
+def test_an_exception_that_is_not_an_input_fault_exits_5(tmp_path, capsys, monkeypatch, exc):
+    from priverm import cli
+
+    def broken(cls, budget):
+        raise exc
+
+    monkeypatch.setattr(cli, "vc_dimension", broken)
+    rc, out, err = run_cli(capsys, ["vc", write_json(tmp_path, "h.json", H1_JSON)])
+    assert (rc, out, err) == (5, "", f"internal error: {type(exc).__name__}: {exc}\n")
 
 
 def test_vc_missing_file(tmp_path, capsys):
@@ -372,15 +405,14 @@ def test_bounds_inputs_file_rejects_unknown_keys(tmp_path, capsys, extra, names)
 
 
 def test_bounds_missing_flags(capsys):
-    rc, _, err = run_cli(capsys, ["bounds", "--m", "99"])
-    assert rc == 2
-    assert "missing required flags" in err
+    rc, out, err = run_cli(capsys, ["bounds", "--m", "99"])
+    assert (rc, out, err) == (2, "", "input error: missing bounds inputs: d, d_a, delta, dstar\n")
 
 
 def test_bounds_inputs_file_missing_a_required_key_names_it(tmp_path, capsys):
     path = write_json(tmp_path, "inputs.json", {"delta": 0.05, "d": 2, "dstar": 1, "d_a": 3})
     rc, out, err = run_cli(capsys, ["bounds", "--inputs", path])
-    assert (rc, out, err) == (2, "", "input error: missing required flags: m\n")
+    assert (rc, out, err) == (2, "", "input error: missing bounds inputs: m\n")
     # a flag fills the key the file lacks
     rc, out, _ = run_cli(capsys, ["bounds", "--inputs", path, "--m", "99"])
     assert rc == 0 and json.loads(out)["r_fast_d"] == r_fast(2, 99, 0.05)
@@ -644,12 +676,12 @@ def test_missing_config_and_sample_keys_are_named(tmp_path, capsys):
     dev = {"phi_class": class_to_json(full_class(4)), "delta": 0.01, "m": 30, "trials": 5}
     path = write_json(tmp_path, "dev.json", dev)
     rc, out, err = run_cli(capsys, ["sim", "--kind", "deviation", "--config", path])
-    assert (rc, out, err) == (2, "", "input error: missing key 'eps'\n")
+    assert (rc, out, err) == (2, "", "input error: missing deviation config keys: eps\n")
 
     h = write_json(tmp_path, "h.json", H1_JSON)
     s = write_json(tmp_path, "s.json", {"triples": [{"x": 0, "y": 0}]})
     rc, out, err = run_cli(capsys, ["erm", "--h-class", h, "--sample", s])
-    assert (rc, out, err) == (2, "", "input error: missing key 'xstar'\n")
+    assert (rc, out, err) == (2, "", "input error: missing triple keys: xstar\n")
 
 
 def assert_usage_error(capsys, argv, error):
@@ -963,6 +995,23 @@ def test_sim_deviation_rejects_heavy_side_that_is_not_bits(tmp_path, capsys, hea
     assert err.startswith("input error: heavy_side bit")
 
 
+@pytest.mark.parametrize("heavy", [5, 1.5, "01", {"0": 1}, True], ids=repr)
+def test_sim_deviation_heavy_side_must_be_a_json_array(tmp_path, capsys, heavy):
+    path = sim_config_json(tmp_path, "deviation", heavy_side=heavy)
+    rc, out, err = run_cli(capsys, ["sim", "--kind", "deviation", "--config", path])
+    assert (rc, out, err) == (2, "", "input error: heavy_side must be a JSON array\n")
+
+
+def test_sim_deviation_null_heavy_side_is_the_default(tmp_path, capsys):
+    runs = [
+        run_cli(capsys, ["sim", "--kind", "deviation", "--config",
+                         sim_config_json(tmp_path, "deviation", heavy_side=heavy)])
+        for heavy in ([0, 0], None)
+    ]
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
+
+
 # --- malformed erm and sim inputs never end in a traceback ----------------------------
 
 DELETE = object()
@@ -1087,6 +1136,85 @@ def test_malformed_bounds_inputs_exit_cleanly(tmp_path, capsys, data):
     rc, _, err = run_cli(capsys, ["bounds", "--inputs", path])
     assert rc in (0, 2), err
     assert "Traceback" not in err
+
+
+# --- every node of every input, replaced by each odd value ---------------------------
+
+ODD_VALUES = [
+    None, True, False, 0, -1, 3, 1.5, -0.5, 1e400, math.nan, 10**30, 2**64,
+    "", "0", "01", "x", [], [0], ["0"], [[]], {}, {"x": 0},
+]
+# what each input's root is called, and what an object under each key is called
+ROOT_NAMES = {"comparison": "comparison config", "deviation": "deviation config",
+              "class": "class", "sample": "sample", "bounds": "bounds inputs"}
+OBJECT_NAMES = {"distribution": "distribution", "support": "support point",
+                "h_class": "class", "phi_class": "class", "triples": "triple"}
+
+
+def mutation_inputs() -> dict:
+    """A valid input of each kind; every run but the mutated one is quick."""
+    return {
+        "comparison": {"distribution": {"support": SUPPORT_JSON}, "h_class": H1_JSON,
+                       "phi_class": PHI1_JSON, "m": 20, "trials": 8, "delta": 0.05,
+                       "seed": 3, "c": 1.0},
+        "deviation": {"phi_class": class_to_json(full_class(4)), "eps": 0.1, "delta": 0.01,
+                      "m": 30, "trials": 5, "seed": 2, "heavy_side": [0, 1],
+                      "search": "prime"},
+        "class": H1_JSON,
+        "sample": SAMPLE_JSON,
+        "bounds": {"m": 99, "delta": 0.05, "d": 2, "dstar": 1, "d_a": 3,
+                   "eps_erm": 0.1, "eps_ig": 0.06, "eps_u": 0.04},
+    }
+
+
+def node_paths(obj, path=()):
+    """The path of every node of a JSON document: the root, objects, arrays and leaves."""
+    yield path
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from node_paths(value, path + (key,))
+
+
+def names_on_path(kind: str, path) -> set:
+    """The root's name, and each key on the path with the name of the object under it."""
+    keys = [k for k in path if isinstance(k, str)]
+    return {ROOT_NAMES[kind], *keys, *(OBJECT_NAMES[k] for k in keys if k in OBJECT_NAMES)}
+
+
+def test_every_node_of_every_input_fails_as_an_input_error(tmp_path, capsys):
+    # each run is in process; a fault must end in exit 2, 3 or 4 with one line
+    # naming the mutated node or an object that holds it, never in exit 1 or 5
+    h, p = write_json(tmp_path, "h.json", H1_JSON), write_json(tmp_path, "p.json", PHI1_JSON)
+    command = {
+        "comparison": lambda f: ["sim", "--config", f],
+        "deviation": lambda f: ["sim", "--kind", "deviation", "--config", f],
+        "class": lambda f: ["vc", f],
+        "sample": lambda f: ["erm", "--h-class", h, "--phi-class", p, "--sample", f],
+        "bounds": lambda f: ["bounds", "--inputs", f],
+    }
+    runs, exits, bad = 0, {}, []
+    for kind, doc in mutation_inputs().items():
+        for path in node_paths(doc):
+            names = names_on_path(kind, path)
+            for value in ODD_VALUES:
+                f = write_json(tmp_path, "input.json", mutate(doc, path, value))
+                rc, _, err = run_cli(capsys, command[kind](f))
+                runs += 1
+                exits.setdefault(kind, set()).add(rc)
+                named = any(re.search(rf"(?<!\w){re.escape(n)}(?!\w)", err) for n in names)
+                if (
+                    rc not in (0, 2, 3, 4)
+                    or "Traceback" in err
+                    or rc == 2 and not (err.startswith("input error: ") and err.count("\n") == 1
+                                        and named)
+                ):
+                    bad.append((kind, path, value, rc, err))
+    assert not bad, f"{len(bad)} of {runs} runs: " + "".join(
+        f"\n{kind} {list(path)} = {value!r}: exit {rc}, {err.strip()!r}"
+        for kind, path, value, rc, err in bad[:40]
+    )
+    # each input has a mutation that still runs and one that is bad input
+    assert all({0, 2} <= codes for codes in exits.values()), exits
 
 
 # --- verify ------------------------------------------------------------------------
@@ -1450,3 +1578,18 @@ def test_package_names_resolve_to_their_modules(module):
         assert getattr(priverm, name) is getattr(home, name), name
     with pytest.raises(AttributeError):
         priverm.no_such_name
+
+
+def test_no_check_in_the_package_raises_a_builtin_input_type():
+    # every argument check raises core.InputError or a subclass, the one type
+    # main reads as bad input; a bare ValueError, TypeError or KeyError would
+    # read as an internal error (exit 5)
+    found = []
+    for path in sorted(Path(priverm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = getattr(exc, "id", getattr(exc, "attr", None))
+                if name in ("ValueError", "TypeError", "KeyError"):
+                    found.append(f"{path.name}:{node.lineno} raises {name}")
+    assert found == []

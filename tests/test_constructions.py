@@ -22,7 +22,7 @@ from priverm import (
 )
 from priverm import constructions, vc
 from priverm.constructions import H1_PATTERNS, MAX_FOLD, PHI1_PATTERNS, full_class
-from priverm.core import product_index
+from priverm.core import InputError, product_index
 
 from conftest import rand_class
 
@@ -251,6 +251,12 @@ def test_family_input_validation():
         construct_theorem5_family(full_class(1, "X*"), eps=0.1, delta=0.01)
     with pytest.raises(ValueError):
         construct_theorem5_family(Phi, eps=0.1, delta=0.01, heavy_side=(0,))
+
+
+@pytest.mark.parametrize("heavy", [5, 1.5, True, {0: 1, 1: 0}], ids=repr)
+def test_family_heavy_side_must_be_a_sequence(heavy):
+    with pytest.raises(InputError, match=r"^heavy_side must be a sequence of bits, got "):
+        construct_theorem5_family(full_class(4, "X*"), eps=0.1, delta=0.01, heavy_side=heavy)
 
 
 def test_phi_prime_subclass():

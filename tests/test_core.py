@@ -25,6 +25,7 @@ from priverm import (
 )
 from priverm.core import (
     DomainMismatchError,
+    InputError,
     InvalidDistributionError,
     class_from_json,
     class_to_json,
@@ -137,9 +138,9 @@ def _old_class_fault(domain, members):
         if h.domain != domain:
             return DomainMismatchError, "all members must share the class domain"
     if len({h.bits for h in members}) != len(members):
-        return ValueError, "members must be deduplicated"
+        return InputError, "members must be deduplicated"
     if list(members) != sorted(members, key=lambda h: h.bits):
-        return ValueError, "members must be in canonical (lexicographic) order"
+        return InputError, "members must be in canonical (lexicographic) order"
     return None
 
 
@@ -275,9 +276,9 @@ def test_class_faults_keep_their_type_and_message():
     }
     want = {
         "member on another domain": (DomainMismatchError, "all members must share the class domain"),
-        "adjacent duplicate": (ValueError, "members must be deduplicated"),
-        "non-adjacent duplicate, unsorted": (ValueError, "members must be deduplicated"),
-        "unsorted": (ValueError, "members must be in canonical (lexicographic) order"),
+        "adjacent duplicate": (InputError, "members must be deduplicated"),
+        "non-adjacent duplicate, unsorted": (InputError, "members must be deduplicated"),
+        "unsorted": (InputError, "members must be in canonical (lexicographic) order"),
     }
     for name, members in cases.items():
         assert _class_fault(dom, members) == _old_class_fault(dom, members) == want[name], name
