@@ -53,6 +53,7 @@ from .core import (
     distribution_to_json,
     dump_json,
     json_array,
+    json_text,
     load_json,
     product_index,
     product_legend,
@@ -87,7 +88,7 @@ def _text(value) -> str:
 
 def _emit(obj: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        sys.stdout.write(json_text(obj))
     elif fmt == "csv":
         # a list or dict value is one quoted field
         keys = sorted(obj)

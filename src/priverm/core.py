@@ -565,10 +565,14 @@ def load_json(path: str):
     raise InputError(f"invalid JSON in {path}: {detail}")
 
 
+def json_text(obj: dict) -> str:
+    """The one JSON output format: keys sorted, two-space indent, a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def dump_json(obj: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json_text(obj))
 
 
 # --- run parameters --------------------------------------------------------

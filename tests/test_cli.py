@@ -6,13 +6,25 @@ installed console script when one is on PATH, otherwise the
 ``[project.scripts]`` target declared in the checkout's ``pyproject.toml``.
 Others run numpy-free commands, and erm and sim on bad inputs, in a fresh
 interpreter to check that numpy stays unloaded.
+
+The input-fault contract is stated once, by
+``test_every_node_of_every_input_fails_as_an_input_error``: every node of a
+valid input of each kind (comparison config, deviation config, class file,
+sample file, bounds inputs) is replaced by each of ``ODD_VALUES``, each key
+is deleted, a key ``zz`` is added to each object, and each pair of bounds
+fields is given a non-number. Every run exits 0, or 2, 3 or 4 with one
+line and no traceback; where one of five rules speaks (number fields,
+missing keys, unknown keys, JSON arrays, class members), ``rule_outcome``
+gives the exact exit and stderr line.
 """
 
 import ast
 import csv
+import dataclasses
 import functools
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -23,8 +35,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 import priverm
 from priverm.bounds import (
@@ -83,18 +93,20 @@ def test_vc_malformed_json(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text, detail",
+    "data, detail",
     [
         # deeper than the parser's recursion limit
-        ("[" * 100_000 + "]" * 100_000, "arrays or objects nested too deep"),
-        ('{"domain_size": ' + "7" * 5000 + ', "hypotheses": []}',
+        (b"[" * 100_000 + b"]" * 100_000, "arrays or objects nested too deep"),
+        (b'{"domain_size": ' + b"7" * 5000 + b', "hypotheses": []}',
          f"an integer has more than {sys.get_int_max_str_digits()} digits"),
+        (b'\xff{"domain_size": 1, "hypotheses": []}',
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     ],
-    ids=["deep", "long-integer"],
+    ids=["deep", "long-integer", "not-utf-8"],
 )
-def test_vc_json_past_the_parser_limits_is_input_error(tmp_path, capsys, text, detail):
+def test_vc_json_past_the_parser_limits_is_input_error(tmp_path, capsys, data, detail):
     path = tmp_path / "class.json"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(data)
     rc, out, err = run_cli(capsys, ["vc", str(path)])
     assert (rc, out, err) == (2, "", f"input error: invalid JSON in {path}: {detail}\n")
 
@@ -182,15 +194,14 @@ def test_construct_theorem5(capsys):
 
 
 def test_construct_theorem5_writes_file(tmp_path, capsys):
-    rc, out, _ = run_cli(
-        capsys,
-        ["--output-dir", str(tmp_path), "construct", "--what", "theorem5",
-         "--dstar", "4", "--heavy-side", "10"],
-    )
+    argv = ["construct", "--what", "theorem5", "--dstar", "4", "--heavy-side", "10"]
+    rc, printed, _ = run_cli(capsys, argv)
     assert rc == 0
-    assert out.strip().endswith("theorem5.json")
-    payload = json.loads((tmp_path / "theorem5.json").read_text())
-    assert payload["heavy_side"] == [1, 0]
+    rc, out, _ = run_cli(capsys, ["--output-dir", str(tmp_path), *argv])
+    assert (rc, out) == (0, f"{tmp_path / 'theorem5.json'}\n")
+    # the file holds the bytes the command prints without --output-dir
+    assert (tmp_path / "theorem5.json").read_bytes() == printed.encode("utf-8")
+    assert json.loads(printed)["heavy_side"] == [1, 0]
 
 
 @pytest.mark.parametrize(
@@ -274,6 +285,9 @@ def test_erm_standard_sample_outside_domain_is_input_error(tmp_path, capsys):
 
 # --- bounds -----------------------------------------------------------------------
 
+BOUNDS_JSON = {"m": 99, "delta": 0.05, "d": 2, "dstar": 1, "d_a": 3}
+EPS_JSON = {"eps_erm": 0.1, "eps_ig": 0.06, "eps_u": 0.04}
+
 
 def test_bounds_from_flags(capsys):
     rc, out, _ = run_cli(
@@ -296,8 +310,7 @@ def test_bounds_prints_sufficient_exactly_when_the_library_accepts_it(
     tmp_path, capsys, scale
 ):
     # eps_erm off eps_ig + eps_u by just under or just over PREMISE_TOLERANCE
-    raw = {"m": 99, "delta": 0.05, "d": 2, "dstar": 1, "d_a": 3,
-           "eps_erm": 0.1 + scale * PREMISE_TOLERANCE, "eps_ig": 0.06, "eps_u": 0.04}
+    raw = {**BOUNDS_JSON, **EPS_JSON, "eps_erm": 0.1 + scale * PREMISE_TOLERANCE}
     try:
         want = sufficient_condition(BoundInputs(**raw)).to_json()
     except ValueError:
@@ -309,8 +322,7 @@ def test_bounds_prints_sufficient_exactly_when_the_library_accepts_it(
 
 
 def test_bounds_from_inputs_file(tmp_path, capsys):
-    raw = {"m": 99, "delta": 0.05, "d": 2, "dstar": 1, "d_a": 3,
-           "eps_erm": 0.1, "eps_ig": 0.06, "eps_u": 0.04}
+    raw = {**BOUNDS_JSON, **EPS_JSON}
     path = write_json(tmp_path, "inputs.json", raw)
     rc, out, _ = run_cli(capsys, ["bounds", "--inputs", path])
     assert rc == 0
@@ -319,8 +331,7 @@ def test_bounds_from_inputs_file(tmp_path, capsys):
 
 
 def test_bounds_flag_overrides_inputs_file(tmp_path, capsys):
-    raw = {"m": 99, "delta": 0.05, "d": 2, "dstar": 1, "d_a": 3}
-    path = write_json(tmp_path, "inputs.json", raw)
+    path = write_json(tmp_path, "inputs.json", BOUNDS_JSON)
     rc, out, _ = run_cli(capsys, ["bounds", "--inputs", path, "--m", "200"])
     assert rc == 0
     report = json.loads(out)
@@ -332,7 +343,7 @@ def test_bounds_flag_overrides_inputs_file(tmp_path, capsys):
     [{"m": 1.5}, {"d": True}, {"d_a": 2.5}, {"dstar": 1.25}, {"m": None}],
 )
 def test_bounds_inputs_file_rejects_non_integers(tmp_path, capsys, change):
-    raw = {"m": 99, "delta": 0.05, "d": 2, "dstar": 1, "d_a": 3, **change}
+    raw = {**BOUNDS_JSON, **change}
     path = write_json(tmp_path, "inputs.json", raw)
     rc, out, err = run_cli(capsys, ["bounds", "--inputs", path])
     assert rc == 2
@@ -347,7 +358,7 @@ def test_bounds_inputs_file_rejects_non_integers(tmp_path, capsys, change):
     ids=str,
 )
 def test_bounds_inputs_file_rejects_integers_given_as_non_numbers(tmp_path, capsys, change):
-    raw = {"m": 99, "delta": 0.05, "d": 2, "dstar": 1, "d_a": 3, **change}
+    raw = {**BOUNDS_JSON, **change}
     path = write_json(tmp_path, "inputs.json", raw)
     rc, out, err = run_cli(capsys, ["bounds", "--inputs", path])
     assert rc == 2
@@ -362,7 +373,7 @@ def test_bounds_inputs_file_rejects_integers_given_as_non_numbers(tmp_path, caps
     ids=str,
 )
 def test_bounds_inputs_file_rejects_reals_given_as_non_numbers(tmp_path, capsys, change):
-    raw = {"m": 99, "delta": 0.05, "d": 2, "dstar": 1, "d_a": 3, **change}
+    raw = {**BOUNDS_JSON, **change}
     path = write_json(tmp_path, "inputs.json", raw)
     rc, out, err = run_cli(capsys, ["bounds", "--inputs", path])
     assert rc == 2
@@ -371,7 +382,7 @@ def test_bounds_inputs_file_rejects_reals_given_as_non_numbers(tmp_path, capsys,
 
 @pytest.mark.parametrize("field", ["m", "d", "dstar", "d_a"])
 def test_bounds_inputs_file_names_an_integer_too_large_for_a_float(tmp_path, capsys, field):
-    raw = {"m": 99, "delta": 0.05, "d": 2, "dstar": 1, "d_a": 3, field: 10**400}
+    raw = {**BOUNDS_JSON, field: 10**400}
     path = write_json(tmp_path, "inputs.json", raw)
     rc, out, err = run_cli(capsys, ["bounds", "--inputs", path])
     assert rc == 2
@@ -398,7 +409,7 @@ def test_bounds_inputs_file_must_hold_an_object(tmp_path, capsys):
     [({"foo": 1}, "foo"), ({"foo": 1, "eps-erm": 0.1, "C": 2}, "C, eps-erm, foo")],
 )
 def test_bounds_inputs_file_rejects_unknown_keys(tmp_path, capsys, extra, names):
-    raw = {"m": 99, "delta": 0.05, "d": 2, "dstar": 1, "d_a": 3, **extra}
+    raw = {**BOUNDS_JSON, **extra}
     path = write_json(tmp_path, "inputs.json", raw)
     rc, out, err = run_cli(capsys, ["bounds", "--inputs", path])
     assert (rc, out, err) == (2, "", f"input error: unknown bounds inputs: {names}\n")
@@ -428,18 +439,24 @@ SUPPORT_JSON = [
 ]
 
 
+def comparison_config(**extra) -> dict:
+    return {"distribution": {"support": SUPPORT_JSON}, "h_class": H1_JSON,
+            "phi_class": PHI1_JSON, "m": 20, "trials": 8, "delta": 0.05, "seed": 3, **extra}
+
+
+def deviation_config(**extra) -> dict:
+    return {"phi_class": class_to_json(full_class(4)), "eps": 0.1, "delta": 0.01,
+            "m": 30, "trials": 5, "seed": 2, **extra}
+
+
 def comparison_config_json(tmp_path, **extra) -> str:
-    cfg = {
-        "distribution": {"support": SUPPORT_JSON},
-        "h_class": H1_JSON,
-        "phi_class": PHI1_JSON,
-        "m": 20,
-        "trials": 8,
-        "delta": 0.05,
-        "seed": 3,
-    }
-    cfg.update(extra)
-    return write_json(tmp_path, "config.json", cfg)
+    return write_json(tmp_path, "config.json", comparison_config(**extra))
+
+
+def sim_config_json(tmp_path, kind: str, **extra) -> str:
+    if kind == "comparison":
+        return comparison_config_json(tmp_path, **extra)
+    return write_json(tmp_path, "dev.json", deviation_config(**extra))
 
 
 def test_sim_comparison_stdout(tmp_path, capsys):
@@ -586,13 +603,6 @@ def test_erm_rejects_unknown_nested_keys(tmp_path, capsys, h_class, triple, err)
     assert (rc, out, got) == (2, "", f"input error: {err}\n")
 
 
-def test_erm_rejects_unknown_sample_keys(tmp_path, capsys):
-    argv = erm_files(tmp_path)
-    write_json(tmp_path, "s.json", {**SAMPLE_JSON, "weights": [1]})
-    rc, out, err = run_cli(capsys, argv)
-    assert (rc, out, err) == (2, "", "input error: unknown sample keys: weights\n")
-
-
 @pytest.mark.parametrize(
     "command, field, value",
     [
@@ -673,7 +683,8 @@ def test_sim_comparison_support_outside_a_domain_is_input_error(
 
 
 def test_missing_config_and_sample_keys_are_named(tmp_path, capsys):
-    dev = {"phi_class": class_to_json(full_class(4)), "delta": 0.01, "m": 30, "trials": 5}
+    dev = deviation_config()
+    del dev["eps"]
     path = write_json(tmp_path, "dev.json", dev)
     rc, out, err = run_cli(capsys, ["sim", "--kind", "deviation", "--config", path])
     assert (rc, out, err) == (2, "", "input error: missing deviation config keys: eps\n")
@@ -719,15 +730,7 @@ def test_retired_flags_are_usage_errors(capsys, argv):
 
 
 def test_sim_deviation(tmp_path, capsys):
-    cfg = {
-        "phi_class": class_to_json(full_class(4)),
-        "eps": 0.1,
-        "delta": 0.01,
-        "m": 30,
-        "trials": 50,
-        "seed": 2,
-    }
-    path = write_json(tmp_path, "dev.json", cfg)
+    path = sim_config_json(tmp_path, "deviation", trials=50)
     rc, out, _ = run_cli(capsys, ["sim", "--config", path, "--kind", "deviation"])
     assert rc == 0
     report = json.loads(out)
@@ -737,15 +740,7 @@ def test_sim_deviation(tmp_path, capsys):
 
 
 def test_sim_deviation_writes_file(tmp_path, capsys):
-    cfg = {
-        "phi_class": class_to_json(full_class(4)),
-        "eps": 0.1,
-        "delta": 0.01,
-        "m": 30,
-        "trials": 20,
-        "seed": 2,
-    }
-    path = write_json(tmp_path, "dev.json", cfg)
+    path = sim_config_json(tmp_path, "deviation", trials=20)
     out_dir = tmp_path / "devrun"
     rc, out, _ = run_cli(
         capsys,
@@ -884,14 +879,6 @@ def test_erm_accepts_integral_floats(tmp_path, capsys):
     assert out == want
 
 
-def sim_config_json(tmp_path, kind: str, **extra) -> str:
-    if kind == "comparison":
-        return comparison_config_json(tmp_path, **extra)
-    cfg = {"phi_class": class_to_json(full_class(4)), "eps": 0.1, "delta": 0.01,
-           "m": 30, "trials": 5, "seed": 2, **extra}
-    return write_json(tmp_path, "dev.json", cfg)
-
-
 @pytest.mark.parametrize(
     "kind, field, value",
     [
@@ -986,9 +973,7 @@ def test_sim_accepts_reals_given_as_numbers(tmp_path, capsys, kind, change):
 
 @pytest.mark.parametrize("heavy", [[0, 2], [0, -1], [0, 0.5], [True, 0]], ids=str)
 def test_sim_deviation_rejects_heavy_side_that_is_not_bits(tmp_path, capsys, heavy):
-    cfg = {"phi_class": class_to_json(full_class(4)), "eps": 0.1, "delta": 0.01,
-           "m": 30, "trials": 5, "seed": 2, "heavy_side": heavy}
-    path = write_json(tmp_path, "dev.json", cfg)
+    path = sim_config_json(tmp_path, "deviation", heavy_side=heavy)
     rc, out, err = run_cli(capsys, ["sim", "--kind", "deviation", "--config", path])
     assert rc == 2
     assert out == ""
@@ -1012,167 +997,73 @@ def test_sim_deviation_null_heavy_side_is_the_default(tmp_path, capsys):
     assert runs[1] == runs[0]
 
 
-# --- malformed erm and sim inputs never end in a traceback ----------------------------
+# --- the input-fault contract: every node of every input ------------------------------
 
 DELETE = object()
-# counts and indices stay small: a valid but huge m or trials is a long run, not a fault
-SMALL_INT = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 40), st.floats(-3, 40),
-    st.sampled_from([math.nan, math.inf, -math.inf]), st.text(max_size=3),
-    st.sampled_from(["3", "0", "20"]), st.lists(st.integers(0, 3), max_size=2),
-    st.just(DELETE),
-)
-REAL = st.one_of(
-    st.none(), st.booleans(), st.floats(), st.integers(-2, 2), st.just(10**400),
-    st.text(max_size=3), st.sampled_from(["0.05", "0.35", "1"]), st.just(DELETE),
-)
-ANY = st.one_of(
-    st.none(), st.booleans(), st.integers(-2, 3), st.text(max_size=4),
-    st.lists(st.one_of(st.integers(0, 3), st.text("01", max_size=4)), max_size=3),
-    st.dictionaries(st.sampled_from(["x", "y", "p", "triples"]), st.integers(0, 2), max_size=2),
-    st.just(DELETE),
-)
-INTS = ("domain_size", "x", "xstar", "y", "m", "trials", "seed")
-REALS = ("p", "delta", "c", "eps")
-
-
-def mutate(obj, path, value):
-    """obj with the entry at path replaced by value (or removed)."""
-    if not path:
-        return {} if value is DELETE else value
-    obj = dict(obj) if isinstance(obj, dict) else list(obj)
-    key, rest = path[0], path[1:]
-    if rest:
-        obj[key] = mutate(obj[key], rest, value)
-    elif value is DELETE:
-        obj.pop(key, None) if isinstance(obj, dict) else obj.pop(key)
-    else:
-        obj[key] = value
-    return obj
-
-
-def junk_for(path):
-    leaf = path[-1] if path else None
-    return SMALL_INT if leaf in INTS else REAL if leaf in REALS else ANY
-
-
-VC_PATHS = [(), ("domain_size",), ("hypotheses",), ("hypotheses", 0), ("hypotheses", 2)]
-ERM_PATHS = [
-    ("h", ()), ("h", ("domain_size",)), ("h", ("hypotheses",)), ("h", ("hypotheses", 0)),
-    ("p", ("domain_size",)), ("p", ("hypotheses", 1)),
-    ("s", ()), ("s", ("triples",)), ("s", ("triples", 0)), ("s", ("triples", 1, "x")),
-    ("s", ("triples", 0, "xstar")), ("s", ("triples", 2, "y")),
-]
-COMPARISON_PATHS = [
-    (), ("m",), ("trials",), ("seed",), ("delta",), ("c",), ("distribution",),
-    ("distribution", "support"), ("distribution", "support", 0),
-    ("distribution", "support", 1, "p"), ("distribution", "support", 0, "x"),
-    ("distribution", "support", 2, "xstar"), ("distribution", "support", 1, "y"),
-    ("h_class",), ("h_class", "hypotheses", 0), ("phi_class", "domain_size"),
-]
-DEVIATION_PATHS = [
-    (), ("eps",), ("delta",), ("m",), ("trials",), ("seed",), ("heavy_side",),
-    ("phi_class",), ("phi_class", "domain_size"), ("search",),
-]
-
-
-@settings(deadline=None, max_examples=200,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.data())
-def test_malformed_erm_and_sim_inputs_exit_cleanly(tmp_path, capsys, data):
-    command = data.draw(st.sampled_from(["vc", "erm", "comparison", "deviation"]))
-    if command == "vc":
-        path = data.draw(st.sampled_from(VC_PATHS))
-        value = data.draw(junk_for(path))
-        argv = ["vc", write_json(tmp_path, "h.json", mutate(H1_JSON, path, value))]
-    elif command == "erm":
-        files = {"h": H1_JSON, "p": PHI1_JSON, "s": SAMPLE_JSON}
-        name, path = data.draw(st.sampled_from(ERM_PATHS))
-        value = data.draw(junk_for(path))
-        files[name] = mutate(files[name], path, value)
-        paths = {k: write_json(tmp_path, f"{k}.json", v) for k, v in files.items()}
-        argv = ["erm", "--h-class", paths["h"], "--phi-class", paths["p"],
-                "--sample", paths["s"]]
-    else:
-        if command == "comparison":
-            cfg = json.loads(Path(comparison_config_json(tmp_path)).read_text(encoding="utf-8"))
-            path = data.draw(st.sampled_from(COMPARISON_PATHS))
-        else:
-            cfg = {"phi_class": class_to_json(full_class(4)), "eps": 0.1, "delta": 0.01,
-                   "m": 30, "trials": 5, "seed": 2, "heavy_side": [0, 1]}
-            path = data.draw(st.sampled_from(DEVIATION_PATHS))
-        value = data.draw(junk_for(path))
-        cfg = mutate(cfg, path, value)
-        argv = ["sim", "--kind", command, "--config", write_json(tmp_path, "cfg.json", cfg)]
-    rc, out, err = run_cli(capsys, argv)
-    assert rc in (0, 2, 3, 4), err
-    assert "Traceback" not in err
-    number_field = bool(path) and path[-1] in INTS + REALS
-    if number_field and value is not DELETE and (
-        isinstance(value, bool) or not isinstance(value, (int, float))
-    ):
-        assert rc == 2, (path, value)
-    if command == "comparison" and rc == 0:
-        assert json.loads(out)["failed_trials"] == []
-
-
-BOUNDS_FIELDS = ("m", "delta", "d", "dstar", "d_a", "eps_erm", "eps_ig", "eps_u")
-BOUNDS_JUNK = st.one_of(
-    st.text(max_size=4), st.booleans(), st.lists(st.integers(0, 3), max_size=2),
-    st.none(), st.just(10**400), st.just(DELETE),
-)
-
-
-@settings(deadline=None, max_examples=200,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.data())
-def test_malformed_bounds_inputs_exit_cleanly(tmp_path, capsys, data):
-    raw = {"m": 99, "delta": 0.05, "d": 2, "dstar": 1, "d_a": 3,
-           "eps_erm": 0.1, "eps_ig": 0.06, "eps_u": 0.04}
-    for field in data.draw(st.lists(st.sampled_from(BOUNDS_FIELDS), min_size=1,
-                                    max_size=3, unique=True)):
-        raw = mutate(raw, (field,), data.draw(BOUNDS_JUNK))
-    path = write_json(tmp_path, "inputs.json", raw)
-    rc, _, err = run_cli(capsys, ["bounds", "--inputs", path])
-    assert rc in (0, 2), err
-    assert "Traceback" not in err
-
-
-# --- every node of every input, replaced by each odd value ---------------------------
-
 ODD_VALUES = [
-    None, True, False, 0, -1, 3, 1.5, -0.5, 1e400, math.nan, 10**30, 2**64,
-    "", "0", "01", "x", [], [0], ["0"], [[]], {}, {"x": 0},
+    None, True, False, 0, -1, 3, 1.5, -0.5, 1e400, math.nan, 10**30, 2**64, 10**400,
+    "", "0", "01", "x", "0.05", [], [0], ["0"], [[]], {}, {"x": 0},
 ]
+NON_NUMBERS = [v for v in ODD_VALUES if isinstance(v, bool) or not isinstance(v, (int, float))]
 # what each input's root is called, and what an object under each key is called
 ROOT_NAMES = {"comparison": "comparison config", "deviation": "deviation config",
               "class": "class", "sample": "sample", "bounds": "bounds inputs"}
 OBJECT_NAMES = {"distribution": "distribution", "support": "support point",
                 "h_class": "class", "phi_class": "class", "triples": "triple"}
+INT_FIELDS = {"domain_size", "x", "xstar", "y", "m", "trials", "seed", "d", "dstar", "d_a"}
+REAL_FIELDS = {"p", "delta", "c", "eps", "eps_erm", "eps_ig", "eps_u"}
+ARRAY_FIELDS = {"hypotheses", "triples", "support", "heavy_side"}
+OPTIONAL_KEYS = {"seed", "c", "heavy_side", "search", "eps_erm", "eps_ig", "eps_u"}
 
 
 def mutation_inputs() -> dict:
-    """A valid input of each kind; every run but the mutated one is quick."""
+    """A valid input of each kind, with the optional keys it mutates; each run is quick."""
     return {
-        "comparison": {"distribution": {"support": SUPPORT_JSON}, "h_class": H1_JSON,
-                       "phi_class": PHI1_JSON, "m": 20, "trials": 8, "delta": 0.05,
-                       "seed": 3, "c": 1.0},
-        "deviation": {"phi_class": class_to_json(full_class(4)), "eps": 0.1, "delta": 0.01,
-                      "m": 30, "trials": 5, "seed": 2, "heavy_side": [0, 1],
-                      "search": "prime"},
+        "comparison": comparison_config(c=1.0),
+        "deviation": deviation_config(heavy_side=[0, 1], search="prime"),
         "class": H1_JSON,
         "sample": SAMPLE_JSON,
-        "bounds": {"m": 99, "delta": 0.05, "d": 2, "dstar": 1, "d_a": 3,
-                   "eps_erm": 0.1, "eps_ig": 0.06, "eps_u": 0.04},
+        "bounds": {**BOUNDS_JSON, **EPS_JSON},
     }
 
 
-def node_paths(obj, path=()):
-    """The path of every node of a JSON document: the root, objects, arrays and leaves."""
-    yield path
+def mutate(obj, path, value):
+    """A copy of obj with the node at path replaced by value, or deleted if value is DELETE."""
+    if not path:
+        return value
+    obj = dict(obj) if isinstance(obj, dict) else list(obj)
+    key, rest = path[0], path[1:]
+    if rest:
+        obj[key] = mutate(obj[key], rest, value)
+    elif value is DELETE:
+        del obj[key]
+    else:
+        obj[key] = value
+    return obj
+
+
+def nodes(obj, path=()):
+    """The path and value of every node of a JSON document: the root, objects, arrays, leaves."""
+    yield path, obj
     if isinstance(obj, (dict, list)):
         for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
-            yield from node_paths(value, path + (key,))
+            yield from nodes(value, path + (key,))
+
+
+def fault_runs(kind: str, doc) -> list:
+    """Each run's changes, as ((path, value), ...): each odd value at each node, each
+    key deleted, a key zz added to each object, and for the bounds inputs each pair
+    of fields, the one first in ``BoundInputs`` order first, given each non-number and
+    the next one."""
+    tree = list(nodes(doc))
+    runs = [((path, value),) for path, _ in tree for value in ODD_VALUES]
+    runs += [((path, DELETE),) for path, _ in tree if path and isinstance(path[-1], str)]
+    runs += [((path + ("zz",), 0),) for path, node in tree if isinstance(node, dict)]
+    if kind == "bounds":
+        pairs = itertools.combinations([f.name for f in dataclasses.fields(BoundInputs)], 2)
+        values = list(zip(NON_NUMBERS, NON_NUMBERS[1:] + NON_NUMBERS[:1]))
+        runs += [(((a,), v), ((b,), w)) for a, b in pairs for v, w in values]
+    return runs
 
 
 def names_on_path(kind: str, path) -> set:
@@ -1181,9 +1072,62 @@ def names_on_path(kind: str, path) -> set:
     return {ROOT_NAMES[kind], *keys, *(OBJECT_NAMES[k] for k in keys if k in OBJECT_NAMES)}
 
 
-def test_every_node_of_every_input_fails_as_an_input_error(tmp_path, capsys):
-    # each run is in process; a fault must end in exit 2, 3 or 4 with one line
-    # naming the mutated node or an object that holds it, never in exit 1 or 5
+def input_fault(line: str) -> tuple:
+    return 2, f"input error: {line}\n"
+
+
+def rule_outcome(kind: str, path, value):
+    """The (exit, stderr) that the five input-fault rules give for value at path, or
+    None where none of them speaks.
+
+    1. An integer field given a bool, a non-number or a fractional float, or a real
+       field given a bool, a non-number or an integer too large for a float.
+    2. A required key deleted; an optional one deleted exits 0.
+    3. An unknown key ``zz`` added to an object.
+    4. A list field given a non-array; ``heavy_side: null`` is the default.
+    5. A class member that is neither a 0/1 string nor a list of "0"/"1" strings.
+    """
+    if not path:
+        return None
+    key, parent = path[-1], path[:-1]
+    if value is DELETE or key == "zz":
+        # the object that holds key, as a key message names it
+        keys = [k for k in parent if isinstance(k, str)]
+        held_by = "bounds inputs" if kind == "bounds" else (
+            f"{OBJECT_NAMES[keys[-1]] if keys else ROOT_NAMES[kind]} keys")
+        if value is not DELETE:
+            return input_fault(f"unknown {held_by}: zz")
+        return (0, "") if key in OPTIONAL_KEYS else input_fault(f"missing {held_by}: {key}")
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if key in INT_FIELDS and not (number and (isinstance(value, int) or value.is_integer())):
+        return input_fault(f"{key} must be an integer, got {value!r}")
+    if key in REAL_FIELDS and not number:
+        return input_fault(f"{key} must be a number, got {value!r}")
+    if key in REAL_FIELDS and isinstance(value, int) and value.bit_length() > 1024:
+        return input_fault(f"{key} is too large for a float")
+    if key in ARRAY_FIELDS and not isinstance(value, list):
+        if key == "heavy_side" and value is None:
+            return 0, ""
+        return input_fault(f"{key} must be a JSON array")
+    if parent[-1:] == ("hypotheses",) and not (
+        isinstance(value, str) and not value.strip("01")
+        or isinstance(value, list) and all(b in ("0", "1") for b in value)
+    ):
+        return input_fault(f'hypotheses[{key}] must be a bit string or a list of "0"/"1" strings')
+    return None
+
+
+@pytest.mark.parametrize("kind", list(ROOT_NAMES))
+def test_every_node_of_every_input_fails_as_an_input_error(tmp_path, capsys, monkeypatch,
+                                                           kind):
+    # each run is in process; it exits 0, or 2, 3 or 4 with one line naming the first
+    # changed node or an object that holds it, never 1 or 5 and never a traceback;
+    # exit 2 prints nothing on stdout, and where a rule speaks it gives exit and line
+    from priverm import cli
+
+    # every run parses with the same parser; building it once per run would take
+    # most of the test's time
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
     h, p = write_json(tmp_path, "h.json", H1_JSON), write_json(tmp_path, "p.json", PHI1_JSON)
     command = {
         "comparison": lambda f: ["sim", "--config", f],
@@ -1191,30 +1135,35 @@ def test_every_node_of_every_input_fails_as_an_input_error(tmp_path, capsys):
         "class": lambda f: ["vc", f],
         "sample": lambda f: ["erm", "--h-class", h, "--phi-class", p, "--sample", f],
         "bounds": lambda f: ["bounds", "--inputs", f],
-    }
-    runs, exits, bad = 0, {}, []
-    for kind, doc in mutation_inputs().items():
-        for path in node_paths(doc):
-            names = names_on_path(kind, path)
-            for value in ODD_VALUES:
-                f = write_json(tmp_path, "input.json", mutate(doc, path, value))
-                rc, _, err = run_cli(capsys, command[kind](f))
-                runs += 1
-                exits.setdefault(kind, set()).add(rc)
-                named = any(re.search(rf"(?<!\w){re.escape(n)}(?!\w)", err) for n in names)
-                if (
-                    rc not in (0, 2, 3, 4)
-                    or "Traceback" in err
-                    or rc == 2 and not (err.startswith("input error: ") and err.count("\n") == 1
-                                        and named)
-                ):
-                    bad.append((kind, path, value, rc, err))
-    assert not bad, f"{len(bad)} of {runs} runs: " + "".join(
-        f"\n{kind} {list(path)} = {value!r}: exit {rc}, {err.strip()!r}"
-        for kind, path, value, rc, err in bad[:40]
+    }[kind]
+    doc = mutation_inputs()[kind]
+    runs, exits, bad = fault_runs(kind, doc), set(), []
+    for changes in runs:
+        mutated = doc
+        for path, value in changes:
+            mutated = mutate(mutated, path, value)
+        rc, out, err = run_cli(capsys, command(write_json(tmp_path, "input.json", mutated)))
+        exits.add(rc)
+        path, value = changes[0]
+        want = rule_outcome(kind, path, value)
+        named = any(re.search(rf"(?<!\w){re.escape(n)}(?!\w)", err)
+                    for n in names_on_path(kind, path))
+        if (
+            rc not in (0, 2, 3, 4)
+            or "Traceback" in err
+            or rc == 2 and not (out == "" and err.startswith("input error: ")
+                                and err.count("\n") == 1 and named)
+            or want is not None and (rc, err) != want
+            or kind == "comparison" and rc == 0 and json.loads(out)["failed_trials"] != []
+        ):
+            bad.append((changes, rc, err))
+    assert not bad, f"{len(bad)} of {len(runs)} runs: " + "".join(
+        "\n" + ", ".join(f"{list(path)} = {'deleted' if value is DELETE else repr(value)}"
+                         for path, value in changes) + f": exit {rc}, {err.strip()!r}"
+        for changes, rc, err in bad[:40]
     )
-    # each input has a mutation that still runs and one that is bad input
-    assert all({0, 2} <= codes for codes in exits.values()), exits
+    # the input has a change that still runs and one that is bad input
+    assert {0, 2} <= exits, exits
 
 
 # --- verify ------------------------------------------------------------------------
