@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .core import InputError, check_delta
+from .core import InputError, check_delta, check_m
 
 PREMISE_TOLERANCE = 1e-9
 
@@ -36,8 +36,7 @@ class BoundInputs:
     eps_u: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise InputError(f"m must be >= 1, got {self.m}")
+        check_m(self.m)
         check_delta(self.delta)
         for name in ("d", "dstar", "d_a"):
             v = getattr(self, name)
@@ -65,8 +64,7 @@ class BoundInputs:
 
 def r_fast(d: int, m: int, delta: float) -> float:
     """(8*d*log(m+1) + 4*log(4/delta)) / m."""
-    if m < 1:
-        raise InputError(f"m must be >= 1, got {m}")
+    check_m(m)
     check_delta(delta)
     if d < 0:
         raise InputError(f"d must be >= 0, got {d}")
@@ -201,7 +199,7 @@ def necessary_condition(inputs: BoundInputs) -> NecessityReport:
     )
 
 
-def alpha_threshold() -> float:
+def _alpha_root() -> float:
     """Root in (2, 2.25) of a^3 - 2a^2 - a + 1 = 0, by bisection.
 
     Squaring sqrt(1+a)*(1 - 1/a) = 1 and clearing denominators gives this
@@ -220,3 +218,14 @@ def alpha_threshold() -> float:
         else:
             hi = mid
     return (lo + hi) / 2.0
+
+
+_ALPHA_ROOT = _alpha_root()
+
+
+def alpha_threshold() -> float:
+    """Root in (2, 2.25) of a^3 - 2a^2 - a + 1 = 0 (see ``_alpha_root``).
+
+    The bisection runs once, at import; every call returns its float.
+    """
+    return _ALPHA_ROOT

@@ -387,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vc", help="exact VC dimension of a class file")
     p.add_argument("class_file")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p.set_defaults(func=cmd_vc)
 
     p = sub.add_parser("construct", help="emit a named construction")
     p.add_argument("--what", choices=("theorem1", "lemma1", "theorem5"), required=True)
@@ -396,14 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--delta", type=float, default=1 / 256)
     p.add_argument("--heavy-side", default=None, help="bit string, one per pair")
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("erm", help="run the minimizers on a sample file")
     p.add_argument("--h-class", required=True)
     p.add_argument("--phi-class", default=None)
     p.add_argument("--sample", required=True)
     p.add_argument("--c", type=float, default=1.0)
-    p.set_defaults(func=cmd_erm)
 
     p = sub.add_parser("bounds", help="evaluate bounds and conditions")
     p.add_argument("--inputs", default=None, help="BoundInputs JSON file")
@@ -411,26 +408,28 @@ def build_parser() -> argparse.ArgumentParser:
     types = get_type_hints(BoundInputs)
     for f in dataclasses.fields(BoundInputs):
         p.add_argument("--" + f.name.replace("_", "-"), type=types[f.name], default=None)
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sim", help="seeded Monte Carlo experiments")
     p.add_argument("--config", required=True)
     p.add_argument("--kind", choices=("comparison", "deviation"), default="comparison")
-    p.set_defaults(func=cmd_sim)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=SUITES, required=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--dstar", type=int, default=None)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
+# built once, at import; each call of main parses with it
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        # read at call time, so a cmd_* replaced on the module is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -635,10 +635,15 @@ def check_delta(delta: float) -> None:
         raise InputError(f"delta must be in (0, 1), got {delta}")
 
 
-def check_sizes(m: int, trials: int) -> None:
-    """Raise unless the sample size m and the number of trials are each at least 1."""
+def check_m(m: int) -> None:
+    """The one rule for the sample size m: at least 1, else ``InputError``."""
     if m < 1:
         raise InputError(f"m must be >= 1, got {m}")
+
+
+def check_sizes(m: int, trials: int) -> None:
+    """Raise unless the sample size m and the number of trials are each at least 1."""
+    check_m(m)
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
 

@@ -31,6 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import __version__
 from .bounds import BoundInputs, bound_erm, bound_pr, sufficient_condition
 from .constructions import Theorem5Family
 from .core import (
@@ -453,8 +454,6 @@ def persist_run(
             for r in sorted(records, key=lambda r: r.trial):
                 writer.writerow(r.csv_row())
         dump_json(summary, os.path.join(out, "summary.json"))
-        from priverm import __version__
-
         manifest = {
             "artifact": "priverm",
             "version": __version__,

@@ -18,7 +18,7 @@ from priverm import (
 )
 from priverm import bounds
 from priverm.bounds import AUX_UPPER_FACTOR
-from priverm.core import ExperimentConfig, InputError
+from priverm.core import ExperimentConfig, InputError, check_sizes
 
 DELTA4 = 4 * math.exp(-4)  # makes log(4/delta) exactly 4
 
@@ -38,6 +38,24 @@ def test_every_delta_check_is_the_one_rule(delta):
         with pytest.raises(InputError) as exc:
             check()
         assert str(exc.value) == f"delta must be in (0, 1), got {delta}"
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_every_m_check_is_the_one_rule(m):
+    # BoundInputs, r_fast, check_sizes and ExperimentConfig reject the same m with
+    # one message
+    checks = [
+        lambda: BoundInputs(m=m, delta=0.05, d=1, dstar=1, d_a=1),
+        lambda: r_fast(1, m, 0.05),
+        lambda: check_sizes(m, 1),
+        lambda: ExperimentConfig(
+            distribution=None, H=None, Phi=None, m=m, trials=1, delta=0.05, seed=0
+        ),
+    ]
+    for check in checks:
+        with pytest.raises(InputError) as exc:
+            check()
+        assert str(exc.value) == f"m must be >= 1, got {m}"
 
 
 def make_inputs(m, delta, d, dstar, d_a, eps_ig=0.0, eps_u=0.0):
