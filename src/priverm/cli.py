@@ -143,14 +143,14 @@ def cmd_construct(args) -> int:
             "legend_product": product_legend(H.domain.size, Phi.domain.size),
         }
     elif args.what == "lemma1":
-        H, J = construct_lemma1_tight(args.d, args.dstar)
+        H, J = construct_lemma1_tight(args.d, 1 if args.dstar is None else args.dstar)
         payload = {
             "h_class": class_to_json(H),
             "j_class": class_to_json(J),
             "domain_size": H.domain.size,
         }
-    else:  # theorem5
-        Phi = full_class(args.dstar, label="X*")
+    else:  # theorem5; its smallest family is one pair, on d* = 2
+        Phi = full_class(2 if args.dstar is None else args.dstar, label="X*")
         if not set(args.heavy_side or "") <= {"0", "1"}:
             raise InputError(f"--heavy-side takes only 0 and 1, got {args.heavy_side!r}")
         heavy = None if args.heavy_side is None else tuple(int(c) for c in args.heavy_side)
@@ -391,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="emit a named construction")
     p.add_argument("--what", choices=("theorem1", "lemma1", "theorem5"), required=True)
     p.add_argument("--d", type=int, default=1)
-    p.add_argument("--dstar", type=int, default=1)
+    # None: each construction takes its smallest valid d*
+    p.add_argument("--dstar", type=int, default=None)
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--delta", type=float, default=1 / 256)
     p.add_argument("--heavy-side", default=None, help="bit string, one per pair")
