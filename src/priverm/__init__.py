@@ -18,9 +18,9 @@ _EXPORTS = {
     name: module
     for module, names in {
         "core": (
-            "ExperimentConfig FiniteDomain FiniteDistribution Hypothesis HypothesisClass "
-            "Triple TripleSample aux_loss composite_loss exact_true_error f_loss "
-            "ignoring_loss zero_one_loss"
+            "BoundInputs ExperimentConfig FiniteDomain FiniteDistribution Hypothesis "
+            "HypothesisClass Triple TripleSample aux_loss composite_loss exact_true_error "
+            "f_loss ignoring_loss zero_one_loss"
         ),
         "vc": (
             "VcReport build_aux_class build_f_class count_shattered is_shattered "
@@ -31,8 +31,8 @@ _EXPORTS = {
             "construct_theorem1 construct_theorem5_family phi_prime_subclass"
         ),
         "bounds": (
-            "BoundInputs alpha_threshold bound_erm bound_pr d_a_interval "
-            "necessary_condition r_fast r_slow sufficient_condition"
+            "alpha_threshold bound_erm bound_pr d_a_interval necessary_condition "
+            "r_fast r_slow sufficient_condition"
         ),
         "erm": "ErmResult PrivilegedErmResult erm_privileged erm_standard",
         "simulate": "TrialRecord persist_run run_comparison run_theorem5_experiment sample",

@@ -14,52 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .core import InputError, check_delta, check_m
-
-PREMISE_TOLERANCE = 1e-9
+# BoundInputs and its PREMISE_TOLERANCE live in core, so the CLI's parser reads
+# the fields without loading this module; both still resolve here
+from .core import PREMISE_TOLERANCE, BoundInputs, InputError, check_delta, check_m
 
 # upper factor of the auxiliary-dimension interval: 4*log2(4e)
 AUX_UPPER_FACTOR = 4.0 * math.log2(4.0 * math.e)
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Inputs shared by every bound and condition check."""
-
-    m: int
-    delta: float
-    d: int
-    dstar: int
-    d_a: int
-    eps_erm: float = 0.0
-    eps_ig: float = 0.0
-    eps_u: float = 0.0
-
-    def __post_init__(self) -> None:
-        check_m(self.m)
-        check_delta(self.delta)
-        for name in ("d", "dstar", "d_a"):
-            v = getattr(self, name)
-            if v < 0:
-                raise InputError(f"{name} must be >= 0, got {v}")
-        for name in ("m", "d", "dstar", "d_a"):
-            try:
-                float(getattr(self, name))
-            except OverflowError:
-                raise InputError(f"{name} is too large for a float") from None
-        for name in ("eps_erm", "eps_ig", "eps_u"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise InputError(f"{name} must be in [0,1], got {v}")
-
-    @property
-    def premise_holds(self) -> bool:
-        """eps_erm = eps_ig + eps_u within PREMISE_TOLERANCE.
-
-        ``sufficient_condition`` is defined, and callers evaluate it, only
-        when this holds.
-        """
-        return abs(self.eps_erm - (self.eps_ig + self.eps_u)) <= PREMISE_TOLERANCE
 
 
 def r_fast(d: int, m: int, delta: float) -> float:

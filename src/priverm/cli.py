@@ -10,37 +10,28 @@ check of an argument or input file, or a size too large for memory), 3 a
 line).  A failed verification check exits 1, also one whose search the
 budget cut.  A key missing from an input file is named with its object,
 as in ``missing comparison config keys: m``.
+
+Each command imports only the modules it runs.  This module loads ``core``
+and ``vc``, which holds the ``--budget`` default and which four of the six
+commands run; ``bounds``, ``constructions``, ``erm``, ``simulate`` and
+``csv`` are imported inside the commands and suites that call them.  So ``vc`` loads no other
+priverm module, ``bounds`` adds ``bounds``, ``construct`` and ``verify`` add
+``constructions`` (lemma2 and theorem2 also ``bounds``), ``erm`` adds
+``erm`` once its inputs pass, and ``sim`` adds ``simulate``, which loads
+every module.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
 import sys
 from typing import get_type_hints
 
-from .bounds import (
-    BoundInputs,
-    alpha_threshold,
-    bound_erm,
-    bound_pr,
-    d_a_interval,
-    necessary_condition,
-    r_fast,
-    sufficient_condition,
-)
-from .constructions import (
-    construct_lemma1_tight,
-    construct_lemma2_witness,
-    construct_theorem1,
-    construct_theorem5_family,
-    full_class,
-    phi_prime_subclass,
-)
 from .core import (
+    BoundInputs,
     ExperimentConfig,
     InputError,
     check_erm_inputs,
@@ -90,6 +81,8 @@ def _emit(obj: dict, fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(json_text(obj))
     elif fmt == "csv":
+        import csv
+
         # a list or dict value is one quoted field
         keys = sorted(obj)
         rows = csv.writer(sys.stdout, lineterminator="\n")
@@ -135,6 +128,13 @@ def cmd_vc(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .constructions import (
+        construct_lemma1_tight,
+        construct_theorem1,
+        construct_theorem5_family,
+        full_class,
+    )
+
     if args.what == "theorem1":
         H, Phi = construct_theorem1(args.d)
         payload = {
@@ -186,6 +186,16 @@ def cmd_erm(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import (
+        alpha_threshold,
+        bound_erm,
+        bound_pr,
+        d_a_interval,
+        necessary_condition,
+        r_fast,
+        sufficient_condition,
+    )
+
     # the file's object, if any, with every given flag written over it
     raw = load_json(args.inputs) if args.inputs else {}
     fields = dataclasses.fields(BoundInputs)
@@ -254,6 +264,8 @@ def cmd_sim(args) -> int:
         return EXIT_OK
 
     # deviation experiment
+    from .constructions import construct_theorem5_family, phi_prime_subclass
+
     search = raw.get("search", "prime")
     if search not in ("prime", "full"):
         raise InputError(f'search must be "prime" or "full", got {search!r}')
@@ -299,6 +311,8 @@ def _prediction(d: int, rf) -> str:
 
 
 def _suite_theorem1(d: int, dstar: int) -> bool:
+    from .constructions import construct_theorem1
+
     H, Phi = construct_theorem1(d)
     rh, rp = vc_dimension(H), vc_dimension(Phi)
     F = build_f_class(H, Phi)
@@ -316,6 +330,8 @@ def _suite_theorem1(d: int, dstar: int) -> bool:
 
 
 def _suite_lemma1(d: int, dstar: int) -> bool:
+    from .constructions import construct_lemma1_tight
+
     H, J = construct_lemma1_tight(d, dstar)
     ru = vc_dimension(union_class(H, J))
     rh, rj = vc_dimension(H), vc_dimension(J)
@@ -330,6 +346,9 @@ def _suite_lemma1(d: int, dstar: int) -> bool:
 def _suite_lemma2(d: int, dstar: int) -> bool:
     """d_a within ``d_a_interval``, whose upper end is Theorem 2's bound, and the
     witness where that interval's lower end is nonzero (checked with no aux class)."""
+    from .bounds import d_a_interval
+    from .constructions import construct_lemma2_witness, construct_theorem1
+
     H, _ = construct_theorem1(d)
     _, Phi = construct_theorem1(dstar)
     lower, upper = d_a_interval(d, dstar)

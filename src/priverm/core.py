@@ -7,8 +7,9 @@ items are the ints 0 and 1 (so ``h.bits == (0, 1)`` is False: compare
 ordered set of such labelings.  Losses are pure functions on {0,1} values,
 so every quantity downstream (empirical risk, true error, VC dimension) is
 computed exactly.  The checks of a run's parameters (the cost C, a seed,
-m and trials, and a comparison's ``ExperimentConfig``) live here too, so
-they run before numpy is loaded.
+m and trials, a comparison's ``ExperimentConfig`` and the bounds'
+``BoundInputs``) live here too, so they run before numpy, or the module
+that uses them, is loaded.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 PROB_TOLERANCE = 1e-12
+PREMISE_TOLERANCE = 1e-9
 
 # ASCII base-2 digits to and from the byte values 0 and 1
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -687,3 +689,43 @@ class ExperimentConfig:
             "h_class": class_to_json(self.H),
             "phi_class": class_to_json(self.Phi),
         }
+
+
+@dataclass(frozen=True)
+class BoundInputs:
+    """Inputs shared by every bound and condition check in ``priverm.bounds``."""
+
+    m: int
+    delta: float
+    d: int
+    dstar: int
+    d_a: int
+    eps_erm: float = 0.0
+    eps_ig: float = 0.0
+    eps_u: float = 0.0
+
+    def __post_init__(self) -> None:
+        check_m(self.m)
+        check_delta(self.delta)
+        for name in ("d", "dstar", "d_a"):
+            v = getattr(self, name)
+            if v < 0:
+                raise InputError(f"{name} must be >= 0, got {v}")
+        for name in ("m", "d", "dstar", "d_a"):
+            try:
+                float(getattr(self, name))
+            except OverflowError:
+                raise InputError(f"{name} is too large for a float") from None
+        for name in ("eps_erm", "eps_ig", "eps_u"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise InputError(f"{name} must be in [0,1], got {v}")
+
+    @property
+    def premise_holds(self) -> bool:
+        """eps_erm = eps_ig + eps_u within PREMISE_TOLERANCE.
+
+        ``sufficient_condition`` is defined, and callers evaluate it, only
+        when this holds.
+        """
+        return abs(self.eps_erm - (self.eps_ig + self.eps_u)) <= PREMISE_TOLERANCE

@@ -38,10 +38,9 @@ those of aux: VC(F) = d_a, ``count_shattered`` gives equal counts, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from operator import or_
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import (
     DomainMismatchError,
@@ -56,8 +55,7 @@ from .core import (
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class VcReport:
+class VcReport(NamedTuple):
     """Outcome of a VC computation.
 
     ``exact`` is False only when the search stopped at the node budget;
@@ -66,8 +64,9 @@ class VcReport:
     the split attempts of the search, plus one per domain point for the
     columns, built or not.  Orbit drops move ``nodes``, and where a budgeted
     search stops, only on classes that carry symmetries; ``vc`` and
-    ``witness`` of an exact search never depend on them.  Two reports are
-    equal, and hash alike, iff these four fields are; the shattered-set
+    ``witness`` of an exact search never depend on them.  A named tuple:
+    two reports are equal, and hash alike, iff these four fields are, and a
+    report also equals the plain tuple of its fields; the shattered-set
     counts are not part of a report (see ``count_shattered``).
     """
 

@@ -5,7 +5,8 @@ subprocess test runs the ``priverm`` entry point as a real process: the
 installed console script when one is on PATH, otherwise the
 ``[project.scripts]`` target declared in the checkout's ``pyproject.toml``.
 Others run numpy-free commands, and erm and sim on bad inputs, in a fresh
-interpreter to check that numpy stays unloaded.
+interpreter to check that numpy stays unloaded, and each command in one to
+check that it loads only the priverm modules it runs.
 
 The input-fault contract is stated once, by
 ``test_every_node_of_every_input_fails_as_an_input_error``: every node of a
@@ -403,15 +404,12 @@ def test_bounds_inputs_file_must_hold_an_object(tmp_path, capsys):
     assert "JSON object" in err
 
 
-@pytest.mark.parametrize(
-    "extra, names",
-    [({"foo": 1}, "foo"), ({"foo": 1, "eps-erm": 0.1, "C": 2}, "C, eps-erm, foo")],
-)
-def test_bounds_inputs_file_rejects_unknown_keys(tmp_path, capsys, extra, names):
-    raw = {**BOUNDS_JSON, **extra}
+def test_bounds_inputs_file_rejects_unknown_keys(tmp_path, capsys):
+    # several unknown keys are named in sorted order; the harness adds one
+    raw = {**BOUNDS_JSON, "foo": 1, "eps-erm": 0.1, "C": 2}
     path = write_json(tmp_path, "inputs.json", raw)
     rc, out, err = run_cli(capsys, ["bounds", "--inputs", path])
-    assert (rc, out, err) == (2, "", f"input error: unknown bounds inputs: {names}\n")
+    assert (rc, out, err) == (2, "", "input error: unknown bounds inputs: C, eps-erm, foo\n")
 
 
 def test_bounds_missing_flags(capsys):
@@ -800,23 +798,6 @@ def erm_files(tmp_path, h_class=None, triple=None, phi=True) -> list:
         return ["erm", "--h-class", h, "--sample", s]
     p = write_json(tmp_path, "p.json", PHI1_JSON)
     return ["erm", "--h-class", h, "--phi-class", p, "--sample", s]
-
-
-@pytest.mark.parametrize(
-    "h_class, triple, field",
-    [
-        ({}, {"x": 1.5}, "x"),
-        ({}, {"xstar": 0.5}, "xstar"),
-        ({}, {"y": True}, "y"),
-        ({"domain_size": 3.5}, {}, "domain_size"),
-    ],
-    ids=["x", "xstar", "y", "domain_size"],
-)
-def test_erm_rejects_fractional_and_bool_integers(tmp_path, capsys, h_class, triple, field):
-    rc, out, err = run_cli(capsys, erm_files(tmp_path, h_class, triple))
-    assert rc == 2
-    assert out == ""
-    assert err.startswith(f"input error: {field} must be an integer")
 
 
 def test_erm_accepts_integral_floats(tmp_path, capsys):
@@ -1406,6 +1387,40 @@ def test_cli_commands_without_numpy_never_import_it(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# each command with its exit code and the priverm modules it loads besides the
+# package, cli, core and vc: only those whose code it runs
+COMMAND_MODULES = {
+    "vc": (lambda t: ["vc", write_json(t, "h.json", H1_JSON)], 0, set()),
+    "bounds": (lambda t: ["bounds", "--m", "99", "--delta", "0.05", "--d", "2",
+                          "--dstar", "1", "--d-a", "3"], 0, {"bounds"}),
+    **{f"construct-{what}": (lambda t, w=what: ["construct", "--what", w], 0, {"constructions"})
+       for what in parser_choices("construct", "what")},
+    **{f"verify-{suite}": (
+        lambda t, s=suite: ["verify", "--suite", s], 0,
+        {"constructions", "bounds"} if suite in ("lemma2", "theorem2") else {"constructions"})
+       for suite in SUITES},
+    # input faults found before any command module loads
+    "erm-bad-input": (lambda t: erm_files(t, triple={"x": 3}), 2, set()),
+    "sim-bad-input": (lambda t: ["sim", "--config", comparison_config_json(t, delta=1.5)], 2,
+                      set()),
+}
+
+
+@pytest.mark.parametrize("argv, rc, extra", COMMAND_MODULES.values(), ids=COMMAND_MODULES)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, rc, extra):
+    # each in a fresh interpreter, which reports its exit code and modules last
+    code = (
+        "import json, sys, priverm.cli\n"
+        "rc = priverm.cli.main(sys.argv[1:])\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'priverm')\n"
+        "sys.stderr.write(json.dumps([rc, loaded]))\n"
+    )
+    proc = run_fresh(code, *argv(tmp_path))
+    base = {"priverm", "priverm.cli", "priverm.core", "priverm.vc"}
+    want = [rc, sorted(base | {f"priverm.{m}" for m in extra})]
+    assert json.loads(proc.stderr.splitlines()[-1]) == want, proc.stderr
+
+
 def test_importing_simulate_leaves_numpy_random_as_numpy_left_it():
     # NumPy 2 loads numpy.random on first use, NumPy 1.24 with numpy itself
     code = (
@@ -1419,9 +1434,10 @@ def test_importing_simulate_leaves_numpy_random_as_numpy_left_it():
 
 
 def test_experiment_config_has_one_home_in_core():
-    from priverm import core, simulate
+    from priverm import bounds, core, simulate
 
     assert priverm.ExperimentConfig is core.ExperimentConfig is simulate.ExperimentConfig
+    assert priverm.BoundInputs is core.BoundInputs is bounds.BoundInputs
 
 
 def with_support_point(**change) -> dict:
@@ -1468,9 +1484,9 @@ def test_erm_and_sim_input_faults_exit_before_numpy_loads(tmp_path, argv, err):
 
 PACKAGE_EXPORTS = {
     "core": (
-        "ExperimentConfig FiniteDomain FiniteDistribution Hypothesis HypothesisClass "
-        "Triple TripleSample aux_loss composite_loss exact_true_error f_loss "
-        "ignoring_loss zero_one_loss"
+        "BoundInputs ExperimentConfig FiniteDomain FiniteDistribution Hypothesis "
+        "HypothesisClass Triple TripleSample aux_loss composite_loss exact_true_error "
+        "f_loss ignoring_loss zero_one_loss"
     ),
     "vc": (
         "VcReport build_aux_class build_f_class count_shattered is_shattered k_fold_union "
@@ -1482,8 +1498,8 @@ PACKAGE_EXPORTS = {
     ),
     "erm": "ErmResult PrivilegedErmResult erm_privileged erm_standard",
     "bounds": (
-        "BoundInputs alpha_threshold bound_erm bound_pr d_a_interval "
-        "necessary_condition r_fast r_slow sufficient_condition"
+        "alpha_threshold bound_erm bound_pr d_a_interval necessary_condition "
+        "r_fast r_slow sufficient_condition"
     ),
     "simulate": "TrialRecord persist_run run_comparison run_theorem5_experiment sample",
 }

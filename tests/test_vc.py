@@ -386,12 +386,14 @@ def test_vc_report_equality_and_witness_levels():
 
 
 def test_vc_report_is_its_four_fields():
-    assert [f.name for f in dataclasses.fields(VcReport)] == ["vc", "exact", "witness", "nodes"]
+    assert VcReport._fields == ("vc", "exact", "witness", "nodes")
     a = VcReport(vc=2, exact=True, witness=(0, 1), nodes=9)
     b = VcReport(vc=2, exact=True, witness=(0, 1), nodes=9)
     assert a == b and hash(a) == hash(b) == hash((2, True, (0, 1), 9))
+    assert a == (2, True, (0, 1), 9)
+    assert repr(a) == "VcReport(vc=2, exact=True, witness=(0, 1), nodes=9)"
     for change in ({"vc": 1}, {"exact": False}, {"witness": (0, 2)}, {"nodes": 10}):
-        assert a != dataclasses.replace(a, **change)
+        assert a != a._replace(**change)
 
 
 def test_count_shattered_sizes():
