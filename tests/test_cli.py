@@ -338,48 +338,6 @@ def test_bounds_flag_overrides_inputs_file(tmp_path, capsys):
     assert report["r_fast_d"] == r_fast(2, 200, 0.05)
 
 
-@pytest.mark.parametrize(
-    "change",
-    [{"m": 1.5}, {"d": True}, {"d_a": 2.5}, {"dstar": 1.25}, {"m": None}],
-)
-def test_bounds_inputs_file_rejects_non_integers(tmp_path, capsys, change):
-    raw = {**BOUNDS_JSON, **change}
-    path = write_json(tmp_path, "inputs.json", raw)
-    rc, out, err = run_cli(capsys, ["bounds", "--inputs", path])
-    assert rc == 2
-    assert out == "" and "input error" in err
-
-
-@pytest.mark.parametrize(
-    "change",
-    [{"dstar": "1"}, {"m": "99"}, {"d_a": "3"}, {"d": "2.0"},
-     {"dstar": "1", "eps_erm": True}, {"m": [99]}, {"d": None}, {"d_a": {}},
-     {"dstar": [1, 2]}],
-    ids=str,
-)
-def test_bounds_inputs_file_rejects_integers_given_as_non_numbers(tmp_path, capsys, change):
-    raw = {**BOUNDS_JSON, **change}
-    path = write_json(tmp_path, "inputs.json", raw)
-    rc, out, err = run_cli(capsys, ["bounds", "--inputs", path])
-    assert rc == 2
-    assert out == "" and "must be an integer" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize(
-    "change",
-    [{"eps_erm": True}, {"eps_ig": False}, {"eps_u": "0"}, {"delta": "0.05"},
-     {"delta": True}, {"eps_erm": "0.1"}, {"delta": [0.05]}, {"delta": None},
-     {"eps_u": {}}, {"eps_ig": None}],
-    ids=str,
-)
-def test_bounds_inputs_file_rejects_reals_given_as_non_numbers(tmp_path, capsys, change):
-    raw = {**BOUNDS_JSON, **change}
-    path = write_json(tmp_path, "inputs.json", raw)
-    rc, out, err = run_cli(capsys, ["bounds", "--inputs", path])
-    assert rc == 2
-    assert out == "" and "must be a number" in err and "Traceback" not in err
-
-
 @pytest.mark.parametrize("field", ["m", "d", "dstar", "d_a"])
 def test_bounds_inputs_file_names_an_integer_too_large_for_a_float(tmp_path, capsys, field):
     raw = {**BOUNDS_JSON, field: 10**400}
@@ -472,9 +430,8 @@ def test_sim_comparison_rejects_delta_outside_unit_interval(tmp_path, capsys, de
     path = comparison_config_json(tmp_path, delta=float(delta))
     out_dir = tmp_path / "run"
     rc, out, err = run_cli(capsys, ["--output-dir", str(out_dir), "sim", "--config", path])
-    assert rc == 2
-    assert out == ""
-    assert err.startswith("input error: delta must be in (0, 1)")
+    assert (rc, out) == (2, "")
+    assert err == f"input error: delta must be in (0, 1), got {float(delta)}\n"
     assert not out_dir.exists()
 
 
@@ -513,22 +470,6 @@ def test_sim_comparison_persists_run(tmp_path, capsys):
         assert (out_dir / name).exists()
 
 
-@pytest.mark.parametrize("value", [5, ["run"], False])
-def test_sim_comparison_rejects_a_non_string_output_dir_before_any_trial(
-    tmp_path, capsys, monkeypatch, value
-):
-    from priverm import simulate
-
-    def never(config):
-        raise AssertionError("run_comparison ran")
-
-    # --output-dir is the one spelling; the config key is unknown whatever its value
-    monkeypatch.setattr(simulate, "run_comparison", never)
-    path = comparison_config_json(tmp_path, output_dir=value)
-    rc, out, err = run_cli(capsys, ["sim", "--config", path])
-    assert (rc, out, err) == (2, "", "input error: unknown comparison config keys: output_dir\n")
-
-
 @pytest.mark.parametrize(
     "kind, config, err",
     [
@@ -561,26 +502,6 @@ def test_sim_config_keys_are_checked_before_any_class_or_trial(
     assert (rc, out, got) == (2, "", f"input error: {err}\n")
 
 
-@pytest.mark.parametrize(
-    "kind, config, err",
-    [
-        ("comparison", {"distribution": {"support": [{**SUPPORT_JSON[0], "q": 1}, *SUPPORT_JSON[1:]]}},
-         "unknown support point keys: q"),
-        ("comparison", {"distribution": {"support": SUPPORT_JSON, "extra": 1}},
-         "unknown distribution keys: extra"),
-        ("comparison", {"h_class": {**H1_JSON, "label": "Z"}}, "unknown class keys: label"),
-        ("comparison", {"phi_class": {**PHI1_JSON, "oops": 0}}, "unknown class keys: oops"),
-        ("deviation", {"phi_class": {**class_to_json(full_class(4)), "oops": 0}},
-         "unknown class keys: oops"),
-    ],
-    ids=["support-point", "distribution", "h_class", "phi_class", "deviation-phi_class"],
-)
-def test_sim_rejects_unknown_nested_keys(tmp_path, capsys, kind, config, err):
-    path = sim_config_json(tmp_path, kind, **config)
-    rc, out, got = run_cli(capsys, ["sim", "--kind", kind, "--config", path])
-    assert (rc, out, got) == (2, "", f"input error: {err}\n")
-
-
 def test_vc_rejects_unknown_class_keys(tmp_path, capsys):
     path = write_json(tmp_path, "h.json", {**H1_JSON, "oops": 0, "label": "X"})
     rc, out, err = run_cli(capsys, ["vc", path])
@@ -588,13 +509,10 @@ def test_vc_rejects_unknown_class_keys(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "member",
-    [{"0": 5, "1": 7}, 5, None, True, [0, 1], ["01"], [["0"], "1"], ["0", None]],
-    ids=["object", "number", "null", "bool", "list-of-numbers", "list-of-a-long-string",
-         "list-of-a-list", "list-with-null"],
+    "member", [["01"], ["0", None]], ids=["list-of-a-long-string", "list-with-null"]
 )
 def test_class_members_must_be_bit_strings(tmp_path, capsys, member):
-    # a member is read neither as the string of its keys nor by iterating it
+    # a list member holds one-bit strings only; the harness pins members that are not lists
     path = write_json(tmp_path, "h.json", {"domain_size": 2, "hypotheses": ["01", member]})
     rc, out, err = run_cli(capsys, ["vc", path])
     assert (rc, out) == (2, "")
@@ -642,7 +560,20 @@ def test_sim_comparison_support_outside_a_domain_is_input_error(
     assert err == f"input error: support {field} index {value} outside domain of size 3\n"
 
 
-def assert_usage_error(capsys, argv, error):
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        # priverm has no --mode: a lower bound comes only from a search cut by --budget
+        (["vc", "h.json", "--mode", "lower-bound-only"],
+         "unrecognized arguments: --mode lower-bound-only"),
+        (["sim", "--config", "c.json", "--mode", "lower-bound-only"],
+         "unrecognized arguments: --mode lower-bound-only"),
+        # nor --threads: its value is read where the subcommand belongs, whatever follows
+        (["--threads", "2", "vc", "h.json"], "argument command: invalid choice: '2'"),
+    ],
+    ids=["vc-mode", "sim-mode", "threads"],
+)
+def test_retired_flags_are_usage_errors(capsys, argv, error):
     # argparse rejects argv before any command runs, so no file named in it is read
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -650,30 +581,6 @@ def assert_usage_error(capsys, argv, error):
     assert (exc.value.code, captured.out) == (2, "")
     assert captured.err.startswith("usage: priverm")
     assert error in captured.err and "Traceback" not in captured.err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [["vc", "h.json"], ["construct", "--what", "theorem1"], ["verify", "--suite", "claims"],
-     ["erm", "--h-class", "h.json", "--sample", "s.json"], ["sim", "--config", "c.json"],
-     ["bounds", "--m", "99", "--delta", "0.05", "--d", "2", "--dstar", "1", "--d-a", "3"]],
-    ids=lambda argv: argv[0],
-)
-@pytest.mark.parametrize("threads", ["0", "-3", "2"])
-def test_every_command_rejects_a_bad_thread_count(capsys, argv, threads):
-    # priverm has no --threads flag: it is read where the subcommand belongs
-    assert_usage_error(capsys, ["--threads", threads, *argv], "argument command: invalid choice")
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [["vc", "h.json", "--mode", "lower-bound-only"],
-     ["sim", "--config", "c.json", "--mode", "lower-bound-only"]],
-    ids=["vc-mode", "sim-mode"],
-)
-def test_retired_flags_are_usage_errors(capsys, argv):
-    # priverm has no --mode: a lower bound comes only from a search cut by --budget
-    assert_usage_error(capsys, argv, "unrecognized arguments: --mode lower-bound-only")
 
 
 def test_sim_deviation(tmp_path, capsys):
@@ -780,9 +687,8 @@ def test_sim_comparison_rejects_nonpositive_or_nonfinite_c(tmp_path, capsys, c):
     path = comparison_config_json(tmp_path, c=float(c))
     out_dir = tmp_path / "run"
     rc, out, err = run_cli(capsys, ["--output-dir", str(out_dir), "sim", "--config", path])
-    assert rc == 2
-    assert out == ""
-    assert err.startswith("input error: c must be positive and finite")
+    assert (rc, out) == (2, "")
+    assert err == f"input error: c must be positive and finite, got {float(c)}\n"
     assert not out_dir.exists()
 
 
@@ -809,59 +715,12 @@ def test_erm_accepts_integral_floats(tmp_path, capsys):
     assert out == want
 
 
-@pytest.mark.parametrize(
-    "kind, field, value",
-    [
-        ("comparison", "m", 20.5),
-        ("comparison", "trials", 8.5),
-        ("comparison", "seed", 3.5),
-        ("comparison", "trials", True),
-        ("deviation", "m", 30.5),
-        ("deviation", "seed", False),
-    ],
-)
-def test_sim_rejects_fractional_and_bool_integers(tmp_path, capsys, kind, field, value):
-    path = sim_config_json(tmp_path, kind, **{field: value})
-    rc, out, err = run_cli(capsys, ["sim", "--kind", kind, "--config", path])
-    assert rc == 2
-    assert out == ""
-    assert err.startswith(f"input error: {field} must be an integer")
-
-
 def test_sim_accepts_integral_floats(tmp_path, capsys):
     _, want, _ = run_cli(capsys, ["sim", "--config", comparison_config_json(tmp_path)])
     path = comparison_config_json(tmp_path, m=20.0, trials=8.0, seed=3.0)
     rc, out, _ = run_cli(capsys, ["sim", "--config", path])
     assert rc == 0
     assert out == want
-
-
-@pytest.mark.parametrize(
-    "kind, field, value",
-    [
-        ("comparison", "delta", "0.05"),
-        ("comparison", "delta", True),
-        ("comparison", "c", True),
-        ("comparison", "c", "1"),
-        ("comparison", "c", None),
-        ("deviation", "eps", "0.1"),
-        ("deviation", "eps", False),
-        ("deviation", "delta", "0.01"),
-        ("deviation", "delta", [0.01]),
-        ("comparison", "p", "0.4"),
-        ("comparison", "p", True),
-    ],
-    ids=str,
-)
-def test_sim_rejects_reals_given_as_non_numbers(tmp_path, capsys, kind, field, value):
-    extra = {field: value}
-    if field == "p":  # the probability of the first support point
-        extra = {"distribution": {"support": [{**SUPPORT_JSON[0], "p": value}, *SUPPORT_JSON[1:]]}}
-    path = sim_config_json(tmp_path, kind, **extra)
-    rc, out, err = run_cli(capsys, ["sim", "--kind", kind, "--config", path])
-    assert rc == 2
-    assert out == ""
-    assert err.startswith(f"input error: {field} must be a number")
 
 
 @pytest.mark.parametrize(
@@ -884,13 +743,6 @@ def test_sim_deviation_rejects_heavy_side_that_is_not_bits(tmp_path, capsys, hea
     assert rc == 2
     assert out == ""
     assert err.startswith("input error: heavy_side bit")
-
-
-@pytest.mark.parametrize("heavy", [5, 1.5, "01", {"0": 1}, True], ids=repr)
-def test_sim_deviation_heavy_side_must_be_a_json_array(tmp_path, capsys, heavy):
-    path = sim_config_json(tmp_path, "deviation", heavy_side=heavy)
-    rc, out, err = run_cli(capsys, ["sim", "--kind", "deviation", "--config", path])
-    assert (rc, out, err) == (2, "", "input error: heavy_side must be a JSON array\n")
 
 
 def test_sim_deviation_null_heavy_side_is_the_default(tmp_path, capsys):
