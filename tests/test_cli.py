@@ -560,20 +560,7 @@ def test_sim_comparison_support_outside_a_domain_is_input_error(
     assert err == f"input error: support {field} index {value} outside domain of size 3\n"
 
 
-@pytest.mark.parametrize(
-    "argv, error",
-    [
-        # priverm has no --mode: a lower bound comes only from a search cut by --budget
-        (["vc", "h.json", "--mode", "lower-bound-only"],
-         "unrecognized arguments: --mode lower-bound-only"),
-        (["sim", "--config", "c.json", "--mode", "lower-bound-only"],
-         "unrecognized arguments: --mode lower-bound-only"),
-        # nor --threads: its value is read where the subcommand belongs, whatever follows
-        (["--threads", "2", "vc", "h.json"], "argument command: invalid choice: '2'"),
-    ],
-    ids=["vc-mode", "sim-mode", "threads"],
-)
-def test_retired_flags_are_usage_errors(capsys, argv, error):
+def assert_usage_error(capsys, argv, error):
     # argparse rejects argv before any command runs, so no file named in it is read
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -581,6 +568,30 @@ def test_retired_flags_are_usage_errors(capsys, argv, error):
     assert (exc.value.code, captured.out) == (2, "")
     assert captured.err.startswith("usage: priverm")
     assert error in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["vc", "h.json"], ["construct", "--what", "theorem1"], ["verify", "--suite", "claims"],
+     ["erm", "--h-class", "h.json", "--sample", "s.json"], ["sim", "--config", "c.json"],
+     ["bounds", "--m", "99", "--delta", "0.05", "--d", "2", "--dstar", "1", "--d-a", "3"]],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("threads", ["0", "-3", "2"])
+def test_every_command_rejects_a_bad_thread_count(capsys, argv, threads):
+    # priverm has no --threads flag: it is read where the subcommand belongs
+    assert_usage_error(capsys, ["--threads", threads, *argv], "argument command: invalid choice")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["vc", "h.json", "--mode", "lower-bound-only"],
+     ["sim", "--config", "c.json", "--mode", "lower-bound-only"]],
+    ids=["vc-mode", "sim-mode"],
+)
+def test_retired_flags_are_usage_errors(capsys, argv):
+    # priverm has no --mode: a lower bound comes only from a search cut by --budget
+    assert_usage_error(capsys, argv, "unrecognized arguments: --mode lower-bound-only")
 
 
 def test_sim_deviation(tmp_path, capsys):
