@@ -12,7 +12,7 @@ lineage behind them is natural-log, so every rate uses ``math.log``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 # BoundInputs and its PREMISE_TOLERANCE live in core, so the CLI's parser reads
 # the fields without loading this module; both still resolve here
@@ -70,8 +70,7 @@ def d_a_interval(d: int, dstar: int) -> tuple[float, float]:
     return float(lower), AUX_UPPER_FACTOR * (d + dstar + 1)
 
 
-@dataclass(frozen=True)
-class SufficiencyReport:
+class SufficiencyReport(NamedTuple):
     """Exact test of the condition guaranteeing bound_pr <= bound_erm."""
 
     holds: bool
@@ -83,7 +82,7 @@ class SufficiencyReport:
         return self.rhs - self.lhs
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def sufficient_condition(inputs: BoundInputs) -> SufficiencyReport:
@@ -110,8 +109,7 @@ def sufficient_condition(inputs: BoundInputs) -> SufficiencyReport:
     return SufficiencyReport(holds=lhs <= rhs, lhs=lhs, rhs=rhs)
 
 
-@dataclass(frozen=True)
-class NecessityReport:
+class NecessityReport(NamedTuple):
     """What bound_pr <= bound_erm forces on the empirical quantities.
 
     ``lemma5_*`` is the exact consequence inequality
@@ -132,7 +130,7 @@ class NecessityReport:
     alpha_root: float
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def necessary_condition(inputs: BoundInputs) -> NecessityReport:

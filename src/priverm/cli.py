@@ -4,12 +4,14 @@
 claims and theorem2 run theorem1 and lemma2, whose checks state them.
 
 Exit codes: 0 success, 2 bad input (``core.InputError``, raised by every
-check of an argument or input file, or a size too large for memory), 3 a
-``vc`` search cut by its node budget, 4 I/O failure, 5 an internal error
-(any other exception, printed as one ``internal error: <type>: <message>``
-line).  A failed verification check exits 1, also one whose search the
-budget cut.  A key missing from an input file is named with its object,
-as in ``missing comparison config keys: m``.
+check of an argument or input file, or a size too large for memory) or a
+usage error, 3 a ``vc`` search cut by its node budget, 4 I/O failure, 5 an
+internal error (any other exception, printed as one ``internal error:
+<type>: <message>`` line).  A failed verification check exits 1, also one
+whose search the budget cut.  A key missing from an input file is named
+with its object, as in ``missing comparison config keys: m``, and a
+misspelt global flag with the value after it, as in ``unrecognized
+arguments: --sead 3``.
 
 Each command imports only the modules it runs.  This module loads ``core``
 and ``vc``, which holds the ``--budget`` default and which four of the six
@@ -18,17 +20,17 @@ commands run; ``bounds``, ``constructions``, ``erm``, ``simulate`` and
 priverm module, ``bounds`` adds ``bounds``, ``construct`` and ``verify`` add
 ``constructions`` (lemma2 and theorem2 also ``bounds``), ``erm`` adds
 ``erm`` once its inputs pass, and ``sim`` adds ``simulate``, which loads
-every module.
+every module.  No command that runs without numpy loads the dataclass
+module or ``inspect``: the ``bounds`` flags, and the keys of its input
+file, come from ``BoundInputs.TYPES``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
-from typing import get_type_hints
 
 from .core import (
     BoundInputs,
@@ -198,17 +200,16 @@ def cmd_bounds(args) -> int:
 
     # the file's object, if any, with every given flag written over it
     raw = load_json(args.inputs) if args.inputs else {}
-    fields = dataclasses.fields(BoundInputs)
-    flags = {f.name: getattr(args, f.name) for f in fields if getattr(args, f.name) is not None}
+    types = BoundInputs.TYPES
+    flags = {k: getattr(args, k) for k in types if getattr(args, k) is not None}
     # a field without a default is missing when neither the file nor a flag gives it
-    optional = {f.name for f in fields if f.default is not dataclasses.MISSING} | flags.keys()
-    check_keys(raw, {f.name for f in fields}, "bounds inputs", optional, "bounds inputs")
+    optional = set(BoundInputs._fields[-len(BoundInputs.__init__.__defaults__):]) | flags.keys()
+    check_keys(raw, types.keys(), "bounds inputs", optional, "bounds inputs")
     raw.update(flags)
-    types = get_type_hints(BoundInputs)
-    for f in fields:
-        if f.name in raw:
-            read = strict_int if types[f.name] is int else strict_real
-            raw[f.name] = read(raw[f.name], f.name)
+    for k, kind in types.items():
+        if k in raw:
+            read = strict_int if kind is int else strict_real
+            raw[k] = read(raw[k], k)
     inputs = BoundInputs(**raw)
     nec = necessary_condition(inputs) if inputs.d > 0 else None
     report = {
@@ -391,17 +392,48 @@ def cmd_verify(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """The top-level parser; ``flags`` parses its global flags alone.
+
+    argparse sets an unknown flag aside and reads the value after it as the
+    command, so ``--sead 3 vc h.json`` would fail as ``invalid choice:
+    '3'``.  That error names the flag and the value instead, as
+    ``unrecognized arguments: --sead 3``, the line a flag argparse knows no
+    value for gets after a subcommand.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.argv = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(self.argv, namespace)
+
+    def error(self, message):
+        if message.startswith("argument command: invalid choice: "):
+            try:
+                # what the global flags leave, in order: here an unknown flag, then the value
+                rest = self.flags.parse_known_args(self.argv)[1]
+            except argparse.ArgumentError:
+                rest = []
+            if len(rest) > 1 and rest[0].startswith("-") and message.startswith(
+                f"argument command: invalid choice: {rest[1]!r} "
+            ):
+                message = f"unrecognized arguments: {rest[0]} {rest[1]}"
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    flags = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    flags.add_argument("--seed", type=int, default=None, help="master seed")
+    flags.add_argument("--format", choices=("json", "csv", "table"), default="json")
+    flags.add_argument("--output-dir", default=None)
+    parser = _Parser(
         prog="priverm",
         description="finite-class workbench for privileged risk minimization",
+        parents=[flags],
     )
-    parser.add_argument("--seed", type=int, default=None, help="master seed")
-    parser.add_argument(
-        "--format", choices=("json", "csv", "table"), default="json"
+    parser.flags = flags
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=argparse.ArgumentParser
     )
-    parser.add_argument("--output-dir", default=None)
-    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("vc", help="exact VC dimension of a class file")
     p.add_argument("class_file")
@@ -425,9 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="evaluate bounds and conditions")
     p.add_argument("--inputs", default=None, help="BoundInputs JSON file")
     # one flag per BoundInputs field, e.g. --d-a for d_a; cmd_bounds reads them
-    types = get_type_hints(BoundInputs)
-    for f in dataclasses.fields(BoundInputs):
-        p.add_argument("--" + f.name.replace("_", "-"), type=types[f.name], default=None)
+    for k, kind in BoundInputs.TYPES.items():
+        p.add_argument("--" + k.replace("_", "-"), type=kind, default=None)
 
     p = sub.add_parser("sim", help="seeded Monte Carlo experiments")
     p.add_argument("--config", required=True)

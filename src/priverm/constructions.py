@@ -11,9 +11,8 @@ acceptance tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, product
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     FiniteDistribution,
@@ -140,8 +139,7 @@ def _mass_gap(eps: float, delta: float) -> float:
     return 8.0 * eps / (1.0 - 8.0 * delta)
 
 
-@dataclass(frozen=True)
-class Theorem5Family:
+class Theorem5Family(NamedTuple):
     """Paired-mass distribution family over a shattered set of Phi.
 
     The shattered set is split into pairs (a_i, b_i); within each pair one

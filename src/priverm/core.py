@@ -10,6 +10,12 @@ computed exactly.  The checks of a run's parameters (the cost C, a seed,
 m and trials, a comparison's ``ExperimentConfig`` and the bounds'
 ``BoundInputs``) live here too, so they run before numpy, or the module
 that uses them, is loaded.
+
+The value types here are plain slotted classes on one frozen mix-in,
+``_Frozen``, and each lists its fields once, in ``_fields``; the package's
+unchecked result records are named tuples.  So importing this module, and
+running any numpy-free command, loads neither the dataclass module nor
+``inspect``, and builds no dataclass.
 """
 
 from __future__ import annotations
@@ -18,9 +24,8 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -52,16 +57,64 @@ class InvalidDistributionError(InputError):
     """A probability table failed validation."""
 
 
-@dataclass(frozen=True)
-class FiniteDomain:
+# sets a field of a frozen value, past its __setattr__; only __init__ and the
+# unchecked constructors call it
+_set = object.__setattr__
+
+
+class _Frozen:
+    """A frozen value whose fields are its class's ``_fields``.
+
+    ``__init__`` checks its arguments and sets each field once, through
+    ``_set``; assigning or deleting an attribute afterwards raises
+    ``AttributeError``.  Two values are equal when they are of one type and
+    their fields are equal, and the hash is that of the fields; ``repr``
+    reads ``Name(field=value, ...)``.  Any other slot (``symmetries``, a
+    ``__dict__`` of cached reads) takes no part in either.  A copy or an
+    unpickled value is built again through ``__init__``, so it passes the
+    same checks.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        # every field in one C call, for equality and hashing
+        cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # __init__ takes the slots in their order, cached reads aside
+        return type(self), tuple([getattr(self, n) for n in self.__slots__ if n != "__dict__"])
+
+
+class FiniteDomain(_Frozen):
     """An indexed finite set of points, 0..size-1."""
 
-    size: int
-    label: str = "X"
+    __slots__ = _fields = ("size", "label")
 
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise InputError(f"domain_size must be >= 1, got {self.size}")
+    def __init__(self, size: int, label: str = "X") -> None:
+        if size < 1:
+            raise InputError(f"domain_size must be >= 1, got {size}")
+        _set(self, "size", size)
+        _set(self, "label", label)
 
 
 def product_domain(n_x: int, n_xstar: int) -> FiniteDomain:
@@ -84,8 +137,7 @@ def product_legend(n_x: int, n_xstar: int) -> list[str]:
     return [f"(x={x},x*={xs},y={y})" for x, xs, y in product_points(n_x, n_xstar)]
 
 
-@dataclass(frozen=True, slots=True)
-class Hypothesis:
+class Hypothesis(_Frozen):
     """A total binary labeling of a finite domain.
 
     ``bits[i]`` is the label of point ``i``.  The labels are stored as one
@@ -99,17 +151,17 @@ class Hypothesis:
     ``k_fold_union``, which ORs members.
     """
 
-    domain: FiniteDomain
-    bits: bytes
+    __slots__ = _fields = ("domain", "bits")
 
-    def __post_init__(self) -> None:
-        _check_length(self.bits, self.domain)
+    def __init__(self, domain: FiniteDomain, bits: Sequence[int]) -> None:
+        _check_length(bits, domain)
         try:
-            raw = bytes(map(_BIT.__getitem__, self.bits))
+            raw = bytes(map(_BIT.__getitem__, bits))
         except (KeyError, TypeError):
             # a value not equal to 0 or 1, or one that cannot be hashed
             raise InputError("bits must all be 0 or 1") from None
-        object.__setattr__(self, "bits", raw)
+        _set(self, "domain", domain)
+        _set(self, "bits", raw)
 
     @property
     def mask(self) -> int:
@@ -147,8 +199,8 @@ class Hypothesis:
     def _from_bytes(cls, domain: FiniteDomain, bits: bytes) -> "Hypothesis":
         """A hypothesis on ``bits``, one byte 0 or 1 per point: nothing is checked."""
         h = object.__new__(cls)
-        object.__setattr__(h, "domain", domain)
-        object.__setattr__(h, "bits", bits)
+        _set(h, "domain", domain)
+        _set(h, "bits", bits)
         return h
 
 
@@ -157,8 +209,8 @@ def _check_length(bits, domain: FiniteDomain) -> None:
         raise InputError(f"bit pattern length {len(bits)} != domain size {domain.size}")
 
 
-@dataclass(frozen=True)
-class HypothesisClass:
+
+class HypothesisClass(_Frozen):
     """A deduplicated finite set of hypotheses over one shared domain.
 
     Members are kept in canonical order (lexicographic by ``bits``, i.e.
@@ -172,36 +224,39 @@ class HypothesisClass:
     read).  Only the named constructions set them: the triplet products of
     ``construct_theorem1`` and the loss classes that ``build_f_class`` and
     ``build_aux_class`` lift from those.  Every other class, including one
-    read from JSON, carries none.  The field takes no part in equality,
+    read from JSON, carries none.  The slot takes no part in equality,
     hashing, ``repr`` or ``class_to_json``.
 
-    ``columns`` and ``orbits`` are computed on first read and kept with the
-    class, which is frozen; like the field above, they take no part in
-    equality, hashing or ``repr``.
+    ``columns`` and ``orbits`` are computed on first read and kept in the
+    class's ``__dict__``, as the class is frozen; like ``symmetries``, they
+    take no part in equality, hashing or ``repr``.
     """
 
-    domain: FiniteDomain
-    members: tuple[Hypothesis, ...]
-    symmetries: tuple[tuple[int, ...], ...] = field(
-        default=(), compare=False, repr=False
-    )
+    _fields = ("domain", "members")
+    __slots__ = _fields + ("symmetries", "__dict__")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, domain: FiniteDomain, members: tuple[Hypothesis, ...],
+        symmetries: tuple[tuple[int, ...], ...] = (),
+    ) -> None:
+        _set(self, "domain", domain)
+        _set(self, "members", members)
+        _set(self, "symmetries", symmetries)
         # one pass accepts a valid class: each member on the class domain,
         # with bits strictly after the previous member's (sorted, no repeats)
-        dom, prev = self.domain, b""
-        for h in self.members:
-            if h.domain != dom or h.bits <= prev:
+        prev = b""
+        for h in members:
+            if h.domain is not domain and h.domain != domain or h.bits <= prev:
                 break
             prev = h.bits
         else:
             return
         # on a fault, a foreign member is named before a repeat and a repeat
         # before misorder, wherever in the members each one sits
-        for h in self.members:
-            if h.domain != dom:
+        for h in members:
+            if h.domain != domain:
                 raise DomainMismatchError("all members must share the class domain")
-        if len({h.bits for h in self.members}) != len(self.members):
+        if len({h.bits for h in members}) != len(members):
             raise InputError("members must be deduplicated")
         raise InputError("members must be in canonical (lexicographic) order")
 
@@ -287,20 +342,20 @@ class HypothesisClass:
         return tuple([tuple(groups[r]) if len(groups[r]) > 1 else () for r in roots])
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(_Frozen):
     """One training example: (x index, x* index, label)."""
 
-    x: int
-    xstar: int
-    y: int
+    __slots__ = _fields = ("x", "xstar", "y")
 
-    def __post_init__(self) -> None:
-        for name in ("x", "xstar"):
-            if getattr(self, name) < 0:
-                raise InputError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.y not in (0, 1):
-            raise InputError(f"y must be 0 or 1, got {self.y}")
+    def __init__(self, x: int, xstar: int, y: int) -> None:
+        for name, v in (("x", x), ("xstar", xstar)):
+            if v < 0:
+                raise InputError(f"{name} must be >= 0, got {v}")
+        if y not in (0, 1):
+            raise InputError(f"y must be 0 or 1, got {y}")
+        _set(self, "x", x)
+        _set(self, "xstar", xstar)
+        _set(self, "y", y)
 
 
 def check_domain(
@@ -317,11 +372,17 @@ def check_domain(
         )
 
 
-@dataclass(frozen=True)
-class TripleSample:
-    """An ordered sequence of training triples."""
+class TripleSample(_Frozen):
+    """An ordered sequence of training triples; nothing is checked.
 
-    triples: tuple[Triple, ...]
+    It iterates over its triples, so it is no named tuple, whose own
+    methods read its fields by iterating.
+    """
+
+    __slots__ = _fields = ("triples",)
+
+    def __init__(self, triples: tuple[Triple, ...]) -> None:
+        _set(self, "triples", triples)
 
     @property
     def m(self) -> int:
@@ -334,30 +395,32 @@ class TripleSample:
         return iter(self.triples)
 
 
-@dataclass(frozen=True)
-class FiniteDistribution:
+class FiniteDistribution(_Frozen):
     """A probability table over (x, x*, y) triples.
 
     Probabilities must sum to 1 within ``PROB_TOLERANCE``, summed with
     ``math.fsum``, and support triples must be distinct.  Expectations over the support are therefore exact up
     to float summation, with summation order fixed by the support order.
+    ``cumulative`` is computed on first read and kept in the ``__dict__``.
     """
 
-    support: tuple[tuple[Triple, float], ...]
+    _fields = ("support",)
+    __slots__ = _fields + ("__dict__",)
 
-    def __post_init__(self) -> None:
-        triples = [t for t, _ in self.support]
+    def __init__(self, support: tuple[tuple[Triple, float], ...]) -> None:
+        triples = [t for t, _ in support]
         if len(set(triples)) != len(triples):
             raise InvalidDistributionError("duplicate triples in support")
-        for t, p in self.support:
+        for t, p in support:
             if not 0.0 <= p <= 1.0:
                 raise InvalidDistributionError(f"p must be in [0, 1], got {p} for {t}")
         # correctly rounded, so the verdict does not depend on the Python version
-        total = math.fsum(p for _, p in self.support)
+        total = math.fsum(p for _, p in support)
         if abs(total - 1.0) > PROB_TOLERANCE:
             raise InvalidDistributionError(
                 f"support probabilities sum to {total!r}, not 1 within {PROB_TOLERANCE}"
             )
+        _set(self, "support", support)
 
     @cached_property
     def cumulative(self) -> tuple[float, ...]:
@@ -650,8 +713,7 @@ def check_sizes(m: int, trials: int) -> None:
         raise InputError(f"trials must be >= 1, got {trials}")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Frozen):
     """Everything a comparison run depends on; the unit of reproducibility.
 
     Every input is checked here, once, so a run never starts on a value
@@ -660,23 +722,21 @@ class ExperimentConfig:
     every support point's x and xstar lie in the domains of H and Phi.
     """
 
-    distribution: FiniteDistribution
-    H: HypothesisClass
-    Phi: HypothesisClass
-    m: int
-    trials: int
-    delta: float
-    seed: int
-    C: float = 1.0
+    __slots__ = _fields = ("distribution", "H", "Phi", "m", "trials", "delta", "seed", "C")
 
-    def __post_init__(self) -> None:
-        check_sizes(self.m, self.trials)
-        check_delta(self.delta)
-        check_cost(self.C)
-        check_seed(self.seed)
-        points = [t for t, _ in self.distribution.support]
-        check_domain(points, "x", self.H, "support")
-        check_domain(points, "xstar", self.Phi, "support")
+    def __init__(
+        self, distribution: FiniteDistribution, H: HypothesisClass, Phi: HypothesisClass,
+        m: int, trials: int, delta: float, seed: int, C: float = 1.0,
+    ) -> None:
+        check_sizes(m, trials)
+        check_delta(delta)
+        check_cost(C)
+        check_seed(seed)
+        points = [t for t, _ in distribution.support]
+        check_domain(points, "x", H, "support")
+        check_domain(points, "xstar", Phi, "support")
+        for name, value in zip(self._fields, (distribution, H, Phi, m, trials, delta, seed, C)):
+            _set(self, name, value)
 
     def to_json(self) -> dict:
         return {
@@ -691,35 +751,44 @@ class ExperimentConfig:
         }
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Inputs shared by every bound and condition check in ``priverm.bounds``."""
+class BoundInputs(_Frozen):
+    """Inputs shared by every bound and condition check in ``priverm.bounds``.
 
-    m: int
-    delta: float
-    d: int
-    dstar: int
-    d_a: int
-    eps_erm: float = 0.0
-    eps_ig: float = 0.0
-    eps_u: float = 0.0
+    ``TYPES`` gives each field, in ``__init__``'s order, with the type of
+    its values; the CLI reads its ``bounds`` flags and input-file keys from
+    it, and the fields that ``__init__`` gives a default are optional there.
+    """
 
-    def __post_init__(self) -> None:
-        check_m(self.m)
-        check_delta(self.delta)
-        for name in ("d", "dstar", "d_a"):
-            v = getattr(self, name)
+    TYPES = {"m": int, "delta": float, "d": int, "dstar": int, "d_a": int,
+             "eps_erm": float, "eps_ig": float, "eps_u": float}
+    __slots__ = _fields = tuple(TYPES)
+
+    def __init__(
+        self, m: int, delta: float, d: int, dstar: int, d_a: int,
+        eps_erm: float = 0.0, eps_ig: float = 0.0, eps_u: float = 0.0,
+    ) -> None:
+        check_m(m)
+        check_delta(delta)
+        for name, v in (("d", d), ("dstar", dstar), ("d_a", d_a)):
             if v < 0:
                 raise InputError(f"{name} must be >= 0, got {v}")
-        for name in ("m", "d", "dstar", "d_a"):
+        for name, v in (("m", m), ("d", d), ("dstar", dstar), ("d_a", d_a)):
             try:
-                float(getattr(self, name))
+                float(v)
             except OverflowError:
                 raise InputError(f"{name} is too large for a float") from None
-        for name in ("eps_erm", "eps_ig", "eps_u"):
-            v = getattr(self, name)
+        for name, v in (("eps_erm", eps_erm), ("eps_ig", eps_ig), ("eps_u", eps_u)):
             if not 0.0 <= v <= 1.0:
                 raise InputError(f"{name} must be in [0,1], got {v}")
+        # one call a field, no loop: run_comparison builds one per distinct outcome
+        _set(self, "m", m)
+        _set(self, "delta", delta)
+        _set(self, "d", d)
+        _set(self, "dstar", dstar)
+        _set(self, "d_a", d_a)
+        _set(self, "eps_erm", eps_erm)
+        _set(self, "eps_ig", eps_ig)
+        _set(self, "eps_u", eps_u)
 
     @property
     def premise_holds(self) -> bool:

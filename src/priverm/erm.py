@@ -15,7 +15,6 @@ output is a deterministic function of the canonical class orders.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -37,8 +36,7 @@ BLOCK_CELLS = 1 << 14
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-@dataclass(frozen=True)
-class ErmResult:
+class ErmResult(NamedTuple):
     """Minimizer of empirical zero-one error."""
 
     h: Hypothesis
@@ -54,8 +52,7 @@ class ErmResult:
         }
 
 
-@dataclass(frozen=True)
-class PrivilegedErmResult:
+class PrivilegedErmResult(NamedTuple):
     """Minimizing pair of the composite objective.
 
     ``objective`` is the mean composite loss of the pair; at C=1 it equals

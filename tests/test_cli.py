@@ -21,7 +21,6 @@ gives the exact exit and stderr line.
 
 import ast
 import csv
-import dataclasses
 import functools
 import importlib
 import io
@@ -567,7 +566,22 @@ def assert_usage_error(capsys, argv, error):
     captured = capsys.readouterr()
     assert (exc.value.code, captured.out) == (2, "")
     assert captured.err.startswith("usage: priverm")
-    assert error in captured.err and "Traceback" not in captured.err
+    assert captured.err.endswith(f"\npriverm: error: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        # priverm has no --mode: a lower bound comes only from a search cut by --budget
+        (["vc", "h.json", "--mode", "lower-bound-only"],
+         "unrecognized arguments: --mode lower-bound-only"),
+        (["sim", "--config", "c.json", "--mode", "lower-bound-only"],
+         "unrecognized arguments: --mode lower-bound-only"),
+    ],
+    ids=["vc-mode", "sim-mode"],
+)
+def test_retired_flags_are_usage_errors(capsys, argv, error):
+    assert_usage_error(capsys, argv, error)
 
 
 @pytest.mark.parametrize(
@@ -579,19 +593,23 @@ def assert_usage_error(capsys, argv, error):
 )
 @pytest.mark.parametrize("threads", ["0", "-3", "2"])
 def test_every_command_rejects_a_bad_thread_count(capsys, argv, threads):
-    # priverm has no --threads flag: it is read where the subcommand belongs
-    assert_usage_error(capsys, ["--threads", threads, *argv], "argument command: invalid choice")
+    # priverm has no --threads; it fails where it stands, before the subcommand
+    assert_usage_error(capsys, ["--threads", threads, *argv],
+                       f"unrecognized arguments: --threads {threads}")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["vc", "h.json", "--mode", "lower-bound-only"],
-     ["sim", "--config", "c.json", "--mode", "lower-bound-only"]],
-    ids=["vc-mode", "sim-mode"],
-)
-def test_retired_flags_are_usage_errors(capsys, argv):
-    # priverm has no --mode: a lower bound comes only from a search cut by --budget
-    assert_usage_error(capsys, argv, "unrecognized arguments: --mode lower-bound-only")
+def test_a_misspelt_global_flag_is_named(capsys, monkeypatch):
+    # argparse alone reads the flag's value as the command: invalid choice: '3'
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--sead", "3", "vc", "h.json"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", (
+        "usage: priverm [-h] [--seed SEED] [--format {json,csv,table}]\n"
+        "               [--output-dir OUTPUT_DIR]\n"
+        "               {vc,construct,erm,bounds,sim,verify} ...\n"
+        "priverm: error: unrecognized arguments: --sead 3\n"
+    ))
 
 
 def test_sim_deviation(tmp_path, capsys):
@@ -859,7 +877,7 @@ def fault_runs(kind: str, doc) -> list:
     runs += [((path, DELETE),) for path, _ in tree if path and isinstance(path[-1], str)]
     runs += [((path + ("zz",), 0),) for path, node in tree if isinstance(node, dict)]
     if kind == "bounds":
-        pairs = itertools.combinations([f.name for f in dataclasses.fields(BoundInputs)], 2)
+        pairs = itertools.combinations(BoundInputs._fields, 2)
         values = list(zip(NON_NUMBERS, NON_NUMBERS[1:] + NON_NUMBERS[:1]))
         runs += [(((a,), v), ((b,), w)) for a, b in pairs for v, w in values]
     return runs
@@ -1251,7 +1269,8 @@ def test_cli_commands_without_numpy_never_import_it(tmp_path):
 
 
 # each command with its exit code and the priverm modules it loads besides the
-# package, cli, core and vc: only those whose code it runs
+# package, cli, core and vc: only those whose code it runs.  None loads
+# dataclasses or inspect, which would add several milliseconds to its start
 COMMAND_MODULES = {
     "vc": (lambda t: ["vc", write_json(t, "h.json", H1_JSON)], 0, set()),
     "bounds": (lambda t: ["bounds", "--m", "99", "--delta", "0.05", "--d", "2",
@@ -1276,11 +1295,12 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, rc, extra):
         "import json, sys, priverm.cli\n"
         "rc = priverm.cli.main(sys.argv[1:])\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'priverm')\n"
-        "sys.stderr.write(json.dumps([rc, loaded]))\n"
+        "slow = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "sys.stderr.write(json.dumps([rc, loaded, slow]))\n"
     )
     proc = run_fresh(code, *argv(tmp_path))
     base = {"priverm", "priverm.cli", "priverm.core", "priverm.vc"}
-    want = [rc, sorted(base | {f"priverm.{m}" for m in extra})]
+    want = [rc, sorted(base | {f"priverm.{m}" for m in extra}), []]
     assert json.loads(proc.stderr.splitlines()[-1]) == want, proc.stderr
 
 

@@ -1,7 +1,9 @@
 """Core types, loss functions, exact error, and JSON interchange."""
 
 import array
+import copy
 import math
+import pickle
 import random
 
 import numpy as np
@@ -10,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from priverm import (
+    BoundInputs,
+    ExperimentConfig,
     FiniteDistribution,
     FiniteDomain,
     Hypothesis,
@@ -301,6 +305,32 @@ def test_triple_validation():
         Triple(-1, 0, 0)
     s = TripleSample((Triple(0, 0, 0), Triple(1, 2, 1)))
     assert s.m == len(s) == 2
+
+
+# --- frozen values -------------------------------------------------------------
+
+
+def test_values_are_frozen_and_compare_by_their_fields():
+    H, Phi = construct_theorem1(1)
+    dist = FiniteDistribution(((Triple(0, 0, 0), 0.5), (Triple(1, 2, 1), 0.5)))
+    values = [
+        H.domain, H[0], H, Triple(1, 2, 1), TripleSample((Triple(0, 0, 0),)), dist,
+        ExperimentConfig(dist, H, Phi, m=5, trials=2, delta=0.1, seed=3),
+        BoundInputs(m=9, delta=0.1, d=1, dstar=1, d_a=2, eps_u=0.5),
+    ]
+    for v in values:
+        with pytest.raises(AttributeError):
+            setattr(v, v._fields[0], None)
+        with pytest.raises(AttributeError):
+            delattr(v, v._fields[0])
+        # a copy or an unpickled value is built again through __init__
+        for twin in (copy.copy(v), pickle.loads(pickle.dumps(v))):
+            assert twin is not v and twin == v and hash(twin) == hash(v)
+        fields = tuple(getattr(v, name) for name in v._fields)
+        assert v != fields and v.__eq__(fields) is NotImplemented
+    assert pickle.loads(pickle.dumps(H)).symmetries == H.symmetries
+    assert repr(FiniteDomain(3)) == "FiniteDomain(size=3, label='X')"
+    assert repr(Triple(1, 2, 1)) == "Triple(x=1, xstar=2, y=1)"
 
 
 # --- distributions ------------------------------------------------------------

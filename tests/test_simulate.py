@@ -1,7 +1,6 @@
 """Seeded sampling, the comparison and deviation experiments, persistence."""
 
 import csv
-import dataclasses
 import functools
 import hashlib
 import json
@@ -629,10 +628,15 @@ def test_deviation_rejects_seeds_outside_64_bits(seed):
 
 def test_bad_delta_is_rejected_before_any_trial():
     # no config holds a bad delta, not even one derived from a valid config,
-    # so no run ever reaches its trials with one
+    # so no run ever reaches its trials with one: a config is frozen, and a
+    # copy or an unpickled one is rebuilt through the checking constructor
     valid = comparison_config(trials=4)
+    fields = {name: getattr(valid, name) for name in ExperimentConfig._fields}
     with pytest.raises(ValueError, match=r"^delta must be in \(0, 1\), got 1.5$"):
-        dataclasses.replace(valid, delta=1.5)
+        ExperimentConfig(**{**fields, "delta": 1.5})
+    with pytest.raises(AttributeError):
+        valid.delta = 1.5
+    assert valid.__reduce__() == (ExperimentConfig, tuple(fields.values()))
 
 
 @pytest.mark.parametrize(
