@@ -3,7 +3,12 @@
 Everything here is plain float arithmetic on the closed-form expressions:
 the fast/slow rates, the two error bounds they induce, the auxiliary
 dimension interval, and the exact pre-asymptotic forms of the sufficient
-and necessary conditions for the privileged bound to win.  Asymptotic
+and necessary conditions for the privileged bound to win.  Each bound and
+the sufficient condition are stated once, as functions of the empirical
+errors and the ``r_fast`` rates (``erm_bound``, ``pr_bound``,
+``sufficiency``); ``bound_erm``, ``bound_pr`` and ``sufficient_condition``
+compute the rates from a ``BoundInputs`` and call them, and a comparison
+run computes its three rates once and calls them per outcome.  Asymptotic
 variants (anything with an o(1)) are reported as annotations, never
 evaluated.  The source formulas write bare "log"; the concentration-bound
 lineage behind them is natural-log, so every rate uses ``math.log``.
@@ -16,18 +21,30 @@ from typing import NamedTuple
 
 # BoundInputs and its PREMISE_TOLERANCE live in core, so the CLI's parser reads
 # the fields without loading this module; both still resolve here
-from .core import PREMISE_TOLERANCE, BoundInputs, InputError, check_delta, check_m
+from .core import (
+    PREMISE_TOLERANCE,
+    BoundInputs,
+    InputError,
+    check_delta,
+    check_float,
+    check_m,
+)
 
 # upper factor of the auxiliary-dimension interval: 4*log2(4e)
 AUX_UPPER_FACTOR = 4.0 * math.log2(4.0 * math.e)
 
 
 def r_fast(d: int, m: int, delta: float) -> float:
-    """(8*d*log(m+1) + 4*log(4/delta)) / m."""
+    """(8*d*log(m+1) + 4*log(4/delta)) / m.
+
+    An m or d too large for a float raises ``InputError``, as in ``BoundInputs``.
+    """
     check_m(m)
     check_delta(delta)
     if d < 0:
         raise InputError(f"d must be >= 0, got {d}")
+    check_float(m, "m")
+    check_float(d, "d")
     return (8.0 * d * math.log(m + 1) + 4.0 * math.log(4.0 / delta)) / m
 
 
@@ -38,23 +55,34 @@ def r_slow(x: float, d: int, m: int, delta: float) -> float:
     return math.sqrt(x * r_fast(d, m, delta))
 
 
+def erm_bound(eps_erm: float, rf_d: float) -> float:
+    """eps_erm + sqrt(eps_erm * rf_d) + rf_d, for rf_d = r_fast(d, m, delta)."""
+    return eps_erm + math.sqrt(eps_erm * rf_d) + rf_d
+
+
+def pr_bound(eps_ig: float, eps_u: float, rf_star: float, rf_aux: float) -> float:
+    """eps_ig + eps_u + sqrt(eps_ig * rf_star) + sqrt(eps_u * rf_aux) + rf_star + rf_aux,
+    for the r_fast rates of dstar and d_a."""
+    return (
+        eps_ig
+        + eps_u
+        + math.sqrt(eps_ig * rf_star)
+        + math.sqrt(eps_u * rf_aux)
+        + rf_star
+        + rf_aux
+    )
+
+
 def bound_erm(inputs: BoundInputs) -> float:
     """Error bound for the standard minimizer; can exceed 1, never clamped."""
-    rf = r_fast(inputs.d, inputs.m, inputs.delta)
-    return inputs.eps_erm + math.sqrt(inputs.eps_erm * rf) + rf
+    return erm_bound(inputs.eps_erm, r_fast(inputs.d, inputs.m, inputs.delta))
 
 
 def bound_pr(inputs: BoundInputs) -> float:
     """Error bound for the privileged minimizer, holding with 1 - 2*delta."""
-    rf_star = r_fast(inputs.dstar, inputs.m, inputs.delta)
-    rf_aux = r_fast(inputs.d_a, inputs.m, inputs.delta)
-    return (
-        inputs.eps_ig
-        + inputs.eps_u
-        + math.sqrt(inputs.eps_ig * rf_star)
-        + math.sqrt(inputs.eps_u * rf_aux)
-        + rf_star
-        + rf_aux
+    m, delta = inputs.m, inputs.delta
+    return pr_bound(
+        inputs.eps_ig, inputs.eps_u, r_fast(inputs.dstar, m, delta), r_fast(inputs.d_a, m, delta)
     )
 
 
@@ -97,15 +125,26 @@ def sufficient_condition(inputs: BoundInputs) -> SufficiencyReport:
         gap = inputs.eps_erm - (inputs.eps_ig + inputs.eps_u)
         raise InputError(f"premise eps_erm = eps_ig + eps_u violated by {gap:.3g}")
     m, delta = inputs.m, inputs.delta
-    rf_d = r_fast(inputs.d, m, delta)
-    rf_star = r_fast(inputs.dstar, m, delta)
-    rf_aux = r_fast(inputs.d_a, m, delta)
-    rs_d, rs_star, rs_aux = math.sqrt(rf_d), math.sqrt(rf_star), math.sqrt(rf_aux)
-    lhs = math.sqrt(inputs.eps_u)
-    rhs = (
-        math.sqrt(inputs.eps_erm) * (rs_d - rs_star) / rs_aux
-        + (rf_d - rf_star - rf_aux) / rs_aux
+    return sufficiency(
+        inputs.eps_erm,
+        inputs.eps_u,
+        r_fast(inputs.d, m, delta),
+        r_fast(inputs.dstar, m, delta),
+        r_fast(inputs.d_a, m, delta),
     )
+
+
+def sufficiency(
+    eps_erm: float, eps_u: float, rf_d: float, rf_star: float, rf_aux: float
+) -> SufficiencyReport:
+    """The sufficient condition on the r_fast rates of d, dstar and d_a.
+
+    Meaningful only where ``core.premise_holds(eps_erm, eps_ig, eps_u)``;
+    ``sufficient_condition`` checks that, this does not.
+    """
+    rs_d, rs_star, rs_aux = math.sqrt(rf_d), math.sqrt(rf_star), math.sqrt(rf_aux)
+    lhs = math.sqrt(eps_u)
+    rhs = math.sqrt(eps_erm) * (rs_d - rs_star) / rs_aux + (rf_d - rf_star - rf_aux) / rs_aux
     return SufficiencyReport(holds=lhs <= rhs, lhs=lhs, rhs=rhs)
 
 

@@ -706,6 +706,22 @@ def check_m(m: int) -> None:
         raise InputError(f"m must be >= 1, got {m}")
 
 
+def check_float(value: int, what: str) -> None:
+    """The one rule for an integer a rate reads as a float: ``float`` of it must
+    not overflow, else ``InputError`` naming the field, as in ``m is too large
+    for a float``."""
+    try:
+        float(value)
+    except OverflowError:
+        raise InputError(f"{what} is too large for a float") from None
+
+
+def premise_holds(eps_erm: float, eps_ig: float, eps_u: float) -> bool:
+    """The one test of the decomposition premise: eps_erm = eps_ig + eps_u
+    within PREMISE_TOLERANCE."""
+    return abs(eps_erm - (eps_ig + eps_u)) <= PREMISE_TOLERANCE
+
+
 def check_sizes(m: int, trials: int) -> None:
     """Raise unless the sample size m and the number of trials are each at least 1."""
     check_m(m)
@@ -773,28 +789,18 @@ class BoundInputs(_Frozen):
             if v < 0:
                 raise InputError(f"{name} must be >= 0, got {v}")
         for name, v in (("m", m), ("d", d), ("dstar", dstar), ("d_a", d_a)):
-            try:
-                float(v)
-            except OverflowError:
-                raise InputError(f"{name} is too large for a float") from None
+            check_float(v, name)
         for name, v in (("eps_erm", eps_erm), ("eps_ig", eps_ig), ("eps_u", eps_u)):
             if not 0.0 <= v <= 1.0:
                 raise InputError(f"{name} must be in [0,1], got {v}")
-        # one call a field, no loop: run_comparison builds one per distinct outcome
-        _set(self, "m", m)
-        _set(self, "delta", delta)
-        _set(self, "d", d)
-        _set(self, "dstar", dstar)
-        _set(self, "d_a", d_a)
-        _set(self, "eps_erm", eps_erm)
-        _set(self, "eps_ig", eps_ig)
-        _set(self, "eps_u", eps_u)
+        for name, value in zip(self._fields, (m, delta, d, dstar, d_a, eps_erm, eps_ig, eps_u)):
+            _set(self, name, value)
 
     @property
     def premise_holds(self) -> bool:
-        """eps_erm = eps_ig + eps_u within PREMISE_TOLERANCE.
+        """eps_erm = eps_ig + eps_u within PREMISE_TOLERANCE, by ``premise_holds``.
 
         ``sufficient_condition`` is defined, and callers evaluate it, only
         when this holds.
         """
-        return abs(self.eps_erm - (self.eps_ig + self.eps_u)) <= PREMISE_TOLERANCE
+        return premise_holds(self.eps_erm, self.eps_ig, self.eps_u)

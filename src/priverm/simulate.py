@@ -11,10 +11,13 @@ PCG64 from that trial's hashed words.  ``sample`` draws through
 batched path.  A drawn sample enters both experiments only as its count
 vector over the support, counted by thresholds: a trial's draws below each
 cumulative total of the support.  The comparison experiment
-hands all trials' counts to the ERM count kernel at once and evaluates the
-bounds once per distinct solved outcome; its records and summary are built
-from that table of distinct outcomes, each record a named tuple of its trial
-index and its outcome's fields.  The deviation experiment takes
+searches its dimensions d, d* and d_a once per pair of classes (the last
+pair's are kept), hands all trials' counts to the ERM count kernel at once,
+computes the three ``r_fast`` rates once per run, and evaluates the
+bounds from those rates once per distinct solved outcome; its records and
+summary are built from that table of distinct outcomes, each record a named
+tuple of its trial index and its outcome's fields, built without the named
+tuple's generated ``__new__``.  The deviation experiment takes
 every trial's empirical flag rates from one matrix product and counts its
 events over arrays.  True errors are computed exactly from the probability
 table, never estimated; the only randomness in any record is the sample
@@ -24,6 +27,7 @@ itself.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import operator
 import os
@@ -32,7 +36,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .bounds import BoundInputs, bound_erm, bound_pr, sufficient_condition
+from .bounds import erm_bound, pr_bound, r_fast, sufficiency
 from .constructions import Theorem5Family
 from .core import (
     ExperimentConfig,
@@ -45,6 +49,7 @@ from .core import (
     dump_json,
     exact_true_error,
     positive_cost,
+    premise_holds,
 )
 from .erm import BLOCK_CELLS, error_matrix, flag_matrix, solve_counts
 from .vc import build_aux_class, vc_dimension
@@ -257,32 +262,51 @@ class TrialRecord(NamedTuple):
 TRIALS_CSV_HEADER = ",".join(TrialRecord._fields[:10])
 
 
+@functools.lru_cache(maxsize=1)
+def _dimensions(H: HypothesisClass, Phi: HypothesisClass) -> tuple[int, int, int]:
+    """(d, d*, d_a): the VC dimensions of H, Phi and their aux class.
+
+    Each is searched with no node budget, as the bounds use the answer.
+    The last pair's answer is kept (and that pair with it), keyed by the
+    classes' values; equality ignores ``symmetries``, which never change an
+    exact answer.  A hit hashes every member of both classes, microseconds
+    against the searches.
+    """
+    return (
+        vc_dimension(H, budget=None).vc,
+        vc_dimension(Phi, budget=None).vc,
+        vc_dimension(build_aux_class(H, Phi), budget=None).vc,
+    )
+
+
 def run_comparison(
     config: ExperimentConfig,
 ) -> tuple[list[TrialRecord], dict]:
     """Standard vs privileged minimization across seeded trials.
 
-    The dimensions entering the bounds, searched with no node budget, and the
-    exact true error of every member of H are computed once from the classes.  Each
-    trial's sample is drawn as its count vector over the support, and one
-    call of the ERM count kernel solves both minimizers for every trial.
+    The dimensions entering the bounds are searched with no node budget by
+    ``_dimensions``, which keeps the last pair of classes' answer, so runs
+    on one pair search once.  The exact true error of every member of H is
+    computed once per call.  Each trial's sample is drawn as its count vector
+    over the support, and one call of the ERM count kernel solves both
+    minimizers for every trial.  The three ``r_fast`` rates of d, d* and
+    d_a are computed once, after the draws (an m too large for an array is
+    named as that, before any float of it is taken).
     Every field of a record but ``trial`` is a function of the solved
     outcome (standard ERM's error count, both minimizers' indices, and the
     privileged flag and unflagged-error counts), so the bounds, the
-    sufficient condition and the coverage events are evaluated once per
-    distinct outcome of this call, and each trial's record is its index
-    followed by its outcome's fields.
+    sufficient condition and the coverage events are evaluated from those
+    rates once per distinct outcome of this call, and each trial's record is
+    its index followed by its outcome's fields.
     ``config`` has checked every range and that the support lies on the
     domains of H and Phi, so every trial yields a record;
     the summary keeps an empty ``failed_trials`` list for its readers.
     Its rates are taken from one transpose of the records; the means use
     ``math.fsum``, so they are the same on every Python version.
     """
-    dist, m = config.distribution, config.m
+    dist, m, delta = config.distribution, config.m, config.delta
     points = [t for t, _ in dist.support]
-    d = vc_dimension(config.H, budget=None).vc
-    dstar = vc_dimension(config.Phi, budget=None).vc
-    d_a = vc_dimension(build_aux_class(config.H, config.Phi), budget=None).vc
+    d, dstar, d_a = _dimensions(config.H, config.Phi)
 
     true_errors = [exact_true_error(h, dist) for h in config.H]
     counts = _trial_counts(dist, m, config.seed, config.trials)
@@ -299,32 +323,29 @@ def run_comparison(
         sol.n_ig.tolist(),
         sol.n_u.tolist(),
     ))
+    rf_d, rf_star, rf_aux = (r_fast(dim, m, delta) for dim in (d, dstar, d_a))
 
     def evaluate(n_e: int, i_erm: int, i_pr: int, n_ig: int, n_u: int) -> tuple:
         """The record fields after ``trial`` of one solved outcome."""
         eps_erm, eps_ig, eps_u = n_e / m, n_ig / m, n_u / m
-        inputs = BoundInputs(
-            m=m,
-            delta=config.delta,
-            d=d,
-            dstar=dstar,
-            d_a=d_a,
-            eps_erm=eps_erm,
-            eps_ig=eps_ig,
-            eps_u=eps_u,
-        )
-        b_e = bound_erm(inputs)
-        b_p = bound_pr(inputs)
+        b_e = erm_bound(eps_erm, rf_d)
+        b_p = pr_bound(eps_ig, eps_u, rf_star, rf_aux)
         te_erm = true_errors[i_erm]
         te_pr = true_errors[i_pr]
-        suff = sufficient_condition(inputs).holds if inputs.premise_holds else None
+        suff = (
+            sufficiency(eps_erm, eps_u, rf_d, rf_star, rf_aux).holds
+            if premise_holds(eps_erm, eps_ig, eps_u)
+            else None
+        )
         return (
             eps_erm, eps_ig, eps_u, te_erm, te_pr, b_e, b_p,
             te_erm <= b_e, te_pr <= b_p, suff, b_p <= b_e,
         )
 
     outcomes = {key: evaluate(*key) for key in dict.fromkeys(keys)}
-    records = [TrialRecord(t, *outcomes[key]) for t, key in enumerate(keys)]
+    # tuple.__new__ skips the named tuple's generated Python __new__
+    new = tuple.__new__
+    records = [new(TrialRecord, (t,) + outcomes[key]) for t, key in enumerate(keys)]
 
     n = len(records)
     (_, eps_erm, eps_ig, eps_u, te_erm, te_pr, _, _,

@@ -58,6 +58,22 @@ def test_every_m_check_is_the_one_rule(m):
         assert str(exc.value) == f"m must be >= 1, got {m}"
 
 
+@pytest.mark.parametrize("field", ["m", "d"])
+def test_every_float_overflow_check_is_the_one_rule(field):
+    # an integer too large for a float is named as that by BoundInputs, r_fast
+    # and r_slow alike, never raised as an OverflowError
+    m, d = (10**400, 1) if field == "m" else (10, 10**400)
+    checks = [
+        lambda: BoundInputs(m=m, delta=0.05, d=d, dstar=1, d_a=1),
+        lambda: r_fast(d, m, 0.05),
+        lambda: r_slow(0.5, d, m, 0.05),
+    ]
+    for check in checks:
+        with pytest.raises(InputError) as exc:
+            check()
+        assert str(exc.value) == f"{field} is too large for a float"
+
+
 def make_inputs(m, delta, d, dstar, d_a, eps_ig=0.0, eps_u=0.0):
     """Inputs whose decomposition premise holds exactly in floats."""
     return BoundInputs(

@@ -18,6 +18,7 @@ from priverm import (
     FiniteDomain,
     HypothesisClass,
     Triple,
+    build_aux_class,
     construct_lemma2_witness,
     construct_theorem1,
     construct_theorem5_family,
@@ -29,7 +30,6 @@ from priverm import (
 )
 from priverm import simulate
 from priverm.bounds import (
-    PREMISE_TOLERANCE,
     BoundInputs,
     bound_erm,
     bound_pr,
@@ -370,12 +370,26 @@ def test_library_searches_take_no_node_budget(monkeypatch):
         )
 
     want = results()
-    cut = functools.partial(vc.vc_dimension, budget=8)
-    for cls in (vc.build_aux_class(config.H, config.Phi), Phi4, H2, Phi2):
+    # one node cuts every search here, those of d and d* at d = 1 included
+    cut = functools.partial(vc.vc_dimension, budget=1)
+    for cls in (config.H, config.Phi, vc.build_aux_class(config.H, config.Phi), Phi4, H2, Phi2):
         assert not cut(cls).exact
-    monkeypatch.setattr(simulate, "vc_dimension", cut)
+    searched = []
+
+    def counted_cut(cls, **kwargs):
+        searched.append(cls)
+        return cut(cls, **kwargs)
+
+    monkeypatch.setattr(simulate, "vc_dimension", counted_cut)
     monkeypatch.setattr(constructions, "vc_dimension", cut)
-    assert results() == want
+    # run_comparison keeps the last pair's dimensions: forget them, so the
+    # patched run searches d, d* and d_a again, and forget its answers after
+    simulate._dimensions.cache_clear()
+    try:
+        assert results() == want
+    finally:
+        simulate._dimensions.cache_clear()
+    assert len(searched) == 3
 
 
 def test_comparison_rejects_incompatible_support():
@@ -685,21 +699,22 @@ def oracle_trial(cfg: ExperimentConfig, t: int) -> tuple:
 
 
 def assert_bounds_match_a_fresh_evaluation(cfg: ExperimentConfig, records, summary) -> None:
-    """Each record's bounds and flags, evaluated again from that record alone."""
+    """Each record equals the one rebuilt from its empirical and true errors
+    through the public path: ``BoundInputs``, ``bound_erm``, ``bound_pr`` and
+    ``sufficient_condition``."""
     for r in records:
         inputs = BoundInputs(
             m=cfg.m, delta=cfg.delta, d=summary["d"], dstar=summary["dstar"],
             d_a=summary["d_a"], eps_erm=r.eps_erm, eps_ig=r.eps_ig, eps_u=r.eps_u,
         )
         b_e, b_p = bound_erm(inputs), bound_pr(inputs)
-        premise = abs(r.eps_erm - (r.eps_ig + r.eps_u)) <= PREMISE_TOLERANCE
-        assert (r.b_erm, r.b_pr) == (b_e, b_p)
-        assert r.covered_erm == (r.true_err_erm <= b_e)
-        assert r.covered_pr == (r.true_err_pr <= b_p)
-        assert r.pr_leq_erm == (b_p <= b_e)
-        assert r.sufficient_holds == (
-            sufficient_condition(inputs).holds if premise else None
+        suff = sufficient_condition(inputs).holds if inputs.premise_holds else None
+        rebuilt = TrialRecord(
+            r.trial, r.eps_erm, r.eps_ig, r.eps_u, r.true_err_erm, r.true_err_pr,
+            b_e, b_p, r.true_err_erm <= b_e, r.true_err_pr <= b_p, suff, b_p <= b_e,
         )
+        assert type(r) is TrialRecord and len(r) == len(TrialRecord._fields)
+        assert r == rebuilt
 
 
 # 1/3 as a float is 3333333333333333/10**16: its integer keys overflow int64
@@ -761,6 +776,64 @@ def test_comparison_at_large_m_repeats_few_outcomes():
     assert [r.trial for r in records] == list(range(40))
     assert len(outcomes(records)) >= 30
     assert_bounds_match_a_fresh_evaluation(cfg, records, summary)
+
+
+CRITERION_6_SUPPORTS = (
+    ((Triple(0, 0, 0), 0.5), (Triple(1, 1, 0), 0.3), (Triple(2, 2, 1), 0.2)),
+    (
+        (Triple(0, 0, 0), 0.25), (Triple(0, 0, 1), 0.15), (Triple(1, 1, 1), 0.20),
+        (Triple(2, 2, 0), 0.25), (Triple(2, 1, 1), 0.15),
+    ),
+    ((Triple(0, 2, 1), 0.3), (Triple(1, 0, 0), 0.3), (Triple(2, 1, 0), 0.2), (Triple(2, 2, 1), 0.2)),
+)
+
+
+def test_comparison_records_match_the_public_bounds_path():
+    # criterion 6's runs, with fewer trials, and a run on the theorem-1 pair at
+    # d = 2: rates taken once per run give every record the public path gives
+    H, Phi = construct_theorem1(1)
+    configs = [
+        ExperimentConfig(
+            distribution=FiniteDistribution(support), H=H, Phi=Phi, m=200,
+            trials=200, delta=0.05, seed=600 + i,
+        )
+        for i, support in enumerate(CRITERION_6_SUPPORTS)
+    ]
+    H2, Phi2 = construct_theorem1(2)
+    dist2 = FiniteDistribution((
+        (Triple(0, 0, 0), 0.3), (Triple(1, 3, 1), 0.2),
+        (Triple(4, 5, 0), 0.25), (Triple(5, 2, 1), 0.25),
+    ))
+    configs.append(ExperimentConfig(
+        distribution=dist2, H=H2, Phi=Phi2, m=60, trials=200, delta=0.1, seed=603,
+    ))
+    for cfg in configs:
+        records, summary = run_comparison(cfg)
+        assert [r.trial for r in records] == list(range(cfg.trials))
+        assert_bounds_match_a_fresh_evaluation(cfg, records, summary)
+
+
+def test_dimensions_keep_only_the_last_pair():
+    # two pairs in turn: each call gives the fresh exact answers, and only a
+    # repeat of the last pair, or a copy of it without symmetries, is a hit
+    pairs = [construct_theorem1(1), construct_theorem1(2)]
+    fresh = [
+        tuple(
+            vc_dimension(cls, budget=None).vc
+            for cls in (H, Phi, build_aux_class(H, Phi))
+        )
+        for H, Phi in pairs
+    ]
+    assert fresh == [(1, 1, 3), (2, 2, 6)]
+    simulate._dimensions.cache_clear()
+    for i in (0, 1, 0, 1, 1):
+        assert simulate._dimensions(*pairs[i]) == fresh[i]
+    H, Phi = pairs[1]
+    bare = [HypothesisClass(c.domain, c.members) for c in (H, Phi)]
+    assert H.symmetries and not bare[0].symmetries and bare == [H, Phi]
+    assert simulate._dimensions(*bare) == fresh[1]
+    info = simulate._dimensions.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (2, 4, 1)
 
 
 def test_criterion_9_trials_csv_is_pinned(tmp_path):
