@@ -18,9 +18,9 @@ _EXPORTS = {
     name: module
     for module, names in {
         "core": (
-            "BoundInputs ExperimentConfig FiniteDomain FiniteDistribution Hypothesis "
-            "HypothesisClass Triple TripleSample aux_loss composite_loss exact_true_error "
-            "f_loss ignoring_loss zero_one_loss"
+            "BoundInputs DeviationConfig ExperimentConfig FiniteDomain FiniteDistribution "
+            "Hypothesis HypothesisClass Triple TripleSample aux_loss composite_loss "
+            "exact_true_error f_loss ignoring_loss zero_one_loss"
         ),
         "vc": (
             "VcReport build_aux_class build_f_class count_shattered is_shattered "

@@ -21,8 +21,9 @@ priverm module, ``bounds`` adds ``bounds``, ``construct`` and ``verify`` add
 ``constructions`` (lemma2 and theorem2 also ``bounds``), ``erm`` adds
 ``erm`` once its inputs pass, and ``sim`` adds ``simulate``, which loads
 every module.  No command that runs without numpy loads the dataclass
-module or ``inspect``: the ``bounds`` flags, and the keys of its input
-file, come from ``BoundInputs.TYPES``.
+module or ``inspect``.  Each input file's keys, and the ``bounds`` flags,
+come from its type in ``core``: ``BoundInputs``, ``ExperimentConfig`` or
+``DeviationConfig``.
 """
 
 from __future__ import annotations
@@ -34,25 +35,20 @@ import sys
 
 from .core import (
     BoundInputs,
+    DeviationConfig,
     ExperimentConfig,
     InputError,
     check_erm_inputs,
-    check_keys,
-    check_seed,
-    check_sizes,
     class_from_json,
     class_to_json,
-    distribution_from_json,
     distribution_to_json,
     dump_json,
-    json_array,
     json_text,
     load_json,
     product_index,
     product_legend,
     sample_from_json,
     strict_int,
-    strict_real,
 )
 from .vc import (
     DEFAULT_NODE_BUDGET,
@@ -199,18 +195,10 @@ def cmd_bounds(args) -> int:
     )
 
     # the file's object, if any, with every given flag written over it
-    raw = load_json(args.inputs) if args.inputs else {}
-    types = BoundInputs.TYPES
-    flags = {k: getattr(args, k) for k in types if getattr(args, k) is not None}
-    # a field without a default is missing when neither the file nor a flag gives it
-    optional = set(BoundInputs._fields[-len(BoundInputs.__init__.__defaults__):]) | flags.keys()
-    check_keys(raw, types.keys(), "bounds inputs", optional, "bounds inputs")
-    raw.update(flags)
-    for k, kind in types.items():
-        if k in raw:
-            read = strict_int if kind is int else strict_real
-            raw[k] = read(raw[k], k)
-    inputs = BoundInputs(**raw)
+    flags = {k: getattr(args, k) for k, _, _ in BoundInputs.KEYS if getattr(args, k) is not None}
+    inputs = BoundInputs.from_json(
+        load_json(args.inputs) if args.inputs else {}, "bounds inputs", flags, "bounds inputs"
+    )
     nec = necessary_condition(inputs) if inputs.d > 0 else None
     report = {
         "r_fast_d": r_fast(inputs.d, inputs.m, inputs.delta),
@@ -229,60 +217,36 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-# the comparison keys are the ones ExperimentConfig.to_json writes
-SIM_CONFIG_KEYS = {
-    "comparison": set("distribution h_class phi_class m trials delta seed c".split()),
-    "deviation": set("phi_class eps delta m trials seed heavy_side search".split()),
-}
-# the keys a config may leave out; every other one is required
-SIM_OPTIONAL_KEYS = {"comparison": {"seed", "c"}, "deviation": {"seed", "heavy_side", "search"}}
-
-
 def cmd_sim(args) -> int:
-    # every input is checked before simulate, and with it numpy, is imported
-    raw = load_json(args.config)
+    # every input is checked before simulate, and with it numpy, is imported;
+    # --seed wins over the file's seed
     kind = args.kind
-    check_keys(raw, SIM_CONFIG_KEYS[kind], f"{kind} config", SIM_OPTIONAL_KEYS[kind])
-    # the keys both kinds share, read once; --seed wins over the file's seed
-    seed = strict_int(args.seed if args.seed is not None else raw.get("seed", 0), "seed")
-    m, trials = strict_int(raw["m"], "m"), strict_int(raw["trials"], "trials")
-    delta = strict_real(raw["delta"], "delta")
-    Phi = class_from_json(raw["phi_class"], label="X*")
-    if args.kind == "comparison":
-        config = ExperimentConfig(
-            distribution=distribution_from_json(raw["distribution"]),
-            H=class_from_json(raw["h_class"], label="X"),
-            Phi=Phi, m=m, trials=trials, delta=delta, seed=seed,
-            C=strict_real(raw.get("c", 1.0), "c"),
-        )
+    config = (ExperimentConfig if kind == "comparison" else DeviationConfig).from_json(
+        load_json(args.config), f"{kind} config", {} if args.seed is None else {"seed": args.seed}
+    )
+    if kind == "comparison":
         from .simulate import persist_run, run_comparison
 
         records, summary = run_comparison(config)
-        if args.output_dir:
-            print(persist_run(records, summary, config, args.output_dir))
-        else:
-            _emit(summary, args.format)
+    else:
+        from .constructions import construct_theorem5_family, phi_prime_subclass
+
+        Phi = config.Phi
+        family, _ = construct_theorem5_family(
+            Phi, eps=config.eps, delta=config.delta, heavy_side=config.heavy_side
+        )
+        search_class = phi_prime_subclass(Phi, family.pairs) if config.search == "prime" else Phi
+        from .simulate import persist_run, run_theorem5_experiment
+
+        records, summary = None, run_theorem5_experiment(
+            family, search_class, m=config.m, trials=config.trials, seed=config.seed
+        )
+    if not args.output_dir:
+        _emit(summary, args.format)
         return EXIT_OK
-
-    # deviation experiment
-    from .constructions import construct_theorem5_family, phi_prime_subclass
-
-    search = raw.get("search", "prime")
-    if search not in ("prime", "full"):
-        raise InputError(f'search must be "prime" or "full", got {search!r}')
-    family, _ = construct_theorem5_family(
-        Phi,
-        eps=strict_real(raw["eps"], "eps"),
-        delta=delta,
-        heavy_side=None if raw.get("heavy_side") is None else json_array(raw, "heavy_side"),
-    )
-    search_class = phi_prime_subclass(Phi, family.pairs) if search == "prime" else Phi
-    check_sizes(m, trials)
-    check_seed(seed)
-    from .simulate import run_theorem5_experiment
-
-    report = run_theorem5_experiment(family, search_class, m=m, trials=trials, seed=seed)
-    _write(report, "deviation", args, args.format)
+    out = persist_run(records, summary, config, args.output_dir)
+    # a comparison prints its run directory, a deviation run its report
+    print(out if records is not None else os.path.join(out, "deviation.json"))
     return EXIT_OK
 
 
@@ -456,9 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="evaluate bounds and conditions")
     p.add_argument("--inputs", default=None, help="BoundInputs JSON file")
-    # one flag per BoundInputs field, e.g. --d-a for d_a; cmd_bounds reads them
-    for k, kind in BoundInputs.TYPES.items():
-        p.add_argument("--" + k.replace("_", "-"), type=kind, default=None)
+    # one flag per BoundInputs key, e.g. --d-a for d_a; cmd_bounds reads them
+    for k, read, _ in BoundInputs.KEYS:
+        p.add_argument("--" + k.replace("_", "-"), type=int if read is strict_int else float)
 
     p = sub.add_parser("sim", help="seeded Monte Carlo experiments")
     p.add_argument("--config", required=True)

@@ -7,9 +7,10 @@ items are the ints 0 and 1 (so ``h.bits == (0, 1)`` is False: compare
 ordered set of such labelings.  Losses are pure functions on {0,1} values,
 so every quantity downstream (empirical risk, true error, VC dimension) is
 computed exactly.  The checks of a run's parameters (the cost C, a seed,
-m and trials, a comparison's ``ExperimentConfig`` and the bounds'
-``BoundInputs``) live here too, so they run before numpy, or the module
-that uses them, is loaded.
+m and trials, a comparison's ``ExperimentConfig``, a deviation run's
+``DeviationConfig`` and the bounds' ``BoundInputs``) live here too, so they
+run before numpy, or the module that uses them, is loaded.  Each of those
+three states its JSON keys once, in its ``KEYS``.
 
 The value types here are plain slotted classes on one frozen mix-in,
 ``_Frozen``, and each lists its fields once, in ``_fields``; the package's
@@ -557,9 +558,8 @@ def _triple_from_json(e: dict, known=_TRIPLE_KEYS, what: str = "triple") -> Trip
     )
 
 
-def json_array(obj: dict, key: str) -> list:
-    """``obj[key]``, which must be a JSON array; the error names ``key``."""
-    value = obj[key]
+def json_array(value, key: str) -> list:
+    """``value``, which must be a JSON array; the error names its ``key``."""
     if not isinstance(value, list):
         raise InputError(f"{key} must be a JSON array")
     return value
@@ -568,7 +568,7 @@ def json_array(obj: dict, key: str) -> list:
 def class_from_json(obj: dict, label: str = "X") -> HypothesisClass:
     check_keys(obj, {"domain_size", "hypotheses"}, "class")
     domain = FiniteDomain(size=strict_int(obj["domain_size"], "domain_size"), label=label)
-    members = json_array(obj, "hypotheses")
+    members = json_array(obj["hypotheses"], "hypotheses")
     for i, s in enumerate(members):
         if not (
             isinstance(s, str) and not s.strip("01")
@@ -595,7 +595,7 @@ def distribution_from_json(obj: dict) -> FiniteDistribution:
     return FiniteDistribution(
         tuple(
             (_triple_from_json(e, _POINT_KEYS, "support point"), strict_real(e["p"], "p"))
-            for e in json_array(obj, "support")
+            for e in json_array(obj["support"], "support")
         )
     )
 
@@ -606,7 +606,7 @@ def sample_to_json(s: TripleSample) -> dict:
 
 def sample_from_json(obj: dict) -> TripleSample:
     check_keys(obj, {"triples"}, "sample")
-    return TripleSample(tuple(_triple_from_json(e) for e in json_array(obj, "triples")))
+    return TripleSample(tuple(_triple_from_json(e) for e in json_array(obj["triples"], "triples")))
 
 
 def load_json(path: str):
@@ -729,7 +729,50 @@ def check_sizes(m: int, trials: int) -> None:
         raise InputError(f"trials must be >= 1, got {trials}")
 
 
-class ExperimentConfig(_Frozen):
+def _as_is(value, key=None):
+    return value
+
+
+class _Config:
+    """A run's input object, read from and written to one JSON object.
+
+    ``KEYS`` states the format once: for each field, in ``_fields``' order,
+    its JSON key, the reader of its value (called with the value and the
+    key, which its errors name) and the writer back.  The keys of the fields
+    that ``__init__`` gives a default may be left out.
+    """
+
+    __slots__ = ()
+    KEYS: tuple
+
+    @classmethod
+    def from_json(cls, raw, what: str, given: dict | None = None, keys: str | None = None):
+        """The value ``raw`` holds, each key of ``given`` winning over raw's.
+
+        ``check_keys`` checks every key, under ``what`` and ``keys``, before
+        any value is read in field order and the constructor checks them.
+        """
+        given = given or {}
+        names = [key for key, _, _ in cls.KEYS]
+        optional = {*names[len(names) - len(cls.__init__.__defaults__):], *given}
+        check_keys(raw, set(names), what, optional, keys)
+        raw = {**raw, **given}
+        return cls(**{
+            field: read(raw[key], key)
+            for field, (key, read, _) in zip(cls._fields, cls.KEYS) if key in raw
+        })
+
+    def to_json(self) -> dict:
+        """The JSON object that ``from_json`` reads back to this value."""
+        return {key: write(getattr(self, field))
+                for field, (key, _, write) in zip(self._fields, self.KEYS)}
+
+
+# the reader and writer of an integer field, and of a real one
+_INT, _REAL = (strict_int, _as_is), (strict_real, _as_is)
+
+
+class ExperimentConfig(_Config, _Frozen):
     """Everything a comparison run depends on; the unit of reproducibility.
 
     Every input is checked here, once, so a run never starts on a value
@@ -739,10 +782,16 @@ class ExperimentConfig(_Frozen):
     """
 
     __slots__ = _fields = ("distribution", "H", "Phi", "m", "trials", "delta", "seed", "C")
+    KEYS = (
+        ("distribution", lambda v, k: distribution_from_json(v), distribution_to_json),
+        ("h_class", lambda v, k: class_from_json(v, label="X"), class_to_json),
+        ("phi_class", lambda v, k: class_from_json(v, label="X*"), class_to_json),
+        ("m", *_INT), ("trials", *_INT), ("delta", *_REAL), ("seed", *_INT), ("c", *_REAL),
+    )
 
     def __init__(
         self, distribution: FiniteDistribution, H: HypothesisClass, Phi: HypothesisClass,
-        m: int, trials: int, delta: float, seed: int, C: float = 1.0,
+        m: int, trials: int, delta: float, seed: int = 0, C: float = 1.0,
     ) -> None:
         check_sizes(m, trials)
         check_delta(delta)
@@ -754,30 +803,48 @@ class ExperimentConfig(_Frozen):
         for name, value in zip(self._fields, (distribution, H, Phi, m, trials, delta, seed, C)):
             _set(self, name, value)
 
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "trials": self.trials,
-            "delta": self.delta,
-            "seed": self.seed,
-            "c": self.C,
-            "distribution": distribution_to_json(self.distribution),
-            "h_class": class_to_json(self.H),
-            "phi_class": class_to_json(self.Phi),
-        }
 
+class DeviationConfig(_Config, _Frozen):
+    """Everything a deviation run depends on: the Theorem 5 family on Phi
+    with its eps, delta and ``heavy_side`` (one 0/1 bit per pair, None for
+    all 0), m, trials, the seed, and the searched class, ``search``:
+    "prime" for the members that flag one point of each pair, "full" for Phi.
 
-class BoundInputs(_Frozen):
-    """Inputs shared by every bound and condition check in ``priverm.bounds``.
-
-    ``TYPES`` gives each field, in ``__init__``'s order, with the type of
-    its values; the CLI reads its ``bounds`` flags and input-file keys from
-    it, and the fields that ``__init__`` gives a default are optional there.
+    ``__init__`` checks search, m, trials and the seed; building the family
+    checks eps, delta and heavy_side.
     """
 
-    TYPES = {"m": int, "delta": float, "d": int, "dstar": int, "d_a": int,
-             "eps_erm": float, "eps_ig": float, "eps_u": float}
-    __slots__ = _fields = tuple(TYPES)
+    __slots__ = _fields = ("Phi", "eps", "delta", "m", "trials", "seed", "heavy_side", "search")
+    KEYS = (
+        ("phi_class", lambda v, k: class_from_json(v, label="X*"), class_to_json),
+        ("eps", *_REAL), ("delta", *_REAL), ("m", *_INT), ("trials", *_INT), ("seed", *_INT),
+        ("heavy_side", lambda v, k: v if v is None else json_array(v, k), _as_is),
+        ("search", _as_is, _as_is),
+    )
+
+    def __init__(
+        self, Phi: HypothesisClass, eps: float, delta: float, m: int, trials: int,
+        seed: int = 0, heavy_side: Sequence[int] | None = None, search: str = "prime",
+    ) -> None:
+        if search not in ("prime", "full"):
+            raise InputError(f'search must be "prime" or "full", got {search!r}')
+        check_sizes(m, trials)
+        check_seed(seed)
+        heavy = None if heavy_side is None else tuple(heavy_side)
+        for name, value in zip(self._fields, (Phi, eps, delta, m, trials, seed, heavy, search)):
+            _set(self, name, value)
+
+
+class BoundInputs(_Config, _Frozen):
+    """Inputs shared by every bound and condition check in ``priverm.bounds``.
+
+    The CLI reads its ``bounds`` flags from ``KEYS`` too, each of the type
+    its reader reads.
+    """
+
+    KEYS = (("m", *_INT), ("delta", *_REAL), ("d", *_INT), ("dstar", *_INT), ("d_a", *_INT),
+            ("eps_erm", *_REAL), ("eps_ig", *_REAL), ("eps_u", *_REAL))
+    __slots__ = _fields = tuple(key for key, _, _ in KEYS)
 
     def __init__(
         self, m: int, delta: float, d: int, dstar: int, d_a: int,

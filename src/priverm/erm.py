@@ -129,7 +129,8 @@ def solve_counts(
         return CountSolution(n_err, h_erm, None, None, None, None)
     p, q = C.numerator, C.denominator
     top = int(counts.sum(axis=1).max(initial=0))
-    dtype = np.int64 if (p + q) * top * (top + 1) + top <= _INT64_MAX else object
+    # p and q are multiplied in as scalars, so each must fit too, even at top = 0
+    dtype = np.int64 if max(p, q, (p + q) * top * (top + 1) + top) <= _INT64_MAX else object
     n_ig = counts @ G.T
     flat = []
     step = max(1, BLOCK_CELLS // (E.shape[0] * G.shape[0]))

@@ -39,6 +39,7 @@ from . import __version__
 from .bounds import erm_bound, pr_bound, r_fast, sufficiency
 from .constructions import Theorem5Family
 from .core import (
+    DeviationConfig,
     ExperimentConfig,
     FiniteDistribution,
     HypothesisClass,
@@ -457,33 +458,42 @@ def run_theorem5_experiment(
 
 
 def persist_run(
-    records: Sequence[TrialRecord], summary: dict, config: ExperimentConfig, out: str
+    records: Optional[Sequence[TrialRecord]],
+    summary: dict,
+    config: ExperimentConfig | DeviationConfig,
+    out: str,
 ) -> str:
-    """Write config.json, trials.csv, summary.json, manifest.json into ``out``.
+    """Write a run directory: config.json, the run's outputs and manifest.json.
 
-    Returns the run directory.  Identical configs produce byte-identical
-    trials.csv; nothing written here depends on wall-clock time.
+    A comparison's outputs are trials.csv, of ``records``, and summary.json;
+    a deviation run's (``records`` None) is its report, ``summary``, as
+    deviation.json.  The manifest's ``files`` names each file, and
+    config.json, read as ``sim --config``, replays the run.  Returns the run
+    directory.  Identical configs produce byte-identical files; nothing
+    written here depends on wall-clock time.
     """
+    if records is None:
+        files = {"config": "config.json", "deviation": "deviation.json"}
+    else:
+        files = {"config": "config.json", "trials": "trials.csv", "summary": "summary.json"}
     try:
         os.makedirs(out, exist_ok=True)
         dump_json(config.to_json(), os.path.join(out, "config.json"))
-        with open(
-            os.path.join(out, "trials.csv"), "w", encoding="utf-8", newline=""
-        ) as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(TRIALS_CSV_HEADER.split(","))
-            for r in sorted(records, key=lambda r: r.trial):
-                writer.writerow(r.csv_row())
-        dump_json(summary, os.path.join(out, "summary.json"))
+        if records is not None:
+            with open(
+                os.path.join(out, "trials.csv"), "w", encoding="utf-8", newline=""
+            ) as f:
+                writer = csv.writer(f, lineterminator="\n")
+                writer.writerow(TRIALS_CSV_HEADER.split(","))
+                for r in sorted(records, key=lambda r: r.trial):
+                    writer.writerow(r.csv_row())
+        report = "deviation.json" if records is None else "summary.json"
+        dump_json(summary, os.path.join(out, report))
         manifest = {
             "artifact": "priverm",
             "version": __version__,
             "seed": config.seed,
-            "files": {
-                "config": "config.json",
-                "trials": "trials.csv",
-                "summary": "summary.json",
-            },
+            "files": files,
         }
         dump_json(manifest, os.path.join(out, "manifest.json"))
     except OSError as exc:

@@ -44,9 +44,15 @@ from priverm.bounds import (
     r_fast,
     sufficient_condition,
 )
-from priverm.cli import SIM_OPTIONAL_KEYS, SUITES, main
+from priverm.cli import SUITES, main
 from priverm.constructions import H1_PATTERNS, PHI1_PATTERNS, construct_theorem1, full_class
-from priverm.core import class_to_json, distribution_from_json
+from priverm.core import (
+    DeviationConfig,
+    ExperimentConfig,
+    InputError,
+    class_to_json,
+    distribution_from_json,
+)
 
 H1_JSON = {
     "domain_size": 3,
@@ -519,13 +525,18 @@ def test_class_members_must_be_bit_strings(tmp_path, capsys, member):
 
 
 def test_comparison_config_keys_are_the_keys_config_json_records(tmp_path, capsys):
-    from priverm.cli import SIM_CONFIG_KEYS
-    from priverm.simulate import ExperimentConfig
-
     dist = distribution_from_json({"support": SUPPORT_JSON})
     H, Phi = construct_theorem1(1)
-    cfg = ExperimentConfig(distribution=dist, H=H, Phi=Phi, m=20, trials=8, delta=0.05, seed=3)
-    assert set(cfg.to_json()) == SIM_CONFIG_KEYS["comparison"]
+    configs = {
+        "comparison": ExperimentConfig(dist, H, Phi, m=20, trials=8, delta=0.05, seed=3),
+        "deviation": DeviationConfig(full_class(4, "X*"), eps=0.1, delta=0.01, m=30, trials=5),
+    }
+    for kind, cfg in configs.items():
+        # from_json accepts every key to_json writes, and no other
+        doc, read = cfg.to_json(), type(cfg).from_json
+        assert read(doc, f"{kind} config") == cfg
+        with pytest.raises(InputError, match=f"^unknown {kind} config keys: zz$"):
+            read({**doc, "zz": 0}, f"{kind} config")
     # so a run's config.json is a comparison config, and replays the run
     runs = [tmp_path / "run", tmp_path / "replay"]
     configs = [comparison_config_json(tmp_path, c=2.5), str(runs[0] / "config.json")]
@@ -533,6 +544,18 @@ def test_comparison_config_keys_are_the_keys_config_json_records(tmp_path, capsy
         assert run_cli(capsys, ["--output-dir", str(run), "sim", "--config", config])[0] == 0
     for name in ("config.json", "trials.csv", "summary.json"):
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+
+def test_sim_deviation_unwritable_run_directory_is_an_io_error(tmp_path, capsys):
+    path = sim_config_json(tmp_path, "deviation")
+    run = tmp_path / "plain_file" / "run"
+    run.parent.write_text("", encoding="utf-8")
+    rc, out, err = run_cli(
+        capsys, ["--output-dir", str(run), "sim", "--kind", "deviation", "--config", path]
+    )
+    assert (rc, out) == (4, "")
+    assert err.startswith(f"i/o error: cannot write run directory {str(run)!r}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_sim_comparison_unwritable_run_directory_is_an_io_error(tmp_path, capsys):
@@ -634,6 +657,25 @@ def test_sim_deviation_writes_file(tmp_path, capsys):
     assert out.strip().endswith("deviation.json")
     report = json.loads((out_dir / "deviation.json").read_text())
     assert report["m"] == 30
+
+
+def test_sim_deviation_run_directory_replays(tmp_path, capsys):
+    # seed, heavy_side and search left out: config.json writes their defaults
+    config = {k: v for k, v in deviation_config().items() if k != "seed"}
+    runs = [tmp_path / "run", tmp_path / "replay"]
+    configs = [write_json(tmp_path, "dev.json", config), str(runs[0] / "config.json")]
+    for path, run in zip(configs, runs):
+        argv = ["--output-dir", str(run), "sim", "--kind", "deviation", "--config", path]
+        assert run_cli(capsys, argv) == (0, f"{run / 'deviation.json'}\n", "")
+    written = json.loads((runs[0] / "config.json").read_text(encoding="utf-8"))
+    assert written == {**config, "seed": 0, "heavy_side": None, "search": "prime"}
+    manifest = json.loads((runs[0] / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["files"] == {"config": "config.json", "deviation": "deviation.json"}
+    assert sorted(p.name for p in runs[0].iterdir()) == sorted(manifest["files"].values()) + [
+        "manifest.json"
+    ]
+    for name in ("config.json", "deviation.json", "manifest.json"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
 
 @pytest.mark.parametrize("search", ["primee", 7, None, ["prime"], "Prime"], ids=str)
@@ -807,8 +849,12 @@ def test_every_choice_runs_at_its_defaults(tmp_path, capsys, argv):
     # every other option at its default; sim reads a config of its required keys alone
     if argv[0] == "sim":
         kind = argv[-1]
-        config = comparison_config() if kind == "comparison" else deviation_config()
-        required = {k: v for k, v in config.items() if k not in SIM_OPTIONAL_KEYS[kind]}
+        config, config_type = {"comparison": (comparison_config(), ExperimentConfig),
+                               "deviation": (deviation_config(), DeviationConfig)}[kind]
+        # the keys of the fields that the type's __init__ gives a default
+        keys = [key for key, _, _ in config_type.KEYS]
+        optional = keys[len(keys) - len(config_type.__init__.__defaults__):]
+        required = {k: v for k, v in config.items() if k not in optional}
         argv = [*argv, "--config", write_json(tmp_path, "config.json", required)]
     rc, _, err = run_cli(capsys, argv)
     assert (rc, err) == (0, "")
@@ -1367,9 +1413,9 @@ def test_erm_and_sim_input_faults_exit_before_numpy_loads(tmp_path, argv, err):
 
 PACKAGE_EXPORTS = {
     "core": (
-        "BoundInputs ExperimentConfig FiniteDomain FiniteDistribution Hypothesis "
-        "HypothesisClass Triple TripleSample aux_loss composite_loss exact_true_error "
-        "f_loss ignoring_loss zero_one_loss"
+        "BoundInputs DeviationConfig ExperimentConfig FiniteDomain FiniteDistribution "
+        "Hypothesis HypothesisClass Triple TripleSample aux_loss composite_loss "
+        "exact_true_error f_loss ignoring_loss zero_one_loss"
     ),
     "vc": (
         "VcReport build_aux_class build_f_class count_shattered is_shattered k_fold_union "

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from priverm import (
     BoundInputs,
+    DeviationConfig,
     ExperimentConfig,
     FiniteDistribution,
     FiniteDomain,
@@ -317,6 +318,7 @@ def test_values_are_frozen_and_compare_by_their_fields():
         H.domain, H[0], H, Triple(1, 2, 1), TripleSample((Triple(0, 0, 0),)), dist,
         ExperimentConfig(dist, H, Phi, m=5, trials=2, delta=0.1, seed=3),
         BoundInputs(m=9, delta=0.1, d=1, dstar=1, d_a=2, eps_u=0.5),
+        DeviationConfig(Phi, eps=0.1, delta=0.01, m=5, trials=2, heavy_side=[1]),
     ]
     for v in values:
         with pytest.raises(AttributeError):

@@ -111,6 +111,16 @@ def test_privileged_empty_sample():
     assert res.n_ignored == 0 and res.n_unexplained == 0
 
 
+@pytest.mark.parametrize("C", [1e300, 1e-320])
+def test_privileged_empty_sample_at_an_extreme_cost(C):
+    # C = p/q with p or q past int64; an empty sample's keys are all 0, yet p and q
+    # still enter them, so the kernel must take Python ints
+    H = HypothesisClass.from_patterns(FiniteDomain(2, "X"), [(0, 1), (1, 0)])
+    Phi = HypothesisClass.from_patterns(FiniteDomain(2, "X*"), [(0, 0), (1, 1)])
+    want = erm_privileged(H, Phi, TripleSample(()), C=1)
+    assert erm_privileged(H, Phi, TripleSample(()), C=C) == want
+
+
 def test_privileged_validates_inputs():
     domx = FiniteDomain(1, "X")
     H = HypothesisClass.from_patterns(domx, [(0,)])
