@@ -14,8 +14,10 @@ The steps, each reported on one line as ``PASS``, ``FAIL`` or ``SKIP``:
   numpy, the numpy-free commands, among them a bad-input ``sim`` of each
   kind and a ``bounds --inputs`` run: each must give this interpreter's
   stdout, stderr and exit code;
-- a workflow leg with no interpreter to run it here (a Tier-1 leg whose
-  Python lacks numpy or pytest, the NumPy 1.24 leg) is named with why;
+- the 3.10, 3.12 and 3.13 Tier-1 legs, each under an interpreter found
+  that has numpy, pytest and hypothesis; a workflow leg with no
+  interpreter to run it here (such a Tier-1 leg, the NumPy 1.24 leg) is
+  named with why;
 - last, the clean-checkout check: no step may change ``git status``.
 
 Exits 1 if any step fails.
@@ -158,7 +160,7 @@ def main() -> int:
                    else f"{len(argv)} commands, stdout, stderr and exit code as {here}")
 
     # the workflow's other Tier-1 legs, where an interpreter here can run them
-    for minor in (10, 12):
+    for minor in (10, 12, 13):
         python = next((path for path, info in others.items() if info["version"] == [3, minor]
                        and {"numpy", "pytest", "hypothesis"} <= set(info["has"])), None)
         if python:

@@ -470,7 +470,9 @@ def persist_run(
     deviation.json.  The manifest's ``files`` names each file, and
     config.json, read as ``sim --config``, replays the run.  Returns the run
     directory.  Identical configs produce byte-identical files; nothing
-    written here depends on wall-clock time.
+    written here depends on wall-clock time.  An output of the other kind
+    that an earlier run left in ``out`` is removed, so every output there is
+    one the manifest lists; any other file in ``out`` is left as it is.
     """
     if records is None:
         files = {"config": "config.json", "deviation": "deviation.json"}
@@ -478,6 +480,10 @@ def persist_run(
         files = {"config": "config.json", "trials": "trials.csv", "summary": "summary.json"}
     try:
         os.makedirs(out, exist_ok=True)
+        for name in ("trials.csv", "summary.json", "deviation.json"):
+            path = os.path.join(out, name)
+            if name not in files.values() and os.path.lexists(path):
+                os.remove(path)
         dump_json(config.to_json(), os.path.join(out, "config.json"))
         if records is not None:
             with open(

@@ -113,14 +113,16 @@ def _split(cells: list[int], col: int, floor: int) -> Optional[list[int]]:
 def _largest_shattered(
     full: int,
     cols: Sequence[int],
+    roots: Sequence[int],
     top: int,
     nodes: int,
     budget: Optional[int],
-    orbits: Optional[list[tuple[int, ...]]] = None,
+    orbits: Optional[Sequence[tuple[int, ...]]] = None,
 ) -> tuple[tuple[int, ...], int, bool]:
-    """Lex-first shattered set of indices into ``cols`` of the largest size <= top.
+    """Lex-first shattered set of ``roots`` points of the largest size <= top.
 
-    ``full`` is the member set and ``cols`` the non-constant columns.
+    ``full`` is the member set, ``cols[p]`` the column of point p, and
+    ``roots`` the points whose column is non-constant, in increasing order.
     Sizes k = 1, 2, ... are searched in turn; the first k-set reached is the
     lex-first shattered one, and the search ends at the first k with none.
     Adding a point with ``need`` points still to place (itself included)
@@ -131,13 +133,13 @@ def _largest_shattered(
     that descent fails does it test each remaining candidate once and hand
     each survivor just the survivors after it.
 
-    ``orbits[i]`` lists the columns in the orbit of column i under symmetries
-    of the class, or is () when i's orbit is i alone (``orbits`` is None when
-    every orbit is, and the search is then the one above).  When root p's
-    descent fails at size k, every earlier root has failed too, so no
-    shattered k-set contains p; by symmetry none contains an image of p,
-    and no larger set does either.  p's whole orbit is then dropped from
-    the remaining roots and from every later size.
+    ``orbits[p]`` lists the points in the orbit of point p under symmetries
+    of the class, or is () when p's orbit is p alone (``orbits`` is None
+    when the class carries no symmetries, and the search is then the one
+    above).  When root p's descent fails at size k, every earlier root has
+    failed too, so no shattered k-set contains p; by symmetry none contains
+    an image of p, and no larger set does either.  p's whole orbit is then
+    dropped from the remaining roots and from every later size.
 
     Returns the set, the node count and whether the search finished within
     ``budget`` (if not, the set is the largest found before the node count
@@ -145,7 +147,7 @@ def _largest_shattered(
     """
     limit = math.inf if budget is None else budget
     chosen: list[int] = []
-    # columns whose orbit held a failed root; stays empty without orbits
+    # points whose orbit held a failed root; stays empty without orbits
     dead: set[int] = set()
 
     def extend(cands: Sequence[int], start: int, cells: list[int], need: int) -> bool:
@@ -167,7 +169,7 @@ def _largest_shattered(
             rest = cands[pos + 1 :]
             if not chosen and orbits and orbits[cands[pos]]:
                 dead.update(orbits[cands[pos]])
-                rest = [i for i in rest if i not in dead]
+                rest = [p for p in rest if p not in dead]
             # forward check: each later candidate is tested once, here;
             # ``spare`` counts the failures that still leave ``need`` of them
             spare = len(rest) - need
@@ -175,13 +177,13 @@ def _largest_shattered(
                 return False
             kept: list[int] = []
             splits: list[list[int]] = []
-            for i in rest:
+            for p in rest:
                 nodes += 1
                 if nodes > limit:
                     raise _BudgetExhausted
-                nxt = _split(cells, cols[i], floor)
+                nxt = _split(cells, cols[p], floor)
                 if nxt is not None:
-                    kept.append(i)
+                    kept.append(p)
                     splits.append(nxt)
                 elif spare:
                     spare -= 1
@@ -202,19 +204,10 @@ def _largest_shattered(
             return False
         return False
 
-    if top == 0:
-        return (), nodes, True
-    # every searched column is non-constant, so it splits the full cell
-    # alone: the k = 1 search takes one node and finds (0,)
-    nodes += 1
-    if nodes > limit:
-        return (), nodes, False
-    best: tuple[int, ...] = (0,)
+    best: tuple[int, ...] = ()
     try:
-        for k in range(2, top + 1):
-            live = range(len(cols))
-            if dead:
-                live = [i for i in live if i not in dead]
+        for k in range(1, top + 1):
+            live = [p for p in roots if p not in dead]
             if not extend(live, 0, [full], k):
                 break
             best = tuple(chosen)
@@ -224,17 +217,15 @@ def _largest_shattered(
     return best, nodes, True
 
 
-def _active(cls: HypothesisClass) -> tuple[int, list[int], list[int]]:
-    """The member set, the points whose column is non-constant, their columns.
+def _active(cls: HypothesisClass) -> tuple[int, list[int]]:
+    """The member set and the points whose column is non-constant.
 
     Only these points can join a shattered set.
     """
     if len(cls) == 0:
         raise InputError("class must be nonempty")
     full = (1 << len(cls)) - 1
-    cols = cls.columns
-    active = [p for p, col in enumerate(cols) if col != 0 and col != full]
-    return full, active, [cols[p] for p in active]
+    return full, [p for p, col in enumerate(cls.columns) if col != 0 and col != full]
 
 
 def count_shattered(cls: HypothesisClass, top: int) -> tuple[int, ...]:
@@ -249,7 +240,7 @@ def count_shattered(cls: HypothesisClass, top: int) -> tuple[int, ...]:
     """
     if top < 0:
         raise InputError(f"top must be >= 0, got {top}")
-    full, _, cols = _active(cls)
+    full, active = _active(cls)
     counts = [0] * (top + 1)
 
     def visit(cells: list[int], cands: Sequence[int], size: int) -> None:
@@ -277,7 +268,7 @@ def count_shattered(cls: HypothesisClass, top: int) -> tuple[int, ...]:
         for j, nxt in enumerate(splits):
             visit(nxt, kept[j + 1 :], size + 1)
 
-    visit([full], cols, 0)
+    visit([full], [cls.columns[p] for p in active], 0)
     return tuple(counts)
 
 
@@ -309,26 +300,13 @@ def vc_dimension(
     """
     if budget is not None and budget < 1:
         raise InputError(f"node budget must be at least 1, got {budget}")
-    full, active, cols = _active(cls)
+    full, active = _active(cls)
     vc_cap = min(len(cls).bit_length() - 1, len(active))
-    orbits = None
-    if cls.symmetries:
-        # a symmetry maps constant columns to constant ones, so the orbit of
-        # an active point holds active points only
-        index = {p: i for i, p in enumerate(active)}
-        orbits = [tuple([index[q] for q in cls.orbits[p]]) for p in active]
-        if not any(orbits):
-            orbits = None
-
+    orbits = cls.orbits if cls.symmetries else None
     best, nodes, exact = _largest_shattered(
-        full, cols, vc_cap, cls.domain.size, budget, orbits
+        full, cls.columns, active, vc_cap, cls.domain.size, budget, orbits
     )
-    return VcReport(
-        vc=len(best),
-        exact=exact,
-        witness=tuple([active[i] for i in best]),
-        nodes=nodes,
-    )
+    return VcReport(vc=len(best), exact=exact, witness=best, nodes=nodes)
 
 
 def union_class(a: HypothesisClass, b: HypothesisClass) -> HypothesisClass:

@@ -678,6 +678,43 @@ def test_sim_deviation_run_directory_replays(tmp_path, capsys):
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "kinds", [("comparison", "deviation"), ("deviation", "comparison")], ids="-then-".join
+)
+def test_sim_run_directory_holds_only_the_files_its_manifest_lists(tmp_path, capsys, kinds):
+    # a run removes the outputs of the other kind that an earlier run left,
+    # and leaves every other file in the directory alone
+    run, fresh = tmp_path / "run", tmp_path / "fresh"
+    run.mkdir()
+    (run / "notes.txt").write_text("kept", encoding="utf-8")
+    for kind in kinds:
+        path = sim_config_json(tmp_path, kind)
+        printed = run / "deviation.json" if kind == "deviation" else run
+        argv = ["--output-dir", str(run), "sim", "--kind", kind, "--config", path]
+        assert run_cli(capsys, argv) == (0, f"{printed}\n", "")
+    argv = ["--output-dir", str(fresh), "sim", "--kind", kinds[1], "--config", path]
+    assert run_cli(capsys, argv)[0] == 0
+    manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+    assert sorted(p.name for p in run.iterdir()) == sorted(
+        [*manifest["files"].values(), "manifest.json", "notes.txt"]
+    )
+    assert (run / "notes.txt").read_text(encoding="utf-8") == "kept"
+    for p in fresh.iterdir():
+        assert (run / p.name).read_bytes() == p.read_bytes()
+
+
+def test_sim_stale_output_that_cannot_be_removed_is_an_io_error(tmp_path, capsys):
+    path = sim_config_json(tmp_path, "deviation")
+    run = tmp_path / "run"
+    (run / "summary.json").mkdir(parents=True)
+    rc, out, err = run_cli(
+        capsys, ["--output-dir", str(run), "sim", "--kind", "deviation", "--config", path]
+    )
+    assert (rc, out) == (4, "")
+    assert err.startswith(f"i/o error: cannot write run directory {str(run)!r}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("search", ["primee", 7, None, ["prime"], "Prime"], ids=str)
 def test_sim_deviation_accepts_only_documented_search_values(tmp_path, capsys, search):
     path = sim_config_json(tmp_path, "deviation", search=search)

@@ -229,10 +229,19 @@ def test_vc_witnesses_of_named_d2_classes():
 
 def test_vc_orbit_drops_cut_named_d2_searches():
     # without the orbit drops these searches take 11,798 and 11,599 nodes,
-    # and 46,457 and 43,969 nodes without forward checking
+    # and 46,457 and 43,969 nodes without forward checking; the exact reports
+    # pin the orbit path node for node
     H, Phi = construct_theorem1(2)
-    assert vc_dimension(build_f_class(H, Phi)).nodes < 5_000
-    assert vc_dimension(build_aux_class(H, Phi)).nodes < 5_000
+    assert vc_dimension(build_f_class(H, Phi)) == VcReport(
+        vc=6, exact=True, witness=(0, 14, 24, 42, 56, 66), nodes=4360
+    )
+    assert vc_dimension(build_aux_class(H, Phi)) == VcReport(
+        vc=6, exact=True, witness=(0, 13, 27, 42, 55, 69), nodes=4130
+    )
+    _, Phi3 = construct_theorem1(3)
+    assert vc_dimension(build_aux_class(H, Phi3)) == VcReport(
+        vc=7, exact=True, witness=(0, 2, 25, 45, 66, 85, 105), nodes=198299
+    )
 
 
 # --- symmetry generators ------------------------------------------------------
@@ -307,6 +316,18 @@ def test_vc_orbit_dropped_at_one_size_is_filtered_at_the_next():
     )
     assert _report_key(cls) == _report_key(_stripped(cls))
     assert_matches_oracle(cls)
+    # the same class behind one constant point, its symmetry shifted with it:
+    # orbits name points, so the dropped orbit is {1, 2}, not positions 1, 2
+    # of the active points (read that way, the search returns (4, 5))
+    dom = FiniteDomain(7)
+    shifted = HypothesisClass.from_hypotheses(
+        dom, (Hypothesis(dom, (0, *r)) for r in rows), ((0, 2, 1, 3, 4, 5, 6),)
+    )
+    assert vc_dimension(shifted) == VcReport(vc=3, exact=True, witness=(3, 4, 5), nodes=22)
+    assert vc_dimension(_stripped(shifted)) == VcReport(
+        vc=3, exact=True, witness=(3, 4, 5), nodes=28
+    )
+    assert_matches_oracle(shifted)
 
 
 def test_symmetries_stay_out_of_equality_and_json():
