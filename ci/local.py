@@ -125,6 +125,7 @@ def numpy_free_commands(tmp: Path) -> list:
         ["sim", "--kind", "deviation", "--config",
          write("search.json", {**deviation, "trials": 5, "search": "primee"})],
         ["--sead", "3", "vc", h],
+        ["--sead", "3", "--seed", "x", "vc", h],
     ]
 
 

@@ -357,13 +357,14 @@ def cmd_verify(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """The top-level parser; ``flags`` parses its global flags alone.
+    """The top-level parser; ``flags`` finds its global flags alone.
 
     argparse sets an unknown flag aside and reads the value after it as the
     command, so ``--sead 3 vc h.json`` would fail as ``invalid choice:
     '3'``.  That error names the flag and the value instead, as
     ``unrecognized arguments: --sead 3``, the line a flag argparse knows no
-    value for gets after a subcommand.
+    value for gets after a subcommand.  ``flags`` reads no flag's value, so
+    a bad one beside the misspelt flag, as in ``--seed x``, changes nothing.
     """
 
     def parse_known_args(self, args=None, namespace=None):
@@ -385,16 +386,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    flags = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    flags.add_argument("--seed", type=int, default=None, help="master seed")
-    flags.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    flags.add_argument("--output-dir", default=None)
     parser = _Parser(
         prog="priverm",
         description="finite-class workbench for privileged risk minimization",
-        parents=[flags],
     )
-    parser.flags = flags
+    parser.add_argument("--seed", type=int, default=None, help="master seed")
+    parser.add_argument("--format", choices=("json", "csv", "table"), default="json")
+    parser.add_argument("--output-dir", default=None)
+    parser.flags = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    for flag in ("--seed", "--format", "--output-dir"):
+        parser.flags.add_argument(flag)
     sub = parser.add_subparsers(
         dest="command", required=True, parser_class=argparse.ArgumentParser
     )

@@ -523,14 +523,12 @@ def strict_int(value, what: str) -> int:
 def strict_real(value, what: str) -> float:
     """A number read from JSON, as a float; anything else, bools included, is rejected.
 
-    An integer too large for a float is rejected with a message naming the field.
+    An integer too large for a float is rejected by ``check_float``.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise InputError(f"{what} is too large for a float") from None
+    check_float(value, what)
+    return float(value)
 
 
 def check_keys(raw, known, what: str, optional=frozenset(), keys: str | None = None) -> None:
@@ -706,10 +704,10 @@ def check_m(m: int) -> None:
         raise InputError(f"m must be >= 1, got {m}")
 
 
-def check_float(value: int, what: str) -> None:
-    """The one rule for an integer a rate reads as a float: ``float`` of it must
-    not overflow, else ``InputError`` naming the field, as in ``m is too large
-    for a float``."""
+def check_float(value: int | float, what: str) -> None:
+    """The one rule for a number read as a float, an input field or an integer
+    a rate reads: ``float`` of it must not overflow, else ``InputError`` naming
+    the field, as in ``m is too large for a float``."""
     try:
         float(value)
     except OverflowError:

@@ -83,18 +83,6 @@ class _BudgetExhausted(Exception):
     """The search passed its node budget."""
 
 
-def _validate_subset(cls: HypothesisClass, subset: Sequence[int]) -> tuple[int, ...]:
-    pts = tuple(subset)
-    if len(set(pts)) != len(pts):
-        raise InputError(f"subset has duplicate indices: {pts}")
-    for p in pts:
-        if not 0 <= p < cls.domain.size:
-            raise DomainMismatchError(
-                f"index {p} outside domain of size {cls.domain.size}"
-            )
-    return pts
-
-
 def _split(cells: list[int], col: int, floor: int) -> Optional[list[int]]:
     """Both halves of every cell split by ``col``, or None if one is too small."""
     out = []
@@ -110,42 +98,55 @@ def _split(cells: list[int], col: int, floor: int) -> Optional[list[int]]:
     return out
 
 
-def _largest_shattered(
-    full: int,
-    cols: Sequence[int],
-    roots: Sequence[int],
-    top: int,
-    nodes: int,
-    budget: Optional[int],
-    orbits: Optional[Sequence[tuple[int, ...]]] = None,
-) -> tuple[tuple[int, ...], int, bool]:
-    """Lex-first shattered set of ``roots`` points of the largest size <= top.
+def _active(cls: HypothesisClass) -> tuple[int, list[int]]:
+    """The member set and the points whose column is non-constant.
 
-    ``full`` is the member set, ``cols[p]`` the column of point p, and
-    ``roots`` the points whose column is non-constant, in increasing order.
-    Sizes k = 1, 2, ... are searched in turn; the first k-set reached is the
-    lex-first shattered one, and the search ends at the first k with none.
-    Adding a point with ``need`` points still to place (itself included)
-    needs both halves of every cell to hold 2^(need-1) members.  A point
-    that fails this at a node fails it at every descendant, whose cells
-    refine the node's while the floor at most halves per added point.  So
-    a node walks its candidates lazily until the first descent; only if
+    Only these points can join a shattered set.
+    """
+    if len(cls) == 0:
+        raise InputError("class must be nonempty")
+    full = (1 << len(cls)) - 1
+    return full, [p for p, col in enumerate(cls.columns) if col != 0 and col != full]
+
+
+def vc_dimension(
+    cls: HypothesisClass, budget: Optional[int] = DEFAULT_NODE_BUDGET
+) -> VcReport:
+    """VC dimension by branch-and-bound search for shattered sets.
+
+    The search runs over the points whose column is non-constant, in
+    increasing order, for target sizes k = 1, 2, ... up to the smaller of
+    log2 |class| and the number of those points; the first k-set reached is
+    the lex-first shattered one, and the search ends at the first k with
+    none.  Adding a point with ``need`` points still to place (itself
+    included) needs both halves of every cell to hold 2^(need-1) members.
+    A point that fails this at a node fails it at every descendant, whose
+    cells refine the node's while the floor at most halves per added point.
+    So a node walks its candidates lazily until the first descent; only if
     that descent fails does it test each remaining candidate once and hand
     each survivor just the survivors after it.
 
-    ``orbits[p]`` lists the points in the orbit of point p under symmetries
-    of the class, or is () when p's orbit is p alone (``orbits`` is None
-    when the class carries no symmetries, and the search is then the one
-    above).  When root p's descent fails at size k, every earlier root has
-    failed too, so no shattered k-set contains p; by symmetry none contains
-    an image of p, and no larger set does either.  p's whole orbit is then
-    dropped from the remaining roots and from every later size.
+    On a class with symmetries, ``cls.orbits[p]`` lists the points in the
+    orbit of point p, or is () when p's orbit is p alone; a class without
+    them runs the search above.  When root p's descent fails at size k,
+    every earlier root has failed too, so no shattered k-set contains p; by
+    symmetry none contains an image of p, and no larger set does either.
+    p's whole orbit is then dropped from the remaining roots and from every
+    later size.
 
-    Returns the set, the node count and whether the search finished within
-    ``budget`` (if not, the set is the largest found before the node count
-    passed it).
+    ``nodes`` starts at the number of domain points and counts one per
+    split attempt after that.  Passing the node budget returns the largest
+    set found so far as a lower bound with ``exact=False``; ``is_shattered``
+    verifies a claimed set.  A budget below 1 is an ``InputError``;
+    ``None`` means no limit.
     """
+    if budget is not None and budget < 1:
+        raise InputError(f"node budget must be at least 1, got {budget}")
+    full, active = _active(cls)
+    cols = cls.columns
+    orbits = cls.orbits if cls.symmetries else None
     limit = math.inf if budget is None else budget
+    nodes = cls.domain.size
     chosen: list[int] = []
     # points whose orbit held a failed root; stays empty without orbits
     dead: set[int] = set()
@@ -206,26 +207,14 @@ def _largest_shattered(
 
     best: tuple[int, ...] = ()
     try:
-        for k in range(1, top + 1):
-            live = [p for p in roots if p not in dead]
-            if not extend(live, 0, [full], k):
+        for k in range(1, min(len(cls).bit_length() - 1, len(active)) + 1):
+            if not extend([p for p in active if p not in dead], 0, [full], k):
                 break
             best = tuple(chosen)
             chosen.clear()
     except _BudgetExhausted:
-        return best, nodes, False
-    return best, nodes, True
-
-
-def _active(cls: HypothesisClass) -> tuple[int, list[int]]:
-    """The member set and the points whose column is non-constant.
-
-    Only these points can join a shattered set.
-    """
-    if len(cls) == 0:
-        raise InputError("class must be nonempty")
-    full = (1 << len(cls)) - 1
-    return full, [p for p, col in enumerate(cls.columns) if col != 0 and col != full]
+        return VcReport(len(best), False, best, nodes)
+    return VcReport(len(best), True, best, nodes)
 
 
 def count_shattered(cls: HypothesisClass, top: int) -> tuple[int, ...]:
@@ -274,7 +263,14 @@ def count_shattered(cls: HypothesisClass, top: int) -> tuple[int, ...]:
 
 def is_shattered(cls: HypothesisClass, subset: Sequence[int]) -> bool:
     """True iff the class realizes all 2^|subset| labelings on the subset."""
-    pts = _validate_subset(cls, subset)
+    pts = tuple(subset)
+    if len(set(pts)) != len(pts):
+        raise InputError(f"subset has duplicate indices: {pts}")
+    for p in pts:
+        if not 0 <= p < cls.domain.size:
+            raise DomainMismatchError(
+                f"index {p} outside domain of size {cls.domain.size}"
+            )
     if len(cls) < (1 << len(pts)):
         return False
     cols = cls.columns
@@ -284,29 +280,6 @@ def is_shattered(cls: HypothesisClass, subset: Sequence[int]) -> bool:
         if cells is None:
             return False
     return True
-
-
-def vc_dimension(
-    cls: HypothesisClass, budget: Optional[int] = DEFAULT_NODE_BUDGET
-) -> VcReport:
-    """VC dimension by branch-and-bound search for shattered sets.
-
-    Target sizes k = 1, 2, ... are tried in turn, up to the smaller of
-    log2 |class| and the number of non-constant points; the search ends at
-    the first k with no shattered set.  ``nodes`` counts split attempts, and
-    passing the node budget returns the largest size found so far as a lower
-    bound with ``exact=False``; ``is_shattered`` verifies a claimed set.
-    A budget below 1 is an ``InputError``; ``None`` means no limit.
-    """
-    if budget is not None and budget < 1:
-        raise InputError(f"node budget must be at least 1, got {budget}")
-    full, active = _active(cls)
-    vc_cap = min(len(cls).bit_length() - 1, len(active))
-    orbits = cls.orbits if cls.symmetries else None
-    best, nodes, exact = _largest_shattered(
-        full, cls.columns, active, vc_cap, cls.domain.size, budget, orbits
-    )
-    return VcReport(vc=len(best), exact=exact, witness=best, nodes=nodes)
 
 
 def union_class(a: HypothesisClass, b: HypothesisClass) -> HypothesisClass:

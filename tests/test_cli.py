@@ -621,18 +621,44 @@ def test_every_command_rejects_a_bad_thread_count(capsys, argv, threads):
                        f"unrecognized arguments: --threads {threads}")
 
 
+USAGE_80 = (
+    "usage: priverm [-h] [--seed SEED] [--format {json,csv,table}]\n"
+    "               [--output-dir OUTPUT_DIR]\n"
+    "               {vc,construct,erm,bounds,sim,verify} ...\n"
+)
+
+
 def test_a_misspelt_global_flag_is_named(capsys, monkeypatch):
     # argparse alone reads the flag's value as the command: invalid choice: '3'
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         main(["--sead", "3", "vc", "h.json"])
     assert exc.value.code == 2
-    assert capsys.readouterr() == ("", (
-        "usage: priverm [-h] [--seed SEED] [--format {json,csv,table}]\n"
-        "               [--output-dir OUTPUT_DIR]\n"
-        "               {vc,construct,erm,bounds,sim,verify} ...\n"
-        "priverm: error: unrecognized arguments: --sead 3\n"
-    ))
+    assert capsys.readouterr() == ("", USAGE_80 + "priverm: error: unrecognized arguments: --sead 3\n")
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--sead", "3", "--seed", "x", "vc", "h.json"], "unrecognized arguments: --sead 3\n"),
+        (["--sead", "3", "--format", "xml", "vc"], "unrecognized arguments: --sead 3\n"),
+        # a global flag with no value leaves argv unscanned: argparse's own line stays
+        (["bogus", "--seed"], "argument command: invalid choice: 'bogus' "),
+    ],
+    ids=["bad-seed", "bad-format", "no-value"],
+)
+def test_a_misspelt_global_flag_is_named_beside_a_bad_value(capsys, monkeypatch, argv, error):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    if error.endswith("\n"):
+        assert err == USAGE_80 + "priverm: error: " + error
+    else:
+        # how argparse lists the choices after the invalid one differs between versions
+        assert err.startswith(USAGE_80 + "priverm: error: " + error)
 
 
 def test_sim_deviation(tmp_path, capsys):

@@ -244,6 +244,31 @@ def test_vc_orbit_drops_cut_named_d2_searches():
     )
 
 
+def _at_most_one_one(n: int) -> list[str]:
+    return ["0" * n] + ["0" * j + "1" + "0" * (n - 1 - j) for j in range(n)]
+
+
+@pytest.mark.parametrize(
+    "h_rows, n_phi, vcs, report",
+    [
+        # the smallest pair whose d_a passes d + d* + min(d, d*) = 3
+        (["00", "01", "10"], 3, (1, 1), VcReport(3, True, (1, 3, 11), 28)),
+        # a VC-(2, 1) pair with d_a = 5, where the theorem-1 product gives 4
+        ("00110 01000 01001 01010 01110 10011 10101 10110 10111 11000 11001 11011 "
+         "11101 11110 11111".split(), 5, (2, 1), VcReport(5, True, (0, 12, 22, 34, 46), 3220)),
+    ],
+    ids=["smallest-1-1", "pair-2-1"],
+)
+def test_vc_of_pairs_that_beat_the_theorem1_product(h_rows, n_phi, vcs, report):
+    # ROADMAP item 21's fixtures: no symmetries, so the plain search, node for node
+    H = class_from_json({"domain_size": len(h_rows[0]), "hypotheses": h_rows})
+    Phi = class_from_json({"domain_size": n_phi, "hypotheses": _at_most_one_one(n_phi)})
+    aux = build_aux_class(H, Phi)
+    assert aux.symmetries == ()
+    assert (vc_dimension(H).vc, vc_dimension(Phi).vc) == vcs
+    assert vc_dimension(aux, budget=None) == report
+
+
 # --- symmetry generators ------------------------------------------------------
 
 
