@@ -221,6 +221,18 @@ def test_vc_node_counts_match_golden_digest():
     assert digest == "e9dfc895013829d0e36783df3441ae89d6d8e9a8ae0291bc72cc629dca39ba74"
 
 
+def test_vc_budgeted_reports_match_golden_digest():
+    # the digests above pin the default budget only; this one pins where a
+    # small budget cuts the search, node for node, and the lower bound it gives
+    rows = []
+    for cls in _golden_classes():
+        for budget in (1, 5, 17, 60, 300):
+            r = vc_dimension(cls, budget=budget)
+            rows.append((r.vc, r.exact, r.witness, r.nodes))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "52cc22ebbeb590ead06791ca972b8dc90cb2ec6976b2477ae1fdbabeaa839f66"
+
+
 def test_vc_witnesses_of_named_d2_classes():
     H, Phi = construct_theorem1(2)
     assert vc_dimension(build_f_class(H, Phi)).witness == (0, 14, 24, 42, 56, 66)
