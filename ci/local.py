@@ -4,7 +4,8 @@
 
 Run from the repository root, on an interpreter with numpy, pytest and
 hypothesis (Python 3.11 or later, as ``ci/smoke.py`` needs ``tomllib``).
-The steps, each reported on one line as ``PASS``, ``FAIL`` or ``SKIP``:
+The steps, each reported on one line as ``PASS``, ``FAIL`` or ``SKIP``
+with its wall time in seconds:
 
 - Tier-1 under this interpreter, plain and as the ``-X dev -W error`` leg;
 - the benchmark oracle tests, the VC(F(3)) = 9 proof, ``ci/memory_ceiling.py``
@@ -30,6 +31,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,10 +39,10 @@ ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "COLUMNS": "80"}
 failed = False
 
 
-def report(status: str, step: str, detail: str) -> None:
+def report(status: str, step: str, detail: str, seconds: float = 0.0) -> None:
     global failed
     failed |= status == "FAIL"
-    print(f"{status}  {step}: {detail}", flush=True)
+    print(f"{status}  {seconds:6.1f} s  {step}: {detail}", flush=True)
 
 
 def run(argv, **kwargs) -> subprocess.CompletedProcess:
@@ -54,8 +56,10 @@ def last_line(proc: subprocess.CompletedProcess) -> str:
 
 
 def step(name: str, argv) -> None:
+    start = time.perf_counter()
     proc = run(argv)
-    report("PASS" if proc.returncode == 0 else "FAIL", name, last_line(proc))
+    report("PASS" if proc.returncode == 0 else "FAIL", name, last_line(proc),
+           time.perf_counter() - start)
 
 
 def git_status() -> str | None:
@@ -151,6 +155,7 @@ def main() -> int:
             if "numpy" in info["has"]:
                 continue
             name = "numpy-free commands, Python %d.%d (%s)" % (*info["version"], python)
+            start = time.perf_counter()
             differ = []
             for a, w in zip(argv, want):
                 got = run([python, *a])
@@ -158,7 +163,8 @@ def main() -> int:
                     differ.append(" ".join(a[2:4]))
             report("FAIL" if differ else "PASS", name,
                    f"differ from {here}: {', '.join(differ)}" if differ
-                   else f"{len(argv)} commands, stdout, stderr and exit code as {here}")
+                   else f"{len(argv)} commands, stdout, stderr and exit code as {here}",
+                   time.perf_counter() - start)
 
     # the workflow's other Tier-1 legs, where an interpreter here can run them
     for minor in (10, 12, 13):
@@ -172,13 +178,15 @@ def main() -> int:
     report("SKIP", "Tier-1, Python 3.10 with numpy==1.24.*",
            "it installs NumPy 1.24 first, and this script installs nothing")
 
+    start = time.perf_counter()
     after = git_status()
     if before is None or after is None:
         report("SKIP", "the steps leave the checkout clean", "not a git checkout, or no git")
     else:
         new = sorted(set(after.splitlines()) - set(before.splitlines()))
         report("FAIL" if new else "PASS", "the steps leave the checkout clean",
-               f"changed: {', '.join(new)}" if new else "git status unchanged")
+               f"changed: {', '.join(new)}" if new else "git status unchanged",
+               time.perf_counter() - start)
     return 1 if failed else 0
 
 

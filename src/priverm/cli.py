@@ -5,13 +5,13 @@ claims and theorem2 run theorem1 and lemma2, whose checks state them.
 
 Exit codes: 0 success, 2 bad input (``core.InputError``, raised by every
 check of an argument or input file, or a size too large for memory) or a
-usage error, 3 a ``vc`` search cut by its node budget, 4 I/O failure, 5 an
-internal error (any other exception, printed as one ``internal error:
-<type>: <message>`` line).  A failed verification check exits 1, also one
-whose search the budget cut.  A key missing from an input file is named
-with its object, as in ``missing comparison config keys: m``, and a
-misspelt global flag with the value after it, as in ``unrecognized
-arguments: --sead 3``.
+usage error, 3 a ``vc`` search or ``levels`` count cut by its node budget
+(``levels`` then prints null), 4 I/O failure, 5 an internal error (any
+other exception, printed as one ``internal error: <type>: <message>``
+line).  A failed verification check exits 1, also one whose search the
+budget cut.  A key missing from an input file is named with its object, as
+in ``missing comparison config keys: m``, and a misspelt global flag with
+the value after it, as in ``unrecognized arguments: --sead 3``.
 
 Each command imports only the modules it runs.  This module loads ``core``
 and ``vc``, which holds the ``--budget`` default and which four of the six
@@ -113,12 +113,19 @@ def _load_class(path: str, label: str):
 def cmd_vc(args) -> int:
     cls = _load_class(args.class_file, label="X")
     report = vc_dimension(cls, budget=args.budget)
-    levels = count_shattered(cls, report.vc)
-    _emit({**report.to_json(), "levels": list(levels)}, args.format)
-    if not report.exact:
+    # the count gets the nodes the search left: none after a search cut; with
+    # none left only the count to size 0 fits, as it tests no set
+    left = args.budget - report.nodes
+    if left > 0:
+        counts = count_shattered(cls, report.vc, left)
+    else:
+        counts = (1,) if report.exact and report.vc == 0 else None
+    levels = None if counts is None else list(counts)
+    _emit({**report.to_json(), "levels": levels}, args.format)
+    if levels is None:
+        where = "while counting levels" if report.exact else "before the exact answer"
         print(
-            "node budget exhausted before the exact answer "
-            f"(nodes={report.nodes}, level={report.vc})",
+            f"node budget exhausted {where} (nodes={report.nodes}, level={report.vc})",
             file=sys.stderr,
         )
         return EXIT_BUDGET

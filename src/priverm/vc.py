@@ -8,12 +8,14 @@ nonempty.  Exact VC dimension is found by branch-and-bound: for target sizes
 k = 1, 2, ... a depth-first search over the points in increasing order
 carries the cell partition of the members and drops a point as soon as one
 half of some cell holds fewer members than the points still to add can
-split (2^(need-1)).  A point dropped at a node stays dropped below it, so a
-node whose first descent fails tests its remaining points once and hands
-each survivor only the survivors after it (forward checking); a node whose
-first descent succeeds tests no more than it walked.  The first k-set the
-search reaches is therefore the lexicographically first shattered k-set,
-and the search ends at the first k with none.  A class that carries
+split (2^(need-1)).  The last point of a set needs only to cut every cell
+in two, so it is found by a scan that builds no cells.  A point dropped at
+a node stays dropped below it, so a node whose first descent fails tests
+its remaining points once and hands each survivor only the survivors after
+it (forward checking); a node whose first descent succeeds tests no more
+than it walked.  The first k-set the search reaches is therefore the
+lexicographically first shattered k-set, and the search ends at the first
+k with none.  A class that carries
 symmetries (point permutations that map it onto itself, checked once per
 class, on first read of ``cls.orbits``) drops more: when a root's descent
 fails, no shattered set of that size or larger holds the root or any of its
@@ -22,8 +24,8 @@ without them runs the search above node for node.
 A node budget degrades the answer to a verified lower bound instead of
 running forever.  ``count_shattered`` counts the shattered sets of each size
 up to a given one by a second depth-first search, which also passes only the
-extending points down; it is a separate call, costlier than the search, and
-a report holds only the search's answer.
+extending points down; it is a separate call, costlier than the search,
+with a node budget of its own, and a report holds only the search's answer.
 
 The two product loss classes are one class up to relabelling.  Let sigma
 swap the label of every product point, (x, x*, y) to (x, x*, 1-y).  Read
@@ -61,7 +63,7 @@ class VcReport(NamedTuple):
     ``exact`` is False only when the search stopped at the node budget;
     ``vc`` is then a verified lower bound.  ``witness`` is the
     lexicographically first shattered set of size ``vc``.  ``nodes`` counts
-    the split attempts of the search, plus one per domain point for the
+    the candidates the search tested, plus one per domain point for the
     columns, built or not.  Orbit drops move ``nodes``, and where a budgeted
     search stops, only on classes that carry symmetries; ``vc`` and
     ``witness`` of an exact search never depend on them.  A named tuple:
@@ -80,7 +82,7 @@ class VcReport(NamedTuple):
 
 
 class _BudgetExhausted(Exception):
-    """The search passed its node budget."""
+    """A search or a count passed its node budget."""
 
 
 def _split(cells: list[int], col: int, floor: int) -> Optional[list[int]]:
@@ -124,7 +126,9 @@ def vc_dimension(
     cells refine the node's while the floor at most halves per added point.
     So a node walks its candidates lazily until the first descent; only if
     that descent fails does it test each remaining candidate once and hand
-    each survivor just the survivors after it.
+    each survivor just the survivors after it.  The last point (``need`` 1)
+    is a plain scan: the first later candidate whose column cuts every cell
+    in two completes the set, and its halves are never built.
 
     On a class with symmetries, ``cls.orbits[p]`` lists the points in the
     orbit of point p, or is () when p's orbit is p alone; a class without
@@ -135,9 +139,9 @@ def vc_dimension(
     later size.
 
     ``nodes`` starts at the number of domain points and counts one per
-    split attempt after that.  Passing the node budget returns the largest
-    set found so far as a lower bound with ``exact=False``; ``is_shattered``
-    verifies a claimed set.  A budget below 1 is an ``InputError``;
+    candidate tested after that, by a split or by the last-point scan.
+    Passing the node budget returns the largest set found so far as a lower
+    bound with ``exact=False``; ``is_shattered`` verifies a claimed set.  A budget below 1 is an ``InputError``;
     ``None`` means no limit.
     """
     if budget is not None and budget < 1:
@@ -153,8 +157,21 @@ def vc_dimension(
 
     def extend(cands: Sequence[int], start: int, cells: list[int], need: int) -> bool:
         nonlocal nodes
-        if need == 0:
-            return True
+        if need == 1:
+            # the last point only has to cut every cell in two: no cells are built
+            for p in cands[start:]:
+                nodes += 1
+                if nodes > limit:
+                    raise _BudgetExhausted
+                col = cols[p]
+                for c in cells:
+                    a = c & col
+                    if not a or a == c:
+                        break
+                else:
+                    chosen.append(p)
+                    return True
+            return False
         floor = 1 << (need - 1)
         for pos in range(start, len(cands) - need + 1):
             nodes += 1
@@ -217,7 +234,9 @@ def vc_dimension(
     return VcReport(len(best), True, best, nodes)
 
 
-def count_shattered(cls: HypothesisClass, top: int) -> tuple[int, ...]:
+def count_shattered(
+    cls: HypothesisClass, top: int, budget: Optional[int] = None
+) -> Optional[tuple[int, ...]]:
     """Number of shattered sets of each size 0..top, each set visited once.
 
     Counts over the class's non-constant columns in point order; sizes past
@@ -226,16 +245,29 @@ def count_shattered(cls: HypothesisClass, top: int) -> tuple[int, ...]:
     point that fails to extend a set fails for all its supersets, so each
     set hands its children only the points that extend it.  Sets of size
     ``top`` are counted without building their cells.
+
+    The count takes one node per candidate tested against a visited set's
+    cells, added once per set before its tests, and returns None as soon as
+    they pass ``budget``.  A budget below 1 is an ``InputError``; ``None``
+    means no limit.
     """
     if top < 0:
         raise InputError(f"top must be >= 0, got {top}")
+    if budget is not None and budget < 1:
+        raise InputError(f"node budget must be at least 1, got {budget}")
     full, active = _active(cls)
+    limit = math.inf if budget is None else budget
+    nodes = 0
     counts = [0] * (top + 1)
 
     def visit(cells: list[int], cands: Sequence[int], size: int) -> None:
+        nonlocal nodes
         counts[size] += 1
         if size == top:
             return
+        nodes += len(cands)
+        if nodes > limit:
+            raise _BudgetExhausted
         last = size + 1 == top
         kept: list[int] = []
         splits: list[list[int]] = []
@@ -257,7 +289,10 @@ def count_shattered(cls: HypothesisClass, top: int) -> tuple[int, ...]:
         for j, nxt in enumerate(splits):
             visit(nxt, kept[j + 1 :], size + 1)
 
-    visit([full], [cls.columns[p] for p in active], 0)
+    try:
+        visit([full], [cls.columns[p] for p in active], 0)
+    except _BudgetExhausted:
+        return None
     return tuple(counts)
 
 

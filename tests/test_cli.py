@@ -151,9 +151,41 @@ def test_vc_budget_exhausted_reports_nodes_and_level(tmp_path, capsys):
     rc, out, err = run_cli(capsys, ["vc", path, "--budget", "20"])
     assert rc == 3
     assert json.loads(out) == {
-        "vc": 4, "exact": False, "witness": [0, 1, 2, 3], "levels": [1, 6, 15, 20, 15]
+        "vc": 4, "exact": False, "witness": [0, 1, 2, 3], "levels": None
     }
     assert err == "node budget exhausted before the exact answer (nodes=21, level=4)\n"
+
+
+FULL8_LEVELS = [1, 8, 28, 56, 70, 56, 28, 8, 1]
+
+
+@pytest.mark.parametrize("budget, levels", [("100", None), ("298", None),
+                                            ("299", FULL8_LEVELS), (None, FULL8_LEVELS)])
+def test_vc_levels_count_gets_what_the_search_left(tmp_path, capsys, budget, levels):
+    # full_class(8): the search takes 44 nodes and the count 255 more
+    path = write_json(tmp_path, "full8.json", class_to_json(full_class(8)))
+    argv = ["vc", path] + (["--budget", budget] if budget else [])
+    rc, out, err = run_cli(capsys, argv)
+    assert out == json.dumps(
+        {"exact": True, "levels": levels, "vc": 8, "witness": list(range(8))},
+        indent=2, sort_keys=True,
+    ) + "\n"
+    if levels is None:
+        assert (rc, err) == (3, "node budget exhausted while counting levels "
+                                "(nodes=44, level=8)\n")
+    else:
+        assert (rc, err) == (0, "")
+
+
+@pytest.mark.parametrize("budget", ["2", "3", "4"])
+def test_vc_zero_class_keeps_its_levels_at_any_budget(tmp_path, capsys, budget):
+    # one member: no search runs, nodes stays at the domain size, and the
+    # count to size 0 tests nothing, so no budget cuts it
+    path = write_json(tmp_path, "one.json", {"domain_size": 3, "hypotheses": ["010"]})
+    rc, out, err = run_cli(capsys, ["vc", path, "--budget", budget])
+    assert (rc, json.loads(out), err) == (
+        0, {"exact": True, "levels": [1], "vc": 0, "witness": []}, ""
+    )
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])

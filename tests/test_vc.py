@@ -466,6 +466,28 @@ def test_count_shattered_sizes():
         count_shattered(HypothesisClass(FiniteDomain(3), ()), 1)
 
 
+def test_count_shattered_stops_at_its_node_budget():
+    # full_class(8) tests 255 candidates, one per nonempty set: the set it
+    # would extend plus the candidate
+    cls = full_class(8)
+    levels = (1, 8, 28, 56, 70, 56, 28, 8, 1)
+    assert count_shattered(cls, 8) == count_shattered(cls, 8, budget=255) == levels
+    assert count_shattered(cls, 8, budget=254) is None
+    # the root tests h1's 3 points; its 1-sets are counted without tests
+    assert count_shattered(h1(), 1, budget=3) == (1, 3)
+    assert count_shattered(h1(), 1, budget=2) is None
+    # a count to size 0 tests nothing, so any budget fits
+    assert count_shattered(cls, 0, budget=1) == (1,)
+    rng = random.Random(5)
+    for _ in range(30):
+        r = rand_class(rng, rng.randint(1, 7), rng.randint(1, 60))
+        top = vc_dimension(r).vc + 1
+        assert count_shattered(r, top, budget=10**6) == count_shattered(r, top)
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match=f"node budget must be at least 1, got {budget}"):
+            count_shattered(cls, 8, budget=budget)
+
+
 def test_count_shattered_on_constant_columns_is_the_empty_set_only():
     cls = HypothesisClass.from_patterns(FiniteDomain(3), [(0, 1, 0)])
     assert count_shattered(cls, 0) == (1,)
