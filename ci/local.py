@@ -5,7 +5,8 @@
 Run from the repository root, on an interpreter with numpy, pytest and
 hypothesis (Python 3.11 or later, as ``ci/smoke.py`` needs ``tomllib``).
 The steps, each reported on one line as ``PASS``, ``FAIL`` or ``SKIP``
-with its wall time in seconds:
+with its wall time in seconds (a Tier-1 line also names the NumPy version
+it ran, as ``Tier-1, Python 3.11, NumPy 2.4.6``):
 
 - Tier-1 under this interpreter, plain and as the ``-X dev -W error`` leg;
 - the benchmark oracle tests, the VC(F(3)) = 9 proof, ``ci/memory_ceiling.py``
@@ -70,11 +71,17 @@ def git_status() -> str | None:
 
 
 def probe(python: str) -> dict | None:
-    """The interpreter's version and which test modules it has, or None if it does not run."""
+    """The interpreter's version, which test modules it has and its NumPy version.
+
+    None if the interpreter does not run.
+    """
     code = (
-        "import importlib.util as u, json, sys; print(json.dumps({'version': "
-        "sys.version_info[:2], 'prefix': sys.prefix, 'has': [m for m in "
-        "('numpy', 'pytest', 'hypothesis') if u.find_spec(m)]}))"
+        "import importlib.metadata as md, importlib.util as u, json, sys\n"
+        "try:\n    numpy = md.version('numpy')\n"
+        "except md.PackageNotFoundError:\n    numpy = None\n"
+        "print(json.dumps({'version': sys.version_info[:2], 'prefix': sys.prefix, "
+        "'numpy': numpy, 'has': [m for m in ('numpy', 'pytest', 'hypothesis') "
+        "if u.find_spec(m)]}))"
     )
     try:
         proc = subprocess.run([python, "-c", code], capture_output=True, text=True, timeout=60)
@@ -135,10 +142,11 @@ def numpy_free_commands(tmp: Path) -> list:
 
 def main() -> int:
     here = "%d.%d" % sys.version_info[:2]
+    numpy = probe(sys.executable)["numpy"]
     before = git_status()
     tier1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
-    step(f"Tier-1, Python {here}", tier1)
-    step(f"Tier-1, Python {here} -X dev -W error",
+    step(f"Tier-1, Python {here}, NumPy {numpy}", tier1)
+    step(f"Tier-1, Python {here}, NumPy {numpy}, -X dev -W error",
          [sys.executable, "-X", "dev", *tier1[1:], "-W", "error"])
     step("benchmark oracle tests", [sys.executable, "-m", "pytest", "-q", "perfbench/test_oracles.py"])
     step("VC(F(3)) = 9 proof",
@@ -171,11 +179,13 @@ def main() -> int:
         python = next((path for path, info in others.items() if info["version"] == [3, minor]
                        and {"numpy", "pytest", "hypothesis"} <= set(info["has"])), None)
         if python:
-            step(f"Tier-1, Python 3.{minor}", [python, *tier1[1:]])
+            step(f"Tier-1, Python 3.{minor}, NumPy {others[python]['numpy']}",
+                 [python, *tier1[1:]])
         else:
-            report("SKIP", f"Tier-1, Python 3.{minor}",
+            report("SKIP", f"Tier-1, Python 3.{minor}, newest NumPy",
                    f"no Python 3.{minor} here has numpy, pytest and hypothesis")
-    report("SKIP", "Tier-1, Python 3.10 with numpy==1.24.*",
+    report("SKIP", "Tier-1, Python 3.10, NumPy 1.24.*",
+           "the only check of simulate's in-place PCG64 re-seed under NumPy 1.24; "
            "it installs NumPy 1.24 first, and this script installs nothing")
 
     start = time.perf_counter()

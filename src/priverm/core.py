@@ -230,7 +230,9 @@ class HypothesisClass(_Frozen):
 
     ``columns`` and ``orbits`` are computed on first read and kept in the
     class's ``__dict__``, as the class is frozen; like ``symmetries``, they
-    take no part in equality, hashing or ``repr``.
+    take no part in equality, hashing or ``repr``.  The hash is kept there
+    too after the first ``hash()``, so a cache keyed by classes does not
+    hash every member on each lookup.
     """
 
     _fields = ("domain", "members")
@@ -279,6 +281,13 @@ class HypothesisClass(_Frozen):
         return cls.from_hypotheses(
             domain, (Hypothesis(domain, tuple(p)) for p in patterns)
         )
+
+    @cached_property
+    def _hash(self) -> int:
+        return _Frozen.__hash__(self)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.members)

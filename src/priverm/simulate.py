@@ -5,10 +5,11 @@ splitmix-style hash of (seed, t), so each trial's draw is fixed however the
 trials are computed.  Trial t's uniforms are exactly those of
 ``np.random.default_rng(mix_seed(seed, t))``, but no SeedSequence is built per
 trial: a block of trial seeds is mixed as one uint64 array, NumPy's
-SeedSequence hash runs once over the block, and NumPy seeds each trial's
-PCG64 from that trial's hashed words.  ``sample`` draws through
-``default_rng`` itself, so a trial drawn again by ``sample`` checks the
-batched path.  A drawn sample enters both experiments only as its count
+SeedSequence hash runs once over the block, and one PCG64 and one Generator
+serve the whole block, the PCG64 re-seeded in place by NumPy's own seeding
+from each trial's hashed words before that trial's draws.  ``sample`` draws
+through ``default_rng`` itself, so a trial drawn again by ``sample`` checks
+the batched path.  A drawn sample enters both experiments only as its count
 vector over the support, counted by thresholds: a trial's draws below each
 cumulative total of the support.  The comparison experiment
 searches its dimensions d, d* and d_a once per pair of classes (the last
@@ -134,21 +135,13 @@ def _seed_words(seeds: Sequence[int]) -> np.ndarray:
     return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
-def _uniform_rows(seeds: Sequence[int], m: int) -> np.ndarray:
-    """len(seeds)×m uniforms: row r equals ``default_rng(seeds[r]).random(m)``.
+@functools.cache
+def _seed_words_type() -> type:
+    """The seed sequence that hands PCG64 a row of ``_seed_words``, as ``words``.
 
-    ``default_rng(s)`` draws from a PCG64 that seeds itself from
-    ``SeedSequence(s).generate_state(4, np.uint64)``; here each row's PCG64
-    seeds itself from the row's ``_seed_words`` instead, hashed for the
-    whole block at once.
-    Callers ask for at most 2**16 rows, so an array too big for numpy means
-    that m is too large.
+    Defined on first use: importing its base loads numpy.random, which
+    NumPy 2 otherwise loads on first use.
     """
-    try:
-        out = np.empty((len(seeds), m))
-    except ValueError as exc:
-        raise InputError(f"m is too large for an array: {exc}") from None
-    # imported here: it loads numpy.random, which NumPy 2 otherwise loads on first use
     from numpy.random.bit_generator import ISeedSequence
 
     class SeedWords(ISeedSequence):
@@ -161,8 +154,37 @@ def _uniform_rows(seeds: Sequence[int], m: int) -> np.ndarray:
                 raise RuntimeError(f"PCG64 asked for {n_words} words of {dtype}, not 4 of uint64")
             return self.words
 
-    for row, words in zip(out, _seed_words(seeds)):
-        np.random.Generator(np.random.PCG64(SeedWords(words))).random(out=row)
+    return SeedWords
+
+
+def _uniform_rows(seeds: Sequence[int], m: int) -> np.ndarray:
+    """len(seeds)×m uniforms: row r equals ``default_rng(seeds[r]).random(m)``.
+
+    ``default_rng(s)`` draws from a PCG64 that seeds itself from
+    ``SeedSequence(s).generate_state(4, np.uint64)``; here the row's
+    ``_seed_words``, hashed for the whole block at once, take that place.
+    One PCG64 and one Generator serve the block: before each row, the
+    PCG64 is re-seeded in place by running its own ``__init__`` again on
+    the row's words, and the Generator, which reads the PCG64's state where
+    it lies, draws the row into ``out``.
+    Callers ask for at most 2**16 rows, so an array too big for numpy means
+    that m is too large.
+    """
+    try:
+        out = np.empty((len(seeds), m))
+    except ValueError as exc:
+        raise InputError(f"m is too large for an array: {exc}") from None
+    if not len(out):
+        return out
+    rows = _seed_words(seeds)
+    words = _seed_words_type()(rows[0])
+    bit_generator = np.random.PCG64(words)
+    draw = np.random.Generator(bit_generator).random
+    reseed = bit_generator.__init__
+    for row, row_words in zip(out, rows):
+        words.words = row_words
+        reseed(words)
+        draw(out=row)
     return out
 
 
@@ -270,8 +292,8 @@ def _dimensions(H: HypothesisClass, Phi: HypothesisClass) -> tuple[int, int, int
     Each is searched with no node budget, as the bounds use the answer.
     The last pair's answer is kept (and that pair with it), keyed by the
     classes' values; equality ignores ``symmetries``, which never change an
-    exact answer.  A hit hashes every member of both classes, microseconds
-    against the searches.
+    exact answer.  A hit reads the hash each class keeps after its first
+    ``hash()``, and compares members only when the pair is an equal copy.
     """
     return (
         vc_dimension(H, budget=None).vc,
@@ -420,14 +442,17 @@ def run_theorem5_experiment(
     dev_star = np.empty(trials)
     dev_max = np.empty(trials)
     # counts are integers below 2**53, so every product and sum is exact
+    flag_t = np.ascontiguousarray(flag.T)
     step = max(1, BLOCK_CELLS // len(flag))
     for lo in range(0, trials, step):
-        emp = counts[lo : lo + step] @ flag.T / m
+        emp = counts[lo : lo + step] @ flag_t
+        emp /= m
         rows = slice(lo, lo + len(emp))
         hat = emp.argmin(axis=1)
         dev_hat[rows] = true_rates[hat] - emp[np.arange(len(emp)), hat]
         dev_star[rows] = p_star - emp[:, star_idx]
-        dev_max[rows] = (true_rates - emp).max(axis=1)
+        # the rates are read above, so the gaps can take their place
+        dev_max[rows] = np.subtract(true_rates, emp, out=emp).max(axis=1)
 
     def freq(events: np.ndarray) -> float:
         return np.count_nonzero(events) / trials

@@ -335,6 +335,27 @@ def test_values_are_frozen_and_compare_by_their_fields():
     assert repr(Triple(1, 2, 1)) == "Triple(x=1, xstar=2, y=1)"
 
 
+def test_class_hash_is_kept_after_the_first_call(monkeypatch):
+    H, _ = construct_theorem1(2)
+    bare = HypothesisClass(H.domain, H.members)
+    rebuilt = HypothesisClass.from_patterns(H.domain, [tuple(h.bits) for h in H])
+    assert H.symmetries and not bare.symmetries
+    for twin in (bare, rebuilt, pickle.loads(pickle.dumps(H))):
+        assert twin is not H and twin == H and hash(twin) == hash(H)
+    calls = []
+    member_hash = Hypothesis.__hash__
+
+    def counted(h):
+        calls.append(h)
+        return member_hash(h)
+
+    monkeypatch.setattr(Hypothesis, "__hash__", counted)
+    fresh = HypothesisClass(H.domain, H.members)
+    assert hash(fresh) == hash(H) and len(calls) == len(H)
+    calls.clear()
+    assert hash(fresh) == hash(H) and hash(bare) == hash(H) and not calls
+
+
 # --- distributions ------------------------------------------------------------
 
 

@@ -277,6 +277,26 @@ def test_uniform_rows_equal_default_rng(seeds, m):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", DRAW_LENGTHS)
+def test_uniform_rows_carry_nothing_from_one_row_to_the_next(m):
+    # one PCG64 is re-seeded in place for every row, so a seed drawn again,
+    # after another seed or after itself, gives its first row again
+    s, t = EDGE_SEEDS[2], EDGE_SEEDS[3]
+    rows = simulate._uniform_rows([s, t, s, s], m)
+    want = np.random.default_rng(s).random(m)
+    for r in (0, 2, 3):
+        assert np.array_equal(rows[r], want)
+    assert np.array_equal(rows[1], np.random.default_rng(t).random(m))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", DRAW_LENGTHS)
+def test_uniform_rows_of_no_seeds_are_empty(m):
+    rows = simulate._uniform_rows([], m)
+    assert rows.shape == (0, m) and rows.dtype == np.float64
+
+
+@pytest.mark.filterwarnings("error")
 @settings(deadline=None, max_examples=60)
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6))
 @example(list(EDGE_SEEDS))
@@ -604,6 +624,23 @@ def test_deviation_reports_are_pinned():
             reports.append(rep)
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
     assert digest == "31b3d892b795f4734f57b14032349aade52839e6c1e7fd0a4c98f0f007889939"
+
+
+def test_deviation_reports_do_not_depend_on_the_block_size(monkeypatch):
+    """One trial per block, |Phi'| + 1 cells, and seven rows with a ragged
+    last block give the default block size's reports, on Phi' and on Phi."""
+    Phi = full_class(8, "X*")
+    family, _ = construct_theorem5_family(Phi, eps=0.1, delta=0.005, heavy_side=(0, 1, 0, 1))
+    prime = phi_prime_subclass(Phi, family.pairs)
+    args = dict(m=50, trials=1100, seed=4321)
+    for search in (prime, Phi):
+        # 1100 trials also span more than one block of the default size
+        assert args["trials"] > simulate.BLOCK_CELLS // len(search)
+        want = run_theorem5_experiment(family, search, **args)
+        for cells in (1, len(prime) + 1, 7 * len(search)):
+            monkeypatch.setattr(simulate, "BLOCK_CELLS", cells)
+            assert run_theorem5_experiment(family, search, **args) == want
+        monkeypatch.undo()
 
 
 def test_deviation_requires_star_in_subclass():
