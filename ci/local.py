@@ -127,6 +127,8 @@ def numpy_free_commands(tmp: Path) -> list:
         ["vc", h],
         *(["construct", "--what", what] for what in ("theorem1", "lemma1", "theorem5")),
         ["verify", "--suite", "claims"],
+        # F(2) carries symmetries, so this runs the search's orbit drops
+        ["verify", "--suite", "theorem1", "--d", "2"],
         ["bounds", "--m", "99", "--delta", "0.05", "--d", "2", "--dstar", "1", "--d-a", "3"],
         ["bounds", "--inputs", write("b.json", bounds), "--m", "300"],
         ["bounds", "--inputs", write("b_bad.json", {**bounds, "zz": 0})],

@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .core import (
@@ -90,17 +91,6 @@ def _emit(obj: dict, fmt: str) -> None:
         width = max(len(k) for k in obj)
         for k in sorted(obj):
             print(f"{k:<{width}}  {_text(obj[k])}")
-
-
-def _write(payload: dict, name: str, args, fmt: str) -> None:
-    """Write ``<--output-dir>/<name>.json`` and print its path, or emit to stdout."""
-    if args.output_dir:
-        os.makedirs(args.output_dir, exist_ok=True)
-        out = os.path.join(args.output_dir, f"{name}.json")
-        dump_json(payload, out)
-        print(out)
-    else:
-        _emit(payload, fmt)
 
 
 def _load_class(path: str, label: str):
@@ -169,7 +159,14 @@ def cmd_construct(args) -> int:
             "heavy_side": list(family.heavy_side),
             "phi_star": family.phi_star.to_bitstring(),
         }
-    _write(payload, args.what, args, "json")
+    # JSON whatever --format says: to <--output-dir>/<what>.json, whose path is printed
+    if args.output_dir:
+        os.makedirs(args.output_dir, exist_ok=True)
+        out = os.path.join(args.output_dir, f"{args.what}.json")
+        dump_json(payload, out)
+        print(out)
+    else:
+        sys.stdout.write(json_text(payload))
     return EXIT_OK
 
 
@@ -322,7 +319,11 @@ def _suite_lemma2(d: int, dstar: int) -> bool:
     from .constructions import construct_lemma2_witness, construct_theorem1
 
     H, _ = construct_theorem1(d)
-    _, Phi = construct_theorem1(dstar)
+    try:
+        _, Phi = construct_theorem1(dstar)
+    except InputError as exc:
+        # construct_theorem1 names its argument d
+        raise InputError(re.sub(r"\bd\b", "dstar", str(exc))) from None
     lower, upper = d_a_interval(d, dstar)
     ok = True
     if lower:

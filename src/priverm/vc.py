@@ -4,28 +4,13 @@ The engine works on integer bit columns: for each domain point j,
 ``cls.columns[j]`` has bit i set iff member i labels point j with 1; a
 class builds them on first read and keeps them.  A subset is shattered iff
 progressively splitting the member set by each column leaves every cell
-nonempty.  Exact VC dimension is found by branch-and-bound: for target sizes
-k = 1, 2, ... a depth-first search over the points in increasing order
-carries the cell partition of the members and drops a point as soon as one
-half of some cell holds fewer members than the points still to add can
-split (2^(need-1)).  The last point of a set needs only to cut every cell
-in two, so it is found by a scan that builds no cells.  A point dropped at
-a node stays dropped below it, so a node whose first descent fails tests
-its remaining points once and hands each survivor only the survivors after
-it (forward checking); a node whose first descent succeeds tests no more
-than it walked.  The first k-set the search reaches is therefore the
-lexicographically first shattered k-set, and the search ends at the first
-k with none.  A class that carries
-symmetries (point permutations that map it onto itself, checked once per
-class, on first read of ``cls.orbits``) drops more: when a root's descent
-fails, no shattered set of that size or larger holds the root or any of its
-images, so its whole orbit is dropped for the rest of the search.  A class
-without them runs the search above node for node.
-A node budget degrades the answer to a verified lower bound instead of
-running forever.  ``count_shattered`` counts the shattered sets of each size
-up to a given one by a second depth-first search, which also passes only the
-extending points down; it is a separate call, costlier than the search,
-with a node budget of its own, and a report holds only the search's answer.
+nonempty.  ``vc_dimension`` finds the exact VC dimension by the
+branch-and-bound search its docstring states, and a node budget degrades
+its answer to a verified lower bound instead of running forever.
+``count_shattered`` counts the shattered sets of each size up to a given
+one by a second depth-first search, which passes only the extending points
+down; it is a separate call, costlier than the search, with a node budget
+of its own, and a report holds only the search's answer.
 
 The two product loss classes are one class up to relabelling.  Let sigma
 swap the label of every product point, (x, x*, y) to (x, x*, 1-y).  Read
@@ -118,17 +103,20 @@ def vc_dimension(
 
     The search runs over the points whose column is non-constant, in
     increasing order, for target sizes k = 1, 2, ... up to the smaller of
-    log2 |class| and the number of those points; the first k-set reached is
-    the lex-first shattered one, and the search ends at the first k with
-    none.  Adding a point with ``need`` points still to place (itself
-    included) needs both halves of every cell to hold 2^(need-1) members.
-    A point that fails this at a node fails it at every descendant, whose
-    cells refine the node's while the floor at most halves per added point.
-    So a node walks its candidates lazily until the first descent; only if
-    that descent fails does it test each remaining candidate once and hand
-    each survivor just the survivors after it.  The last point (``need`` 1)
-    is a plain scan: the first later candidate whose column cuts every cell
-    in two completes the set, and its halves are never built.
+    log2 |class| and the number of those points.  Depth first, it carries
+    the cell partition of the members by the points chosen so far; the
+    first k-set it reaches is the lex-first shattered one, and it ends at
+    the first k with none.  Adding a point with ``need`` points still to
+    place (itself included) needs both halves of every cell to hold
+    2^(need-1) members.  A point that fails this at a node fails it at
+    every descendant, whose cells refine the node's while the floor at most
+    halves per added point.  So a node walks its candidates once: it splits
+    them lazily up to its first descent, and if that descent fails, it
+    tests each later candidate once, keeps the halves of those that pass,
+    and walks on over them alone, handing each survivor just the survivors
+    after it (forward checking).  The last point (``need`` 1) is a plain
+    scan: the first later candidate whose column cuts every cell in two
+    completes the set, and its halves are never built.
 
     On a class with symmetries, ``cls.orbits[p]`` lists the points in the
     orbit of point p, or is () when p's orbit is p alone; a class without
@@ -141,8 +129,8 @@ def vc_dimension(
     ``nodes`` starts at the number of domain points and counts one per
     candidate tested after that, by a split or by the last-point scan.
     Passing the node budget returns the largest set found so far as a lower
-    bound with ``exact=False``; ``is_shattered`` verifies a claimed set.  A budget below 1 is an ``InputError``;
-    ``None`` means no limit.
+    bound with ``exact=False``; ``is_shattered`` verifies a claimed set.  A
+    budget below 1 is an ``InputError``; ``None`` means no limit.
     """
     if budget is not None and budget < 1:
         raise InputError(f"node budget must be at least 1, got {budget}")
@@ -173,53 +161,46 @@ def vc_dimension(
                     return True
             return False
         floor = 1 << (need - 1)
-        for pos in range(start, len(cands) - need + 1):
-            nodes += 1
-            if nodes > limit:
-                raise _BudgetExhausted
-            nxt = _split(cells, cols[cands[pos]], floor)
-            if nxt is None:
-                continue
-            chosen.append(cands[pos])
-            if extend(cands, pos + 1, nxt, need - 1):
-                return True
-            chosen.pop()
-            rest = cands[pos + 1 :]
-            if not chosen and orbits and orbits[cands[pos]]:
-                dead.update(orbits[cands[pos]])
-                rest = [p for p in rest if p not in dead]
-            # forward check: each later candidate is tested once, here;
-            # ``spare`` counts the failures that still leave ``need`` of them
-            spare = len(rest) - need
-            if spare < 0:
-                return False
-            kept: list[int] = []
-            splits: list[list[int]] = []
-            for p in rest:
+        # the forward check's survivors and their halves, in candidate order
+        halves: dict[int, list[int]] = {}
+        while start <= len(cands) - need:
+            p = cands[start]
+            start += 1
+            if halves:
+                nxt = halves[p]
+            else:
                 nodes += 1
                 if nodes > limit:
                     raise _BudgetExhausted
                 nxt = _split(cells, cols[p], floor)
+                if nxt is None:
+                    continue
+            chosen.append(p)
+            if extend(cands, start, nxt, need - 1):
+                return True
+            chosen.pop()
+            if not chosen and orbits and orbits[p]:
+                dead.update(orbits[p])
+                cands, start = [q for q in cands[start:] if q not in dead], 0
+            if halves:
+                continue
+            # forward check: each later candidate is tested once, here;
+            # ``spare`` counts the failures that still leave ``need`` of them
+            spare = len(cands) - start - need
+            if spare < 0:
+                return False
+            for q in cands[start:]:
+                nodes += 1
+                if nodes > limit:
+                    raise _BudgetExhausted
+                nxt = _split(cells, cols[q], floor)
                 if nxt is not None:
-                    kept.append(p)
-                    splits.append(nxt)
+                    halves[q] = nxt
                 elif spare:
                     spare -= 1
                 else:
                     return False
-            j = 0
-            while j <= len(kept) - need:
-                chosen.append(kept[j])
-                if extend(kept, j + 1, splits[j], need - 1):
-                    return True
-                chosen.pop()
-                if not chosen and orbits and orbits[kept[j]]:
-                    dead.update(orbits[kept[j]])
-                    live = [t for t in range(j + 1, len(kept)) if kept[t] not in dead]
-                    kept[j + 1 :] = [kept[t] for t in live]
-                    splits[j + 1 :] = [splits[t] for t in live]
-                j += 1
-            return False
+            cands, start = list(halves), 0
         return False
 
     best: tuple[int, ...] = ()

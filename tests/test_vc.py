@@ -233,6 +233,22 @@ def test_vc_budgeted_reports_match_golden_digest():
     assert digest == "52cc22ebbeb590ead06791ca972b8dc90cb2ec6976b2477ae1fdbabeaa839f66"
 
 
+def test_vc_budgeted_orbit_reports_match_golden_digest():
+    # the golden classes carry no symmetries; this pins where a budget cuts
+    # the searches that drop orbits, on the named classes, node for node
+    H, Phi = construct_theorem1(2)
+    _, Phi3 = construct_theorem1(3)
+    rows = [
+        tuple(vc_dimension(cls, budget=b))
+        for cls in (build_f_class(H, Phi), build_aux_class(H, Phi))
+        for b in range(1, 4400, 50)
+    ]
+    aux3 = build_aux_class(H, Phi3)
+    rows += [tuple(vc_dimension(aux3, budget=b)) for b in (10**3, 10**4, 10**5)]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "a4bbfb2d8b1e28156e909dcc34b54cdaac951a961a88fb3ebfa357bb57c9cf74"
+
+
 def test_vc_witnesses_of_named_d2_classes():
     H, Phi = construct_theorem1(2)
     assert vc_dimension(build_f_class(H, Phi)).witness == (0, 14, 24, 42, 56, 66)
