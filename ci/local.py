@@ -126,7 +126,10 @@ def numpy_free_commands(tmp: Path) -> list:
     return [
         ["vc", h],
         *(["construct", "--what", what] for what in ("theorem1", "lemma1", "theorem5")),
+        ["--format", "csv", "construct", "--what", "theorem1"],
         ["verify", "--suite", "claims"],
+        # theorem1 builds d* = d: exit 2 and one line
+        ["verify", "--suite", "theorem1", "--dstar", "2"],
         # F(2) carries symmetries, so this runs the search's orbit drops
         ["verify", "--suite", "theorem1", "--d", "2"],
         ["bounds", "--m", "99", "--delta", "0.05", "--d", "2", "--dstar", "1", "--d-a", "3"],

@@ -2,6 +2,14 @@
 
 ``verify`` has three suites, theorem1, lemma1 and lemma2; the names
 claims and theorem2 run theorem1 and lemma2, whose checks state them.
+theorem1 builds d* = d, so there, as in ``construct --what theorem1``, a
+``--dstar`` other than ``--d`` is bad input.
+
+Every command that prints a result (``vc``, ``construct``, ``erm``,
+``bounds``, ``sim``) prints it through ``_emit``, in the global
+``--format``: json, csv or table.  With ``--output-dir``, ``construct``
+and ``sim`` write JSON files instead and print a path.  ``verify`` prints
+its check report in every format.
 
 Exit codes: 0 success, 2 bad input (``core.InputError``, raised by every
 check of an argument or input file, or a size too large for memory) or a
@@ -97,6 +105,16 @@ def _load_class(path: str, label: str):
     return class_from_json(load_json(path), label=label)
 
 
+def _theorem1_pair(d: int, dstar) -> tuple:
+    """``construct_theorem1(d)``, whose d* is d: a ``dstar`` other than d is bad input."""
+    from .constructions import construct_theorem1
+
+    H, Phi = construct_theorem1(d)
+    if dstar not in (None, d):
+        raise InputError(f"theorem1 builds d* = d, so dstar must be {d}, got {dstar}")
+    return H, Phi
+
+
 # --- subcommands ------------------------------------------------------------
 
 
@@ -123,15 +141,10 @@ def cmd_vc(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    from .constructions import (
-        construct_lemma1_tight,
-        construct_theorem1,
-        construct_theorem5_family,
-        full_class,
-    )
+    from .constructions import construct_lemma1_tight, construct_theorem5_family, full_class
 
     if args.what == "theorem1":
-        H, Phi = construct_theorem1(args.d)
+        H, Phi = _theorem1_pair(args.d, args.dstar)
         payload = {
             "h_class": class_to_json(H),
             "phi_class": class_to_json(Phi),
@@ -159,14 +172,13 @@ def cmd_construct(args) -> int:
             "heavy_side": list(family.heavy_side),
             "phi_star": family.phi_star.to_bitstring(),
         }
-    # JSON whatever --format says: to <--output-dir>/<what>.json, whose path is printed
     if args.output_dir:
         os.makedirs(args.output_dir, exist_ok=True)
         out = os.path.join(args.output_dir, f"{args.what}.json")
         dump_json(payload, out)
         print(out)
     else:
-        sys.stdout.write(json_text(payload))
+        _emit(payload, args.format)
     return EXIT_OK
 
 
@@ -280,9 +292,7 @@ def _prediction(d: int, rf) -> str:
 
 
 def _suite_theorem1(d: int, dstar: int) -> bool:
-    from .constructions import construct_theorem1
-
-    H, Phi = construct_theorem1(d)
+    H, Phi = _theorem1_pair(d, dstar)
     rh, rp = vc_dimension(H), vc_dimension(Phi)
     F = build_f_class(H, Phi)
     rf = vc_dimension(F)
@@ -343,7 +353,7 @@ def _suite_lemma2(d: int, dstar: int) -> bool:
     return ok
 
 
-# each suite takes (d, dstar); theorem1 uses d alone.  claims (VC(F) = 3d) is
+# each suite takes (d, dstar); theorem1 takes only dstar = d.  claims (VC(F) = 3d) is
 # theorem1's vc_f check, theorem2 (VC(F) = d_a within d_a_interval) lemma2's
 # d_a_sandwich, as VC(F) = d_a for every H and Phi (see ``priverm.vc``)
 SUITES = {

@@ -242,6 +242,15 @@ def test_construct_theorem5_writes_file(tmp_path, capsys):
     assert json.loads(printed)["heavy_side"] == [1, 0]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_construct_output_dir_writes_json_in_every_format(tmp_path, capsys, fmt):
+    argv = ["construct", "--what", "theorem1"]
+    _, printed, _ = run_cli(capsys, argv)
+    rc, out, _ = run_cli(capsys, ["--format", fmt, "--output-dir", str(tmp_path), *argv])
+    assert (rc, out) == (0, f"{tmp_path / 'theorem1.json'}\n")
+    assert (tmp_path / "theorem1.json").read_bytes() == printed.encode("utf-8")
+
+
 @pytest.mark.parametrize(
     "heavy, error",
     [(h, f"--heavy-side takes only 0 and 1, got {h!r}") for h in ("0x", "12", " 01")]
@@ -639,14 +648,12 @@ def test_retired_flags_are_usage_errors(capsys, argv, error):
     assert_usage_error(capsys, argv, error)
 
 
-@pytest.mark.parametrize("argv", [["vc", "h.json"]], ids=lambda argv: argv[0])
-@pytest.mark.parametrize("threads", ["-3"])
-def test_every_command_rejects_a_bad_thread_count(capsys, argv, threads):
+def test_every_command_rejects_a_bad_thread_count(capsys):
     # priverm has no --threads; it fails where it stands, before any subcommand,
     # so one command shows it for all.  A negative value is the one argparse
     # could read as a flag of its own
-    assert_usage_error(capsys, ["--threads", threads, *argv],
-                       f"unrecognized arguments: --threads {threads}")
+    assert_usage_error(capsys, ["--threads", "-3", "vc", "h.json"],
+                       "unrecognized arguments: --threads -3")
 
 
 USAGE_80 = (
@@ -1280,6 +1287,22 @@ def test_verify_lemma2_names_the_flag_out_of_range(capsys, argv, err):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["verify", "--suite", "theorem1"], ["verify", "--suite", "claims"],
+     ["construct", "--what", "theorem1"]],
+    ids=lambda argv: "-".join(argv[::2]),
+)
+def test_theorem1_takes_only_dstar_equal_to_d(capsys, argv):
+    # theorem1 builds d* = d, so any other --dstar is bad input
+    assert run_cli(capsys, [*argv, "--d", "1", "--dstar", "99"]) == (
+        2, "", "input error: theorem1 builds d* = d, so dstar must be 1, got 99\n")
+    # and --dstar equal to --d changes no byte
+    want = run_cli(capsys, [*argv, "--d", "1"])
+    assert want[0] == 0
+    assert run_cli(capsys, [*argv, "--d", "1", "--dstar", "1"]) == want
+
+
+@pytest.mark.parametrize(
     "alias, suite, dims",
     [("claims", "theorem1", ["--d", "1"]), ("claims", "theorem1", ["--d", "2"]),
      ("theorem2", "lemma2", ["--d", "1"]), ("theorem2", "lemma2", ["--d", "2", "--dstar", "3"])],
@@ -1319,25 +1342,60 @@ def test_format_csv(tmp_path, capsys):
     assert lines[1].startswith("True,")
 
 
-@pytest.mark.parametrize("command", ["vc", "bounds"])
-def test_format_csv_writes_one_field_per_key(tmp_path, capsys, command):
-    if command == "vc":
-        argv = ["vc", write_json(tmp_path, "h1.json", H1_JSON)]
-    else:
-        argv = ["bounds", "--m", "99", "--delta", "0.05", "--d", "2", "--dstar", "1",
+# every command that prints a result, with a choice where it takes one
+RESULT_COMMANDS = (
+    ["vc", "bounds", "erm"]
+    + [f"construct-{what}" for what in parser_choices("construct", "what")]
+    + [f"sim-{kind}" for kind in parser_choices("sim", "kind")]
+)
+
+
+def result_argv(tmp_path, command: str) -> list:
+    name, _, choice = command.partition("-")
+    if name == "vc":
+        return ["vc", write_json(tmp_path, "h1.json", H1_JSON)]
+    if name == "bounds":
+        return ["bounds", "--m", "99", "--delta", "0.05", "--d", "2", "--dstar", "1",
                 "--d-a", "3"]
-    rc, out, _ = run_cli(capsys, ["--format", "csv", *argv])
-    assert rc == 0
+    if name == "erm":
+        return erm_files(tmp_path)
+    if name == "construct":
+        return ["construct", "--what", choice]
+    return ["sim", "--kind", choice, "--config", sim_config_json(tmp_path, choice)]
+
+
+def assert_reads_back(want: dict, key: str, text: str) -> None:
+    # lists and dicts come back as JSON, scalars as their text
+    if isinstance(want[key], (list, dict)):
+        assert json.loads(text) == want[key]
+    else:
+        assert text == str(want[key])
+
+
+@pytest.mark.parametrize("command", RESULT_COMMANDS)
+def test_format_csv_writes_one_field_per_key(tmp_path, capsys, command):
+    argv = result_argv(tmp_path, command)
+    rc, out, err = run_cli(capsys, ["--format", "csv", *argv])
+    assert (rc, err) == (0, "")
     header, row = csv.reader(io.StringIO(out))
     _, json_out, _ = run_cli(capsys, argv)
     want = json.loads(json_out)
     assert header == sorted(want) and len(row) == len(header)
     for key, field in zip(header, row):
-        # lists and dicts come back as JSON, scalars as their text
-        if isinstance(want[key], (list, dict)):
-            assert json.loads(field) == want[key]
-        else:
-            assert field == str(want[key])
+        assert_reads_back(want, key, field)
+
+
+@pytest.mark.parametrize("command", RESULT_COMMANDS)
+def test_format_table_writes_one_line_per_key(tmp_path, capsys, command):
+    argv = result_argv(tmp_path, command)
+    rc, out, err = run_cli(capsys, ["--format", "table", *argv])
+    assert (rc, err) == (0, "")
+    lines = [line.split(None, 1) for line in out.splitlines()]
+    _, json_out, _ = run_cli(capsys, argv)
+    want = json.loads(json_out)
+    assert [key for key, _ in lines] == sorted(want)
+    for key, text in lines:
+        assert_reads_back(want, key, text)
 
 
 # --- entry point: installed script, else the checkout's [project.scripts] -------------
